@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-quick bench-runtime bench-serving bench-planner bench-store bench-gateway coverage lint lint-invariants typecheck check-docs check
+.PHONY: test bench bench-quick bench-runtime bench-serving bench-planner bench-store bench-gateway bench-baseline coverage lint lint-invariants typecheck check-docs check
 
 # Tier-1 verification: the full unit + benchmark suite, fail-fast.
 test:
@@ -13,38 +13,50 @@ test:
 bench:
 	$(PYTHON) -m pytest benchmarks -q
 
+# The perf benchmarks below write their BENCH_*.json results under the
+# untracked bench-out/ directory; the committed BENCH_*.json files at the
+# repository root are the baselines scripts/bench_compare.py gates them
+# against, and change only through `make bench-baseline`.
+
 # Pipeline throughput benchmark in its reduced configuration; writes
-# BENCH_pipeline_throughput.json at the repository root (CI uploads it).
+# bench-out/BENCH_pipeline_throughput.json (CI uploads it).
 bench-quick:
 	REPRO_BENCH_QUICK=1 $(PYTHON) -m pytest benchmarks/test_bench_pipeline_throughput.py -q
 
 # Shard-count scaling benchmark in its reduced configuration; writes
-# BENCH_runtime_scaling.json at the repository root (CI uploads it).
+# bench-out/BENCH_runtime_scaling.json (CI uploads it).
 bench-runtime:
 	REPRO_BENCH_QUICK=1 $(PYTHON) -m pytest benchmarks/test_bench_runtime_scaling.py -q
 
 # Multi-tenant serving benchmark in its reduced configuration; writes
-# BENCH_serving_throughput.json at the repository root (CI uploads it).
+# bench-out/BENCH_serving_throughput.json (CI uploads it).
 bench-serving:
 	REPRO_BENCH_QUICK=1 $(PYTHON) -m pytest benchmarks/test_bench_serving_throughput.py -q
 
 # Batch-planner scaling benchmark (2,000-claim pending pool) in its
-# reduced configuration; writes BENCH_planner_scaling.json at the
-# repository root (CI uploads it).
+# reduced configuration; writes bench-out/BENCH_planner_scaling.json (CI
+# uploads it).
 bench-planner:
 	REPRO_BENCH_QUICK=1 $(PYTHON) -m pytest benchmarks/test_bench_planner_scaling.py -q
 
 # Out-of-core store benchmark (100k-claim pool through SQLite + memmap
 # with SQL pushdown planning) in its reduced configuration; merges the
-# "store_100k" row into BENCH_planner_scaling.json (CI uploads it).
+# "store_100k" row into bench-out/BENCH_planner_scaling.json (CI uploads it).
 bench-store:
 	REPRO_BENCH_QUICK=1 $(PYTHON) -m pytest benchmarks/test_bench_store_scaling.py -q
 
 # Gateway end-to-end throughput benchmark (NDJSON wire + journal fsync in
 # the ack path) in its reduced configuration; writes
-# BENCH_gateway_throughput.json at the repository root (CI uploads it).
+# bench-out/BENCH_gateway_throughput.json (CI uploads it).
 bench-gateway:
 	REPRO_BENCH_QUICK=1 $(PYTHON) -m pytest benchmarks/test_bench_gateway_throughput.py -q
+
+# Adopt the latest benchmark results as the committed baselines: copies
+# bench-out/BENCH_*.json over the BENCH_*.json files at the repository root.
+bench-baseline:
+	@ls bench-out/BENCH_*.json >/dev/null 2>&1 || \
+		{ echo "no results in bench-out/; run the benchmarks first"; exit 1; }
+	cp bench-out/BENCH_*.json .
 
 # Coverage gate over the unit suite (pytest-cov): fails below COV_FLOOR
 # percent line coverage of src/repro and writes an HTML report to

@@ -15,12 +15,8 @@ def test_bench_figure7(benchmark, simulation_summary):
         weeks = [value for _, value in points]
         assert weeks == sorted(weeks)
     # Shape check: at the end of the run Manual has accumulated the most
-    # verification time, and Scrutinizer stays close to Sequential.  The
-    # paper reports near-parity between the two assisted processes; at this
-    # benchmark's reduced scale the ratio varies 0.94-1.11 across seeds
-    # (claim-ordering noise, not a translator regression), hence the 15%
-    # allowance.
+    # verification time.  (How close Scrutinizer stays to Sequential is
+    # checked over ten seeds by test_bench_table2_ordering_ratio.)
     finals = {name: points[-1][1] for name, points in series.items()}
     assert finals["Manual"] > finals["Sequential"]
     assert finals["Manual"] > finals["Scrutinizer"]
-    assert finals["Scrutinizer"] <= finals["Sequential"] * 1.15

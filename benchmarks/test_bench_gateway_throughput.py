@@ -14,9 +14,10 @@ the two numbers that contract trades against each other:
 
 The regression gate compares ``claims_per_second`` and
 ``ack_p95_per_second`` (the inverse of the p95 ack latency, so the
-shared higher-is-better gate applies) against the committed
-``BENCH_gateway_throughput.json``.  Journal counters (appends per fsync,
-segments, bytes) ride along for the run report.
+shared higher-is-better gate applies) of
+``bench-out/BENCH_gateway_throughput.json`` against the committed
+baseline.  Journal counters (appends per fsync, segments, bytes) ride
+along for the run report.
 
 ``REPRO_BENCH_QUICK=1`` (the ``make bench-gateway`` configuration) drops
 the repeat count so the benchmark finishes in seconds on CI runners.
@@ -25,7 +26,6 @@ the repeat count so the benchmark finishes in seconds on CI runners.
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 import time
 from pathlib import Path
@@ -36,7 +36,8 @@ from repro.serving.server import AdmissionPolicy
 from repro.serving.workloads import build_workload, percentile
 from repro.synth.report_generator import generate_corpus
 
-_RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_gateway_throughput.json"
+from bench_results import write_result
+
 _TENANT_COUNT = 12
 _POLICY = AdmissionPolicy(
     max_tenants=2 * _TENANT_COUNT,
@@ -113,7 +114,7 @@ def test_bench_gateway_throughput(corpus, scenario, tmp_path):
         "journal": journal_stats,
         "gateway": gateway_stats,
     }
-    _RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    write_result("BENCH_gateway_throughput.json", payload)
     print(
         f"\ngateway throughput over {workload.claim_count} claims / "
         f"{_TENANT_COUNT} tenants: {claims_per_second:,.0f} claims/s "

@@ -6,8 +6,8 @@ benchmark times the old-equivalent single path (per-claim ``predict`` plus
 scalar cost/utility scoring — exactly what ``_predict_pending`` and
 ``_batch_candidates`` used to do) against the batch front door
 (``predict_many`` plus array scoring) over the same pending pool, and
-persists the claims/sec trajectory to ``BENCH_pipeline_throughput.json``
-at the repository root.
+persists the claims/sec trajectory to
+``bench-out/BENCH_pipeline_throughput.json``.
 
 ``REPRO_BENCH_QUICK=1`` (the ``make bench-quick`` configuration) shrinks
 the repeat count so the benchmark finishes in seconds on CI runners.
@@ -15,14 +15,12 @@ the repeat count so the benchmark finishes in seconds on CI runners.
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
 from repro.planning.planner import QuestionPlanner
 
-_RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_pipeline_throughput.json"
+from bench_results import write_result
 
 
 def _single_path(translator, planner, claims) -> list[tuple[float, float]]:
@@ -87,7 +85,7 @@ def test_bench_pipeline_throughput(corpus, warm_translator, scenario):
         },
         "batch_over_single_speedup": speedup,
     }
-    _RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    write_result("BENCH_pipeline_throughput.json", payload)
     print(
         f"\npipeline throughput over {len(claims)} pending claims: "
         f"single {single_rate:,.0f} claims/s ({single_seconds * 1e3:.1f} ms/batch), "

@@ -10,17 +10,15 @@ the old path (dense MILP re-encoded from scratch each round,
 (dominance pruning, per-section aggregation, skeleton caching, greedy
 warm start).  Both are exact: the per-round objective values must agree.
 
-Results persist to ``BENCH_planner_scaling.json`` at the repository root.
+Results persist to ``bench-out/BENCH_planner_scaling.json``.
 ``REPRO_BENCH_QUICK=1`` (the ``make bench-planner`` configuration) shrinks
 the round count so the benchmark finishes quickly on CI runners.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -28,7 +26,8 @@ from repro.config import BatchingConfig
 from repro.planning.batching import BatchCandidate, select_claim_batch
 from repro.planning.engine import PlannerEngine
 
-_RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_planner_scaling.json"
+from bench_results import latest_result, write_result
+
 
 _POOL_SIZE = 2000
 _SECTION_COUNT = 16
@@ -117,11 +116,10 @@ def test_bench_planner_scaling():
     # The out-of-core store benchmark owns the "store_100k" row of this
     # file; carry it over so re-running one benchmark never erases the
     # other's committed baseline.
-    if _RESULT_PATH.exists():
-        previous = json.loads(_RESULT_PATH.read_text())
-        if "store_100k" in previous:
-            payload["store_100k"] = previous["store_100k"]
-    _RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    previous = latest_result("BENCH_planner_scaling.json")
+    if "store_100k" in previous:
+        payload["store_100k"] = previous["store_100k"]
+    write_result("BENCH_planner_scaling.json", payload)
     print(
         f"\nplanner scaling over a {_POOL_SIZE}-claim pool ({rounds} rounds): "
         f"re-solve {resolve_seconds / rounds * 1e3:.1f} ms/round, "

@@ -7,8 +7,7 @@ less per-batch work than one shard of N claims — even on a single core.
 This benchmark drives the full verification loop (prediction, ILP claim
 ordering, simulated crowd, retraining, translator reconciliation) at
 several shard counts over the simulator workload and persists the
-claims/sec trajectory to ``BENCH_runtime_scaling.json`` at the repository
-root.
+claims/sec trajectory to ``bench-out/BENCH_runtime_scaling.json``.
 
 ``REPRO_BENCH_QUICK=1`` (the ``make bench-runtime`` configuration) drops
 the repeat count so the benchmark finishes in seconds on CI runners.
@@ -16,13 +15,12 @@ the repeat count so the benchmark finishes in seconds on CI runners.
 
 from __future__ import annotations
 
-import json
 import os
-from pathlib import Path
 
 from repro.runtime.sharding import ShardedVerificationRunner
 
-_RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_runtime_scaling.json"
+from bench_results import write_result
+
 _SHARD_COUNTS = (1, 2, 4)
 
 
@@ -67,7 +65,7 @@ def test_bench_runtime_scaling(corpus, scenario):
         },
         "speedup_4_over_1": speedup,
     }
-    _RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    write_result("BENCH_runtime_scaling.json", payload)
     summary = ", ".join(
         f"{shard_count} shard(s) {claim_count / wall:,.0f} claims/s"
         f" ({wall:.2f}s)"

@@ -20,8 +20,7 @@ through the :class:`~repro.serving.server.VerificationServer` two ways:
   and queue-pressure passivation at registry scale.
 
 Sustained claims/sec plus p50/p95/p99 per-batch serving latency and the
-scheduler's own counters land in ``BENCH_serving_throughput.json`` at the
-repository root.
+scheduler's own counters land in ``bench-out/BENCH_serving_throughput.json``.
 
 ``REPRO_BENCH_QUICK=1`` (the ``make bench-serving`` configuration) drops
 the repeat count so the benchmark finishes in seconds on CI runners.
@@ -29,15 +28,14 @@ the repeat count so the benchmark finishes in seconds on CI runners.
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
 from repro.serving.server import AdmissionPolicy, ServerStats, VerificationServer
 from repro.serving.workloads import build_zipf_workload, drive_workload, percentile
 
-_RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_serving_throughput.json"
+from bench_results import write_result
+
 #: Uniform-partition tenant counts (each claim checked exactly once).
 _TENANT_COUNTS = (1, 4, 16)
 #: Zipf-skewed tenant counts, with the resident-session bound applied.
@@ -181,7 +179,7 @@ def test_bench_serving_throughput(corpus, scenario):
         "speedup_64_over_1": speedup_64,
         "speedup_256_over_1": speedup_256,
     }
-    _RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    write_result("BENCH_serving_throughput.json", payload)
     summary = ", ".join(
         f"{count} tenant(s) {cps(metrics):,.0f} claims/s "
         f"(p95 {float(metrics['p95_batch_latency_seconds']) * 1000.0:.0f}ms)"

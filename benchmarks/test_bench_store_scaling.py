@@ -22,8 +22,8 @@ would make an absolute bar meaningless.  A
 small-pool parity loop also re-asserts that pushdown planning selects the
 exact same claims as the materialized path.
 
-Results merge into ``BENCH_planner_scaling.json`` (key ``store_100k``) so
-the planner-scaling baseline carries the out-of-core row.
+Results merge into ``bench-out/BENCH_planner_scaling.json`` (key
+``store_100k``) so the planner-scaling baseline carries the out-of-core row.
 ``REPRO_BENCH_QUICK=1`` (the ``make bench-store`` CI configuration) keeps
 the 100k pool but shrinks the feature width and round count; the RSS
 headroom bar scales down with it, and CI gates only the scale-invariant
@@ -32,12 +32,10 @@ headroom bar scales down with it, and CI gates only the scale-invariant
 
 from __future__ import annotations
 
-import json
 import os
 import resource
 import tempfile
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -46,7 +44,8 @@ from repro.planning.batching import BatchCandidate
 from repro.planning.engine import PlannerEngine
 from repro.store import OutOfCoreClaimStore
 
-_RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_planner_scaling.json"
+from bench_results import latest_result, write_result
+
 
 _POOL_SIZE = 100_000
 _SECTION_COUNT = 64
@@ -215,11 +214,9 @@ def test_bench_store_scaling(tmp_path):
         "rss_headroom_vs_dense": headroom,
     }
 
-    payload: dict = {}
-    if _RESULT_PATH.exists():
-        payload = json.loads(_RESULT_PATH.read_text())
+    payload = latest_result("BENCH_planner_scaling.json")
     payload["store_100k"] = row
-    _RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    write_result("BENCH_planner_scaling.json", payload)
     print(
         f"\nout-of-core planning over a {_POOL_SIZE}-claim pool "
         f"(dim {dimension}, {rounds} rounds): build {build_seconds:.1f}s, "

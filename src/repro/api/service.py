@@ -42,13 +42,9 @@ from repro.errors import ClaimError, InfeasibleSelectionError, SimulationError
 from repro.ml.base import Prediction
 from repro.pipeline.batch import ClaimBatchPredictions
 from repro.planning.batching import BatchCandidate, ClaimSelection
-from repro.planning.engine import FusionRequest, PlannerEngine
+from repro.planning.engine import FusionRequest
 from repro.planning.planner import QuestionPlanner
 from repro.translation.translator import ClaimTranslator
-
-#: Fallback score-cache keys for services attached to a shared engine
-#: without an explicit key (tenant services pass their tenant id instead).
-_ENGINE_KEY_COUNTER = iter(range(1, 1 << 62))
 
 __all__ = [
     "BatchResult",
@@ -77,7 +73,10 @@ class BatchResult:
     #: Classifier accuracy on the still-pending claims, keyed by series
     #: name; empty when tracking is off or no claims remain.
     accuracy_by_property: dict[str, float]
-    #: Which strategy selected the batch ("milp", "greedy", "sequential").
+    #: Which strategy selected the batch: the engine's ``"engine-direct"``,
+    #: ``"engine-dp"``, ``"engine-fused"``, ``"engine-milp"`` or
+    #: ``"engine-greedy"``, ``"sequential"`` for the baseline, or a custom
+    #: batch selector's own tag.
     solver: str
     #: Number of claims still pending after this batch.
     pending_after: int
@@ -128,13 +127,9 @@ class VerificationService:
         The question planner building per-claim screen sequences.
     batch_selector:
         Any :class:`~repro.api.protocols.BatchSelector`; defaults to the
-        planner itself (ILP-based claim ordering).
-    planner_engine:
-        Optional shared :class:`~repro.planning.engine.PlannerEngine`.
-        When set, batch selection runs through the engine's pruned, cached
-        encoding and per-claim scores are cached across rounds (invalidated
-        by feature-store generation); equivalent to calling
-        :meth:`use_planner_engine` after construction.
+        planner itself, which selects through its
+        :class:`~repro.planning.engine.PlannerEngine` (``planner.engine``;
+        a server shares one engine across its sessions by assigning it).
     """
 
     def __init__(
@@ -147,7 +142,6 @@ class VerificationService:
         answer_source: AnswerSource | None = None,
         planner: QuestionPlanner | None = None,
         batch_selector: BatchSelector | None = None,
-        planner_engine: PlannerEngine | None = None,
         accuracy_sample_size: int = 60,
         system_name: str | None = None,
     ) -> None:
@@ -201,10 +195,6 @@ class VerificationService:
         self._report: VerificationReport | None = None
         self._batch_index = 0
         self._track_accuracy = True
-        self._planner_engine: PlannerEngine | None = None
-        self._engine_cache_key: str | None = None
-        if planner_engine is not None:
-            self.use_planner_engine(planner_engine)
 
     # ------------------------------------------------------------------ #
     # run state
@@ -270,43 +260,6 @@ class VerificationService:
         self._batch_index = 0
         self._track_accuracy = track_accuracy
         self._emit("reset")
-        return self
-
-    @property
-    def planner_engine(self) -> PlannerEngine | None:
-        """The shared batch-planning engine, when one is attached."""
-        return self._planner_engine
-
-    def use_planner_engine(
-        self, engine: PlannerEngine, cache_key: str | None = None
-    ) -> "VerificationService":
-        """Route batch planning through a (possibly shared) engine.
-
-        The engine keeps a per-session :class:`~repro.planning.engine.ScoreCache`
-        under ``cache_key`` (a serving layer passes the tenant id so the
-        cache survives passivation/rehydration), invalidated whenever the
-        translator's feature generation bumps.  When the default
-        :class:`~repro.planning.planner.QuestionPlanner` is the batch
-        selector it is pointed at the engine too, so the MILP itself runs
-        through the pruned, cached encoding.
-        """
-        previous_engine = self._planner_engine
-        previous_key = self._engine_cache_key
-        self._planner_engine = engine
-        self._engine_cache_key = (
-            cache_key
-            if cache_key is not None
-            else f"service-{next(_ENGINE_KEY_COUNTER)}"
-        )
-        if previous_engine is not None and previous_key is not None:
-            # Re-attaching under a new key (or a new engine) orphans the old
-            # score cache; drop it instead of leaving it to LRU pressure.
-            # Re-attaching the same engine under the same key (tenant
-            # rehydration) keeps the warm cache.
-            if previous_engine is not engine or previous_key != self._engine_cache_key:
-                previous_engine.drop_score_cache(previous_key)
-        if isinstance(self.batch_selector, QuestionPlanner):
-            self.batch_selector.engine = engine
         return self
 
     def on_batch_complete(self, callback: ProgressCallback) -> "VerificationService":
@@ -417,29 +370,25 @@ class VerificationService:
         runnable tenant and submits them together to
         :meth:`~repro.planning.engine.PlannerEngine.plan_fused`; each
         tenant's slice of the fused answer is then executed via
-        ``run_batch(selection=...)``.  The candidates come from the same
-        score-cache path :meth:`run_batch` itself uses, so a fused solve of
-        this request is claim-for-claim identical to the selection an
-        unfused ``run_batch`` would have computed.
+        ``run_batch(selection=...)``.  The candidates are scored fresh by
+        the current translator, exactly as :meth:`run_batch` scores them, so
+        a fused solve of this request is claim-for-claim identical to the
+        selection an unfused ``run_batch`` would have computed.
 
         Returns ``None`` whenever that exactness guarantee cannot be made —
-        nothing pending, no shared engine attached, a custom batch selector,
-        or the sequential baseline — in which case the caller must fall back
-        to a plain :meth:`run_batch`.
+        nothing pending, a custom batch selector, or the sequential
+        baseline — in which case the caller must fall back to a plain
+        :meth:`run_batch`.
         """
         session = self._session
         if session is None or session.is_complete:
             return None
-        if self._planner_engine is None or self._engine_cache_key is None:
-            return None
         selector = self.batch_selector
-        if not isinstance(selector, QuestionPlanner):
+        if not isinstance(selector, QuestionPlanner) or not selector.config.claim_ordering:
             return None
-        if not selector.config.claim_ordering or selector.engine is not self._planner_engine:
-            return None
-        candidates = self._batch_candidates_cached(session.pending_claim_ids)
+        pending = session.pending_claim_ids
+        candidates = self._batch_candidates(pending, self._predict_pending(pending))
         return FusionRequest(
-            key=self._engine_cache_key,
             candidates=tuple(candidates),
             section_read_costs=self._section_read_costs,
             config=selector.config.batching,
@@ -474,23 +423,6 @@ class VerificationService:
                     f"pending: {sorted(not_pending)[:5]!r}"
                 )
             batch_predictions = self._predict_pending(selection.claim_ids)
-            if self._planner_engine is not None and self._engine_cache_key is not None:
-                self._planner_engine.score_cache(self._engine_cache_key).forget(
-                    selection.claim_ids
-                )
-        elif self._planner_engine is not None:
-            # Engine path: scores come from the per-session cache (only
-            # unscored claims are predicted); ranked predictions are then
-            # materialized for the *selected* batch only, so planning work
-            # scales with what changed, not with the pool.
-            candidates = self._batch_candidates_cached(pending)
-            selection = self.batch_selector.plan_batch(
-                candidates, self._section_read_costs, document_order=self._document_order
-            )
-            batch_predictions = self._predict_pending(selection.claim_ids)
-            self._planner_engine.score_cache(self._engine_cache_key).forget(
-                selection.claim_ids
-            )
         else:
             batch_predictions = self._predict_pending(pending)
             candidates = self._batch_candidates(pending, batch_predictions)
@@ -717,49 +649,8 @@ class VerificationService:
             costs = np.full(len(pending), manual_cost)
             utilities = np.ones(len(pending))
         else:
-            costs = self.planner.estimate_costs_batch(batch_predictions)
-            utilities = self.planner.estimate_utilities_batch(batch_predictions)
-        return [
-            BatchCandidate(
-                claim_id=claim_id,
-                section_id=self.corpus.claim(claim_id).section_id,
-                verification_cost=float(costs[index]),
-                training_utility=float(utilities[index]),
-            )
-            for index, claim_id in enumerate(pending)
-        ]
-
-    def _feature_generation(self) -> int | None:
-        """The translator's feature-store generation, when it exposes one."""
-        suite = getattr(self.translator, "suite", None)
-        store = getattr(suite, "feature_store", None)
-        generation = getattr(store, "generation", None)
-        return generation if isinstance(generation, int) else None
-
-    def _batch_candidates_cached(self, pending: Sequence[str]) -> list[BatchCandidate]:
-        """Candidates via the engine's score cache: only changed claims re-score.
-
-        The cache is keyed by the feature-store generation — a featurizer
-        refit (which bumps the generation and changes every feature row)
-        drops all cached scores, while within a generation only claims never
-        scored before (new submissions) are predicted and scored.
-        """
-        assert self._planner_engine is not None and self._engine_cache_key is not None
-        if not self.translator.is_trained:
-            return self._batch_candidates(pending, None)
-        cache = self._planner_engine.score_cache(self._engine_cache_key)
-        if cache.refresh(self._feature_generation()):
-            self._planner_engine.record(score_invalidations=1)
-        missing = cache.missing(pending)
-        if missing:
-            predictions = self._predict_pending(missing)
-            if predictions is None:  # pragma: no cover - is_trained checked above
-                return self._batch_candidates(pending, None)
-            costs, utilities = self.planner.estimate_scores_batch(predictions)
-            cache.update(predictions.claim_ids, costs, utilities)
-            self._planner_engine.record(scores_computed=len(missing))
-        self._planner_engine.record(scores_reused=len(pending) - len(missing))
-        costs, utilities = cache.get(pending)
+            costs, utilities = self.planner.estimate_scores_batch(batch_predictions)
+            self.planner.engine.record(scores_computed=len(pending))
         return [
             BatchCandidate(
                 claim_id=claim_id,

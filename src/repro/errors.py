@@ -98,7 +98,7 @@ class InfeasibleSelectionError(PlanningError):
 
     ``constraint`` names the violated constraint when known (``"pool"``,
     ``"min_batch_size"``, ``"batch_bounds"`` or ``"cost_threshold"``), so
-    callers of :func:`~repro.planning.batching.select_claim_batch` can see
+    callers of :meth:`~repro.planning.engine.PlannerEngine.plan` can see
     *which* bound made the instance infeasible instead of guessing from
     the message text.
     """

@@ -53,9 +53,8 @@ def estimate_scores(
     """``(v(c), u(c))`` for every claim of the batch in one pass.
 
     Cost and utility scoring both consume the batch's cached entropy
-    matrix, so computing them together is what the planning hot path (and
-    the :class:`~repro.planning.engine.PlannerEngine` score cache) wants:
-    one call per pool of claims that need (re-)scoring.
+    matrix, so computing them together is what the planning hot path
+    wants: one call per round over the pending pool.
 
     Pushdown-aware variant: pass ``store``/``generation``/``claim_ids`` to
     also upsert the scores into an

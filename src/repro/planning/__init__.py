@@ -19,12 +19,7 @@ everything below, plus its peer; never ``crowd``, ``api``, ``runtime``,
 
 from repro.planning.batching import BatchCandidate, ClaimSelection, select_claim_batch
 from repro.planning.costmodel import VerificationCostModel
-from repro.planning.engine import (
-    EngineStats,
-    PlannerEngine,
-    ScoreCache,
-    dominance_prune,
-)
+from repro.planning.engine import EngineStats, PlannerEngine, dominance_prune
 from repro.planning.ilp import IlpSolution, solve_claim_selection_ilp
 from repro.planning.options import AnswerOption, expected_option_cost, order_options
 from repro.planning.planner import QuestionPlanner
@@ -43,7 +38,6 @@ __all__ = [
     "QueryOption",
     "QuestionPlan",
     "QuestionPlanner",
-    "ScoreCache",
     "Screen",
     "VerificationCostModel",
     "claim_training_utility",

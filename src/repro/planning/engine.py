@@ -1,11 +1,13 @@
-"""Adaptive batch-planning engine for large pending pools (Section 5.2).
+"""The batch planner: claim selection for Algorithm 1 (Definition 9).
 
-Re-solving the claim-selection MILP of Definition 9 from scratch on every
-serving round is the planner's scalability wall: the dense encoding has one
-variable per pending claim plus one per section and one linking row per
-claim, so a 2,000-claim pool means a multi-megabyte constraint matrix per
-round per tenant.  :class:`PlannerEngine` keeps the program *exact* while
-shrinking and reusing the work:
+Every session selects its next claim batch through :class:`PlannerEngine`.
+The default :class:`~repro.planning.planner.QuestionPlanner` owns one, and
+the serving layer points every tenant's planner at one shared instance.
+Each round hands the engine candidates scored fresh by the current
+classifiers.  The engine solves the claim-selection program exactly — its
+objective equals the dense MILP of
+:func:`~repro.planning.batching.select_claim_batch`, which stays only as
+the test and benchmark oracle — while shrinking the work:
 
 * **Dominance pruning** — a claim that is no better in utility, verification
   cost and section cost than ``max_batch_size`` already-kept peers of the
@@ -25,20 +27,16 @@ shrinking and reusing the work:
   only on the section signature of the pruned pool, so it is cached across
   rounds and across tenants sharing the engine; only the objective and the
   dynamic budget/bound rows are rebuilt per round.
-* **Score caching** — per-session :class:`ScoreCache` instances hold each
-  claim's ``(v(c), u(c))`` keyed by the
-  :class:`~repro.pipeline.feature_store.ClaimFeatureStore` generation:
-  a featurizer refit invalidates everything (the features changed), while
-  within a generation only never-scored claims are predicted and scored.
 * **Greedy warm start** — the greedy heuristic runs first on the pruned
   pool; its objective value becomes an incumbent bound row that tightens
   the MILP search, and its solution is the fallback when the MILP solver
   is unavailable or fails.
 
-The engine is deliberately *opt-in*: the single-document simulator keeps
-the reference per-round re-solve, while the serving layer shares one engine
-across all tenant sessions (see
-:class:`~repro.serving.server.VerificationServer`).
+Ties are broken deterministically in the pinned regime.  Among batches of
+equal objective — always the case at cold start, when every claim scores
+the same — the engine takes the lowest-index one: claims from earlier
+sections (by section id) first, then lower claim indices within a section.
+The dense MILP returns whichever optimum the solver happens to find.
 """
 
 from __future__ import annotations
@@ -77,7 +75,6 @@ __all__ = [
     "EngineStats",
     "FusionRequest",
     "PlannerEngine",
-    "ScoreCache",
     "dominance_prune",
 ]
 
@@ -145,68 +142,45 @@ def dominance_prune(
 
 
 # --------------------------------------------------------------------------- #
-# score caching
+# pool encoding shared by plan() and plan_fused()
 # --------------------------------------------------------------------------- #
-class ScoreCache:
-    """Per-session ``(cost, utility)`` scores keyed by feature generation.
+def _pool_arrays(
+    candidates: Sequence[BatchCandidate],
+    section_read_costs: Mapping[str, float],
+    config: BatchingConfig,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A pool as arrays: per-claim utilities, costs and section indices, plus
+    each distinct section's read cost (sections indexed in sorted id order)."""
+    section_ids = sorted({candidate.section_id for candidate in candidates})
+    section_index = {section_id: index for index, section_id in enumerate(section_ids)}
+    utilities = np.array([candidate.training_utility for candidate in candidates], dtype=float)
+    costs = np.array([candidate.verification_cost for candidate in candidates], dtype=float)
+    sections = np.array(
+        [section_index[candidate.section_id] for candidate in candidates], dtype=np.int64
+    )
+    default_read_cost = config.section_read_cost
+    read_costs = np.array(
+        [section_read_costs.get(section_id, default_read_cost) for section_id in section_ids],
+        dtype=float,
+    )
+    return utilities, costs, sections, read_costs
 
-    :meth:`refresh` must be called with the current
-    :class:`~repro.pipeline.feature_store.ClaimFeatureStore` generation
-    before each use: a generation bump drops every cached score (the
-    underlying features — and therefore the predictions — changed), while
-    within a generation only claims never scored before need predicting.
-    A ``None`` generation means the backend cannot report one; the cache
-    then stays conservatively empty.
+
+def _pinned_shortcut(
+    utilities: np.ndarray, max_batch: int, weight: float | None
+) -> list[int] | None:
+    """The pinned-size selections that need no solver, else ``None``.
+
+    A pool that fits the batch is taken whole; under the pure-utility
+    objective the top ``max_batch`` utilities win regardless of sections
+    (lowest index on ties).
     """
-
-    def __init__(self) -> None:
-        self._generation: int | None = None
-        self._costs: dict[str, float] = {}
-        self._utilities: dict[str, float] = {}
-
-    def __len__(self) -> int:
-        return len(self._costs)
-
-    @property
-    def generation(self) -> int | None:
-        return self._generation
-
-    def refresh(self, generation: int | None) -> bool:
-        """Adopt ``generation``; returns ``True`` when scores were dropped."""
-        if generation is not None and generation == self._generation:
-            return False
-        invalidated = bool(self._costs)
-        self._costs.clear()
-        self._utilities.clear()
-        self._generation = generation
-        return invalidated
-
-    def missing(self, claim_ids: Iterable[str]) -> list[str]:
-        """The claims of ``claim_ids`` that have no cached score."""
-        return [claim_id for claim_id in claim_ids if claim_id not in self._costs]
-
-    def update(
-        self,
-        claim_ids: Sequence[str],
-        costs: Sequence[float],
-        utilities: Sequence[float],
-    ) -> None:
-        for claim_id, cost, utility in zip(claim_ids, costs, utilities):
-            self._costs[claim_id] = float(cost)
-            self._utilities[claim_id] = float(utility)
-
-    def get(self, claim_ids: Sequence[str]) -> tuple[list[float], list[float]]:
-        """Scores for ``claim_ids`` (every id must be cached)."""
-        return (
-            [self._costs[claim_id] for claim_id in claim_ids],
-            [self._utilities[claim_id] for claim_id in claim_ids],
-        )
-
-    def forget(self, claim_ids: Iterable[str]) -> None:
-        """Drop specific claims (e.g. ones verified and no longer pending)."""
-        for claim_id in claim_ids:
-            self._costs.pop(claim_id, None)
-            self._utilities.pop(claim_id, None)
+    if max_batch >= len(utilities):
+        return list(range(len(utilities)))
+    if weight is None:
+        top = np.lexsort((np.arange(len(utilities)), -utilities))[:max_batch]
+        return sorted(int(index) for index in top)
+    return None
 
 
 # --------------------------------------------------------------------------- #
@@ -223,7 +197,6 @@ class FusionRequest:
     :meth:`PlannerEngine.plan` for the same request claim-for-claim.
     """
 
-    key: str
     candidates: tuple[BatchCandidate, ...]
     section_read_costs: Mapping[str, float]
     config: BatchingConfig | None = None
@@ -244,9 +217,11 @@ class EngineStats:
     claims_pruned: int = 0
     skeleton_hits: int = 0
     skeleton_misses: int = 0
+    #: Per-claim scores computed for planning by the sessions using this
+    #: engine.  Every round scores its whole pending pool fresh, so
+    #: ``scores_reused`` always reads 0.
     scores_computed: int = 0
     scores_reused: int = 0
-    score_invalidations: int = 0
     #: Cross-tenant fusion: :meth:`PlannerEngine.plan_fused` calls made,
     #: requests solved inside a fused pass, and requests that had to fall
     #: back to an individual :meth:`PlannerEngine.plan` (cost-threshold
@@ -274,29 +249,19 @@ class _Skeleton:
 
 
 class PlannerEngine:
-    """Shared, cache-backed claim-batch planner (exact, like the raw MILP).
+    """Exact claim-batch planner, shareable across sessions.
 
-    One engine instance can serve many sessions: the skeleton cache is
-    shared (it depends only on pool structure), while score caches are
-    per-session via :meth:`score_cache`.  The engine's shared state —
-    caches and statistics — is lock-protected, because a serving scheduler
-    runs tenant sessions concurrently on a thread pool; each
-    :class:`ScoreCache` itself is only ever touched by its own session's
-    round (the scheduler runs a tenant at most once per round) and needs no
-    lock of its own.
+    One engine instance can serve many sessions: the skeleton cache depends
+    only on pool structure, so it is shared.  The engine's shared state —
+    skeleton cache and statistics — is lock-protected, because a serving
+    scheduler runs tenant sessions concurrently on a thread pool.
     """
 
-    def __init__(
-        self, *, skeleton_cache_size: int = 64, score_cache_size: int = 256
-    ) -> None:
+    def __init__(self, *, skeleton_cache_size: int = 64) -> None:
         if skeleton_cache_size < 1:
             raise ConfigurationError("skeleton_cache_size must be at least 1")
-        if score_cache_size < 1:
-            raise ConfigurationError("score_cache_size must be at least 1")
         self._skeleton_cache_size = skeleton_cache_size
-        self._score_cache_size = score_cache_size
         self._skeletons: OrderedDict[bytes, _Skeleton] = OrderedDict()
-        self._score_caches: OrderedDict[str, ScoreCache] = OrderedDict()
         self._lock = threading.RLock()
         self.stats = EngineStats()
 
@@ -305,37 +270,6 @@ class PlannerEngine:
         with self._lock:
             for name, delta in deltas.items():
                 setattr(self.stats, name, getattr(self.stats, name) + delta)
-
-    # ------------------------------------------------------------------ #
-    # per-session score caches
-    # ------------------------------------------------------------------ #
-    def score_cache(self, key: str) -> ScoreCache:
-        """The (created-on-demand) score cache of one session/tenant.
-
-        Caches are LRU-bounded at ``score_cache_size`` sessions so a
-        long-lived engine shared by many short-lived services cannot grow
-        without bound; an evicted session simply re-scores its pool on its
-        next round.
-        """
-        with self._lock:
-            cache = self._score_caches.get(key)
-            if cache is None:
-                cache = self._score_caches[key] = ScoreCache()
-            else:
-                self._score_caches.move_to_end(key)
-            while len(self._score_caches) > self._score_cache_size:
-                self._score_caches.popitem(last=False)
-            return cache
-
-    def drop_score_cache(self, key: str) -> bool:
-        """Discard a session's score cache (e.g. when a tenant is retired)."""
-        with self._lock:
-            return self._score_caches.pop(key, None) is not None
-
-    @property
-    def score_cache_keys(self) -> tuple[str, ...]:
-        with self._lock:
-            return tuple(self._score_caches)
 
     # ------------------------------------------------------------------ #
     # planning
@@ -367,44 +301,16 @@ class PlannerEngine:
         if threshold is None:
             min_batch = max_batch
         weight = config.utility_weight if config.utility_weight > 0 else None
-
-        section_ids = sorted({candidate.section_id for candidate in candidates})
-        section_index = {
-            section_id: position for position, section_id in enumerate(section_ids)
-        }
-        utilities = np.array(
-            [candidate.training_utility for candidate in candidates], dtype=float
-        )
-        costs = np.array(
-            [candidate.verification_cost for candidate in candidates], dtype=float
-        )
-        sections = np.array(
-            [section_index[candidate.section_id] for candidate in candidates],
-            dtype=np.int64,
-        )
-        read_costs = np.array(
-            [
-                section_read_costs.get(section_id, config.section_read_cost)
-                for section_id in section_ids
-            ],
-            dtype=float,
+        utilities, costs, sections, read_costs = _pool_arrays(
+            candidates, section_read_costs, config
         )
 
-        # Exact shortcuts that need no solver at all.
         if threshold is None:
-            if max_batch >= len(candidates):
+            direct = _pinned_shortcut(utilities, max_batch, weight)
+            if direct is not None:
                 self.record(direct_solves=1)
                 return self._selection(
-                    candidates, range(len(candidates)), section_read_costs, "engine-direct"
-                )
-            if weight is None:
-                # Pure utility, pinned size: the top max_batch utilities win
-                # regardless of sections (lowest index on ties).
-                top = np.lexsort((np.arange(len(utilities)), -utilities))[:max_batch]
-                self.record(direct_solves=1)
-                return self._selection(
-                    candidates, sorted(int(i) for i in top), section_read_costs,
-                    "engine-direct",
+                    candidates, direct, section_read_costs, "engine-direct"
                 )
 
         kept = dominance_prune(
@@ -597,69 +503,20 @@ class PlannerEngine:
             # (position, candidates, read-cost map, weights, sections,
             #  read costs, max batch) for the requests that need the DP;
             # trivially small pools short-circuit exactly like plan().
-            dp_entries: list[
-                tuple[
-                    int,
-                    Sequence[BatchCandidate],
-                    Mapping[str, float],
-                    np.ndarray,
-                    np.ndarray,
-                    np.ndarray,
-                    int,
-                ]
-            ] = []
-            total_claims = 0
+            dp_entries: list[tuple] = []
             for position, request, config in fused:
                 candidates = request.candidates
-                total_claims += len(candidates)
                 max_batch = min(config.max_batch_size, len(candidates))
                 weight = config.utility_weight if config.utility_weight > 0 else None
-                utilities = np.array(
-                    [candidate.training_utility for candidate in candidates],
-                    dtype=float,
+                utilities, costs, sections, read_costs = _pool_arrays(
+                    candidates, request.section_read_costs, config
                 )
-                if max_batch >= len(candidates):
+                direct = _pinned_shortcut(utilities, max_batch, weight)
+                if direct is not None:
                     selections[position] = self._selection(
-                        candidates,
-                        range(len(candidates)),
-                        request.section_read_costs,
-                        "engine-fused",
+                        candidates, direct, request.section_read_costs, "engine-fused"
                     )
                     continue
-                if weight is None:
-                    top = np.lexsort((np.arange(len(utilities)), -utilities))[
-                        :max_batch
-                    ]
-                    selections[position] = self._selection(
-                        candidates,
-                        sorted(int(index) for index in top),
-                        request.section_read_costs,
-                        "engine-fused",
-                    )
-                    continue
-                costs = np.array(
-                    [candidate.verification_cost for candidate in candidates],
-                    dtype=float,
-                )
-                section_ids = sorted(
-                    {candidate.section_id for candidate in candidates}
-                )
-                section_index = {
-                    section_id: index for index, section_id in enumerate(section_ids)
-                }
-                sections = np.array(
-                    [section_index[candidate.section_id] for candidate in candidates],
-                    dtype=np.int64,
-                )
-                read_costs = np.array(
-                    [
-                        request.section_read_costs.get(
-                            section_id, config.section_read_cost
-                        )
-                        for section_id in section_ids
-                    ],
-                    dtype=float,
-                )
                 dp_entries.append(
                     (
                         position,

@@ -16,7 +16,7 @@ from repro.config import ScrutinizerConfig
 from repro.ml.base import Prediction
 from repro.pipeline.batch import ClaimBatchPredictions
 from repro.pipeline.scoring import estimate_costs, estimate_scores, estimate_utilities
-from repro.planning.batching import BatchCandidate, ClaimSelection, select_claim_batch
+from repro.planning.batching import BatchCandidate, ClaimSelection
 from repro.planning.costmodel import VerificationCostModel
 from repro.planning.engine import PlannerEngine
 from repro.planning.options import options_from_prediction, order_options
@@ -36,11 +36,10 @@ class QuestionPlanner:
     ) -> None:
         self.config = config if config is not None else ScrutinizerConfig()
         self.cost_model = VerificationCostModel(self.config.cost_model)
-        #: When set, batch selection routes through the shared
-        #: :class:`~repro.planning.engine.PlannerEngine` (dominance pruning,
-        #: aggregated encoding, skeleton caching) instead of re-encoding the
-        #: full MILP every round.  Both paths are exact.
-        self.engine = engine
+        #: The :class:`~repro.planning.engine.PlannerEngine` every batch is
+        #: selected through: the planner's own by default, or one shared
+        #: by every session of a server (assign it here).
+        self.engine = engine if engine is not None else PlannerEngine()
 
     # ------------------------------------------------------------------ #
     # single-claim question planning (Section 5.1)
@@ -219,7 +218,7 @@ class QuestionPlanner:
 
         With claim ordering disabled (the *Sequential* baseline) the first
         ``max_batch_size`` claims in document order are returned instead of
-        solving the ILP.
+        solving for the batch.
         """
         if not self.config.claim_ordering:
             ordered = list(candidates)
@@ -236,14 +235,8 @@ class QuestionPlanner:
                 sections_read=sections,
                 solver="sequential",
             )
-        if self.engine is not None:
-            return self.engine.plan(
-                candidates, dict(section_read_costs), config=self.config.batching
-            )
-        return select_claim_batch(
-            candidates=candidates,
-            section_read_costs=dict(section_read_costs),
-            config=self.config.batching,
+        return self.engine.plan(
+            candidates, dict(section_read_costs), config=self.config.batching
         )
 
 

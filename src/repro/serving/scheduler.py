@@ -71,12 +71,11 @@ class SchedulerConfig:
     #: Hard anti-starvation bound: a runnable tenant unscheduled for this
     #: many consecutive rounds jumps the queue in the next round.
     deadline_rounds: int = 8
-    #: Fuse the scheduled tenants' batch selections into one shared
+    #: The scheduled tenants' batch selections are fused into one shared
     #: :meth:`repro.planning.engine.PlannerEngine.plan_fused` solve per
-    #: round (exact; split back per tenant after selection).
-    fuse_planning: bool = True
-    #: Tenants whose candidate pool exceeds this many claims solve solo
-    #: even when fusion is on; ``None`` fuses every eligible tenant.
+    #: round (exact; split back per tenant after selection).  Tenants whose
+    #: candidate pool exceeds this many claims solve solo; ``None`` fuses
+    #: every eligible tenant.
     max_fused_pool: int | None = None
 
     def __post_init__(self) -> None:

@@ -302,14 +302,6 @@ class VerificationServer:
         Share an existing :class:`~repro.runtime.pool.WorkerPool` (e.g.
         with a :class:`~repro.runtime.sharding.ShardedVerificationRunner`).
         The server then never closes it.
-    planner_engine:
-        Optional :class:`~repro.planning.engine.PlannerEngine` shared by
-        every tenant session the server runs.  The engine's constraint-
-        skeleton cache is shared across tenants; per-claim score caches are
-        keyed by tenant id, so they survive passivation and rehydration and
-        tenants never see each other's scores.  When omitted and the
-        scheduler has planner fusion on (the default), the server creates
-        its own shared engine — cross-tenant fusion needs one.
     scheduler:
         The :class:`~repro.serving.scheduler.SchedulerConfig` of the
         work-stealing tenant scheduler (fairness pressure, starvation
@@ -341,7 +333,6 @@ class VerificationServer:
         snapshot_dir: str | Path | None = None,
         system_name: str = "Serving",
         pool: WorkerPool | None = None,
-        planner_engine: PlannerEngine | None = None,
         scheduler: SchedulerConfig | None = None,
         feature_backend_factory: "Callable[[str], FeatureBackend] | None" = None,
     ) -> None:
@@ -372,9 +363,7 @@ class VerificationServer:
         )
         self.scheduler_config = scheduler if scheduler is not None else SchedulerConfig()
         self._scheduler = TenantScheduler(self.scheduler_config)
-        if planner_engine is None and self.scheduler_config.fuse_planning:
-            planner_engine = PlannerEngine()
-        self._planner_engine = planner_engine
+        self._planner_engine = PlannerEngine()
         self._feature_backend_factory = feature_backend_factory
         self._tenants: dict[str, _TenantRecord] = {}
         self._queue: deque[_Submission] = deque()
@@ -395,8 +384,8 @@ class VerificationServer:
         return tuple(self._tenants)
 
     @property
-    def planner_engine(self) -> PlannerEngine | None:
-        """The engine shared by every tenant session, when one is set."""
+    def planner_engine(self) -> PlannerEngine:
+        """The engine every tenant session plans through."""
         return self._planner_engine
 
     @property
@@ -682,11 +671,9 @@ class VerificationServer:
             self.stats.sessions_started += 1
             self._attach_store_backend(service, record)
         self._apply_feature_cap(service)
-        if self._planner_engine is not None:
-            # One engine for every tenant: shared skeleton cache, per-tenant
-            # score caches keyed by tenant id so a passivated tenant's scores
-            # are still warm after rehydration.
-            service.use_planner_engine(self._planner_engine, cache_key=record.tenant_id)
+        # Every tenant plans on the server's one engine — the one that solves
+        # each round's fused requests — sharing its skeleton cache and stats.
+        service.planner.engine = self._planner_engine
         record.service = service
         record.parked_snapshot = None
         if record.buffered_claims:
@@ -765,8 +752,6 @@ class VerificationServer:
         exact, so this only changes *where* selection happens, never what
         is selected.
         """
-        if self._planner_engine is None or not self.scheduler_config.fuse_planning:
-            return {}
         limit = self.scheduler_config.max_fused_pool
         owners: list[str] = []
         requests = []
@@ -774,10 +759,10 @@ class VerificationServer:
             service = record.service
             if service is None:  # pragma: no cover - residents ensured upstream
                 continue
+            if limit is not None and service.pending_count > limit:
+                continue
             request = service.planning_inputs()
             if request is None:
-                continue
-            if limit is not None and len(request.candidates) > limit:
                 continue
             owners.append(record.tenant_id)
             requests.append(request)

@@ -10,13 +10,9 @@ from repro.api.service import VerificationService
 from repro.config import BatchingConfig, ScrutinizerConfig
 from repro.errors import InfeasibleSelectionError
 from repro.planning.batching import BatchCandidate, ClaimSelection, select_claim_batch
-from repro.planning.engine import (
-    FusionRequest,
-    PlannerEngine,
-    ScoreCache,
-    dominance_prune,
-)
+from repro.planning.engine import FusionRequest, PlannerEngine, dominance_prune
 from repro.planning.ilp import solve_claim_selection_ilp
+from repro.planning.planner import QuestionPlanner
 from repro.serving.server import AdmissionPolicy, VerificationServer
 
 
@@ -162,6 +158,16 @@ class TestEngineExactness:
         # Top-2 utilities, lowest index first on the tie between c1 and c3.
         assert selection.claim_ids == ("c0001", "c0003")
 
+    def test_equal_scores_take_the_lowest_index_batch(self):
+        """Cold start scores every claim the same, so many batches tie; the
+        engine takes the earliest sections' lowest-index claims."""
+        candidates = _candidates([1.0] * 6, [60.0] * 6, [0, 0, 1, 1, 2, 2])
+        reads = {f"sec{j:02d}": 30.0 for j in range(3)}
+        selection = PlannerEngine().plan(
+            candidates, reads, config=BatchingConfig(max_batch_size=3)
+        )
+        assert selection.claim_ids == ("c0000", "c0001", "c0002")
+
     def test_small_pool_selects_everything(self):
         candidates = _candidates([1.0, 2.0], [10.0, 20.0], [0, 0])
         selection = PlannerEngine().plan(
@@ -232,12 +238,6 @@ class TestEngineCaches:
         )
         assert selection.batch_size == 2
 
-    def test_score_cache_registry_is_lru_bounded(self):
-        engine = PlannerEngine(score_cache_size=2)
-        for key in ("a", "b", "c"):
-            engine.score_cache(key)
-        assert set(engine.score_cache_keys) == {"b", "c"}
-
     def test_zero_budget_raises_through_engine(self):
         candidates = _candidates([1.0, 2.0], [10.0, 10.0], [0, 1])
         reads = {"sec00": 5.0, "sec01": 5.0}
@@ -249,45 +249,6 @@ class TestEngineCaches:
         assert outcome.value.constraint == "cost_threshold"
 
 
-class TestScoreCache:
-    def test_generation_bump_invalidates_everything(self):
-        cache = ScoreCache()
-        cache.refresh(1)
-        cache.update(["a", "b"], [1.0, 2.0], [0.1, 0.2])
-        assert cache.missing(["a", "b", "c"]) == ["c"]
-        assert cache.refresh(2) is True
-        assert cache.missing(["a", "b"]) == ["a", "b"]
-
-    def test_same_generation_keeps_scores(self):
-        cache = ScoreCache()
-        cache.refresh(7)
-        cache.update(["a"], [1.0], [0.5])
-        assert cache.refresh(7) is False
-        assert cache.get(["a"]) == ([1.0], [0.5])
-
-    def test_none_generation_never_caches(self):
-        cache = ScoreCache()
-        cache.refresh(None)
-        cache.update(["a"], [1.0], [0.5])
-        assert cache.refresh(None) is True
-        assert cache.missing(["a"]) == ["a"]
-
-    def test_forget_drops_specific_claims(self):
-        cache = ScoreCache()
-        cache.refresh(1)
-        cache.update(["a", "b"], [1.0, 2.0], [0.1, 0.2])
-        cache.forget(["a", "never-seen"])
-        assert cache.missing(["a", "b"]) == ["a"]
-
-    def test_engine_keeps_per_session_caches(self):
-        engine = PlannerEngine()
-        engine.score_cache("tenant-a").refresh(1)
-        engine.score_cache("tenant-a").update(["x"], [1.0], [1.0])
-        assert engine.score_cache("tenant-b").missing(["x"]) == ["x"]
-        assert engine.drop_score_cache("tenant-a") is True
-        assert engine.drop_score_cache("tenant-a") is False
-
-
 class TestServiceIntegration:
     @pytest.fixture()
     def engine_service(self, small_corpus):
@@ -296,7 +257,9 @@ class TestServiceIntegration:
             checker_count=3,
             batching=BatchingConfig(min_batch_size=1, max_batch_size=20),
         )
-        service = VerificationService(small_corpus, config, planner_engine=engine)
+        service = VerificationService(
+            small_corpus, config, planner=QuestionPlanner(config, engine=engine)
+        )
         return service, engine
 
     def test_engine_service_completes_the_corpus(self, small_corpus, engine_service):
@@ -306,26 +269,6 @@ class TestServiceIntegration:
         assert engine.stats.plans == service.batches_run
         # After warm-up every batch plans through the engine's exact DP.
         assert engine.stats.direct_solves >= 1
-
-    def test_only_changed_claims_rescore_within_a_generation(self, small_corpus):
-        engine = PlannerEngine()
-        config = ScrutinizerConfig(
-            checker_count=3,
-            batching=BatchingConfig(min_batch_size=1, max_batch_size=10),
-        )
-        service = VerificationService(small_corpus, config, planner_engine=engine)
-        service.warm_start()
-        generation_before = service._feature_generation()
-        service.submit()
-        service.run_batch()
-        pool = len(list(small_corpus.claim_ids))
-        # First round scores the whole pool from scratch.
-        assert engine.stats.scores_computed == pool
-        if service._feature_generation() == generation_before:
-            # No refit happened: the second round reuses every cached score.
-            service.run_batch()
-            assert engine.stats.scores_computed == pool
-            assert engine.stats.scores_reused > 0
 
     def test_empty_selection_surfaces_instead_of_spinning(self, small_corpus):
         """A legal-but-empty selection (possible under a genuine cost
@@ -351,46 +294,8 @@ class TestServiceIntegration:
             service.run_batch()
         assert outcome.value.constraint == "cost_threshold"
 
-    def test_reattaching_under_a_new_key_drops_the_old_cache(self, small_corpus):
-        engine = PlannerEngine()
-        service = VerificationService(
-            small_corpus, ScrutinizerConfig(checker_count=3), planner_engine=engine
-        )
-        first_key = service._engine_cache_key
-        engine.score_cache(first_key).update(["x"], [1.0], [1.0])
-        service.use_planner_engine(engine, cache_key="tenant-7")
-        assert first_key not in engine.score_cache_keys
-        # Same engine, same key: the warm cache survives (rehydration path).
-        engine.score_cache("tenant-7").refresh(1)
-        engine.score_cache("tenant-7").update(["y"], [2.0], [2.0])
-        service.use_planner_engine(engine, cache_key="tenant-7")
-        assert engine.score_cache("tenant-7").missing(["y"]) == []
-
-    def test_feature_generation_bump_forces_full_rescore(self, small_corpus):
-        engine = PlannerEngine()
-        config = ScrutinizerConfig(
-            checker_count=3,
-            batching=BatchingConfig(min_batch_size=1, max_batch_size=10),
-        )
-        service = VerificationService(small_corpus, config, planner_engine=engine)
-        service.warm_start()
-        service.submit()
-        service.run_batch()
-        computed_before = engine.stats.scores_computed
-        pending = len(service.session.pending_claim_ids)
-        # Force a featurizer refit: the feature generation bumps and every
-        # cached score (stale by construction) must be recomputed — exactly
-        # the claims whose features changed, i.e. the whole pending pool.
-        claims = [annotated.claim for annotated in small_corpus]
-        service.translator.suite.preprocessor.fit(claims)
-        service.run_batch()
-        assert engine.stats.score_invalidations >= 1
-        assert engine.stats.scores_computed == computed_before + pending
-
-
 class TestServingIntegration:
     def test_tenants_share_one_engine(self, small_corpus, tmp_path):
-        engine = PlannerEngine()
         config = ScrutinizerConfig(
             checker_count=3,
             batching=BatchingConfig(min_batch_size=1, max_batch_size=15),
@@ -403,28 +308,174 @@ class TestServingIntegration:
             # the shared engine concurrently, exercising its locking.
             executor="thread",
             snapshot_dir=tmp_path / "snaps",
-            planner_engine=engine,
         ) as server:
+            engine = server.planner_engine
             claim_ids = list(small_corpus.claim_ids)
             server.submit("alpha", claim_ids[:30])
             server.submit("beta", claim_ids[30:60])
             server.run_until_idle()
-            assert server.planner_engine is engine
             assert len(server.verified_claim_ids("alpha")) == 30
             assert len(server.verified_claim_ids("beta")) == 30
-        # Both tenants planned through the shared engine, with per-tenant
-        # score caches keyed by tenant id.
+            for tenant_id in ("alpha", "beta"):
+                service = server._tenants[tenant_id].service
+                assert service is not None
+                assert service.planner.engine is engine
         assert engine.stats.plans >= 2
-        assert set(engine.score_cache_keys) >= {"alpha", "beta"}
+
+
+# --------------------------------------------------------------------------- #
+# one planning path: every production round is exact and freshly scored
+# --------------------------------------------------------------------------- #
+_ORACLE_CONFIG = ScrutinizerConfig(
+    checker_count=3,
+    batching=BatchingConfig(min_batch_size=1, max_batch_size=8),
+)
+
+
+class _RecordingSelector:
+    """A batch selector that delegates to a planner and records each round."""
+
+    def __init__(self, planner):
+        self.planner = planner
+        self.rounds = []
+
+    def plan_batch(self, candidates, section_read_costs, document_order=None):
+        selection = self.planner.plan_batch(
+            candidates, section_read_costs, document_order=document_order
+        )
+        self.rounds.append((tuple(candidates), dict(section_read_costs), selection))
+        return selection
+
+
+def _assert_matches_oracle(candidates, read_costs, config, selection):
+    """The round's selection has the MILP oracle's objective and size."""
+    oracle = select_claim_batch(candidates, dict(read_costs), config=config)
+    weight = config.utility_weight
+    assert _combined_objective(selection, weight) == pytest.approx(
+        _combined_objective(oracle, weight), rel=1e-9, abs=1e-6
+    )
+    assert selection.batch_size == oracle.batch_size
+
+
+def _fresh_candidates(service):
+    """Every pending claim scored by a fresh ``predict_many`` of the
+    session's current translator: what the next round must plan on."""
+    pending = service.session.pending_claim_ids
+    predictions = service.translator.predict_many(
+        [service.corpus.claim(claim_id) for claim_id in pending]
+    )
+    costs = service.planner.estimate_costs_batch(predictions)
+    utilities = service.planner.estimate_utilities_batch(predictions)
+    return [
+        BatchCandidate(
+            claim_id=claim_id,
+            section_id=service.corpus.claim(claim_id).section_id,
+            verification_cost=float(cost),
+            training_utility=float(utility),
+        )
+        for claim_id, cost, utility in zip(pending, costs, utilities)
+    ]
+
+
+def _record_engine_rounds(engine, monkeypatch):
+    """Record every selection the engine makes, solo or fused."""
+    rounds = []
+    plan, plan_fused = engine.plan, engine.plan_fused
+
+    def recording_plan(candidates, section_read_costs, config=None, **options):
+        selection = plan(candidates, section_read_costs, config=config, **options)
+        rounds.append((tuple(candidates), dict(section_read_costs), config, selection))
+        return selection
+
+    def recording_plan_fused(requests):
+        selections = plan_fused(requests)
+        rounds.extend(
+            (request.candidates, dict(request.section_read_costs), request.config, selection)
+            for request, selection in zip(requests, selections)
+        )
+        return selections
+
+    monkeypatch.setattr(engine, "plan", recording_plan)
+    monkeypatch.setattr(engine, "plan_fused", recording_plan_fused)
+    return rounds
+
+
+class TestOnePlanningPath:
+    def test_every_service_round_matches_the_milp_oracle(self, small_corpus):
+        recorder = _RecordingSelector(QuestionPlanner(_ORACLE_CONFIG))
+        service = VerificationService(
+            small_corpus,
+            _ORACLE_CONFIG,
+            planner=recorder.planner,
+            batch_selector=recorder,
+        )
+        report = service.run_to_completion()
+        assert len(report.verifications) == small_corpus.claim_count
+        assert len(recorder.rounds) == service.batches_run
+        for candidates, read_costs, selection in recorder.rounds:
+            assert selection.solver.startswith("engine-")
+            _assert_matches_oracle(
+                candidates, read_costs, _ORACLE_CONFIG.batching, selection
+            )
+
+    def test_every_tenant_round_matches_the_milp_oracle(self, small_corpus, monkeypatch):
+        server = VerificationServer(
+            small_corpus,
+            _ORACLE_CONFIG,
+            policy=AdmissionPolicy(max_tenants=3, max_resident_sessions=3),
+            executor="serial",
+        )
+        rounds = _record_engine_rounds(server.planner_engine, monkeypatch)
+        claim_ids = list(small_corpus.claim_ids)
+        for index, tenant_id in enumerate(("alpha", "beta", "gamma")):
+            server.submit(tenant_id, claim_ids[index * 30 : (index + 1) * 30])
+        server.run_until_idle()
+        stats = server.stats
+        server.close()
+        assert stats.claims_verified == 90
+        assert stats.fused_rounds > 0
+        assert len(rounds) == stats.batches
+        for candidates, read_costs, config, selection in rounds:
+            _assert_matches_oracle(candidates, read_costs, config, selection)
+
+    def test_service_rounds_plan_on_fresh_scores(self, small_corpus, monkeypatch):
+        service = VerificationService(small_corpus, _ORACLE_CONFIG)
+        rounds = _record_engine_rounds(service.planner.engine, monkeypatch)
+        service.submit()
+        # A cold-start round, then a trained one: the classifiers have
+        # retrained after each, so scores from either round are stale now.
+        service.run_batch()
+        service.run_batch()
+        expected = _fresh_candidates(service)
+        assert list(service.planning_inputs().candidates) == expected
+        service.run_batch()
+        assert list(rounds[-1][0]) == expected
+
+    def test_tenant_rounds_plan_on_fresh_scores(self, small_corpus, monkeypatch):
+        server = VerificationServer(
+            small_corpus,
+            _ORACLE_CONFIG,
+            policy=AdmissionPolicy(max_tenants=1, max_resident_sessions=1),
+            executor="serial",
+        )
+        rounds = _record_engine_rounds(server.planner_engine, monkeypatch)
+        server.submit("alpha", list(small_corpus.claim_ids)[:40])
+        server.run_round()
+        server.run_round()
+        service = server._tenants["alpha"].service
+        expected = _fresh_candidates(service)
+        assert list(service.planning_inputs().candidates) == expected
+        server.run_round()
+        server.close()
+        assert list(rounds[-1][0]) == expected
 
 
 # --------------------------------------------------------------------------- #
 # cross-tenant fusion
 # --------------------------------------------------------------------------- #
-def _fusion_request(instance, utility_weight, key):
+def _fusion_request(instance, utility_weight):
     utilities, costs, sections, reads, max_batch = instance
     return FusionRequest(
-        key=key,
         candidates=tuple(_candidates(utilities, costs, sections)),
         section_read_costs={f"sec{j:02d}": reads[j] for j in range(len(reads))},
         config=BatchingConfig(
@@ -448,7 +499,7 @@ class TestFusedPlanning:
     def test_fused_matches_per_request_plans(self):
         rng = np.random.default_rng(21)
         requests = []
-        for index, weight in enumerate([0.0, 0.5, 1.3, 5.0]):
+        for weight in [0.0, 0.5, 1.3, 5.0]:
             size = int(rng.integers(4, 14))
             instance = (
                 rng.uniform(0.0, 5.0, size).tolist(),
@@ -457,7 +508,7 @@ class TestFusedPlanning:
                 rng.uniform(0.0, 40.0, 3).tolist(),
                 int(rng.integers(1, size + 1)),
             )
-            requests.append(_fusion_request(instance, weight, key=f"tenant-{index}"))
+            requests.append(_fusion_request(instance, weight))
         fused = PlannerEngine().plan_fused(requests)
         assert len(fused) == len(requests)
         for request, selection in zip(requests, fused):
@@ -479,10 +530,7 @@ class TestFusedPlanning:
     )
     def test_fused_exactness_property(self, drawn):
         """Random tenant mixes: fused and solo selections are identical."""
-        requests = [
-            _fusion_request(instance, weight, key=f"tenant-{index}")
-            for index, (instance, weight) in enumerate(drawn)
-        ]
+        requests = [_fusion_request(instance, weight) for instance, weight in drawn]
         fused = PlannerEngine().plan_fused(requests)
         for request, selection in zip(requests, fused):
             solo = PlannerEngine().plan(
@@ -501,9 +549,8 @@ class TestFusedPlanning:
             rng.uniform(0.0, 40.0, 2).tolist(),
             4,
         )
-        fused_request = _fusion_request(instance, 1.0, key="pinned")
+        fused_request = _fusion_request(instance, 1.0)
         threshold_request = FusionRequest(
-            key="thresholded",
             candidates=fused_request.candidates,
             section_read_costs=fused_request.section_read_costs,
             config=BatchingConfig(
@@ -530,7 +577,7 @@ class TestFusedPlanning:
     def test_fused_stats_count_one_fused_plan(self):
         rng = np.random.default_rng(11)
         requests = []
-        for index in range(3):
+        for _ in range(3):
             size = int(rng.integers(4, 10))
             instance = (
                 rng.uniform(0.0, 5.0, size).tolist(),
@@ -539,7 +586,7 @@ class TestFusedPlanning:
                 rng.uniform(0.0, 40.0, 2).tolist(),
                 int(rng.integers(1, size + 1)),
             )
-            requests.append(_fusion_request(instance, 1.0, key=f"tenant-{index}"))
+            requests.append(_fusion_request(instance, 1.0))
         engine = PlannerEngine()
         engine.plan_fused(requests)
         assert engine.stats.fused_plans == 1

@@ -432,7 +432,7 @@ def test_serving_cli_status_empty_dir(tmp_path):
 # ---------------------------------------------------------------------- #
 # work-stealing scheduler and planner fusion
 # ---------------------------------------------------------------------- #
-def _drain_server(serving_corpus, tenants, *, scheduler, planner_engine=None):
+def _drain_server(serving_corpus, tenants, *, scheduler):
     """Run every tenant's claims to completion and collect the verdicts."""
     server = VerificationServer(
         serving_corpus,
@@ -440,7 +440,6 @@ def _drain_server(serving_corpus, tenants, *, scheduler, planner_engine=None):
         policy=AdmissionPolicy(max_resident_sessions=2),
         executor="serial",
         scheduler=scheduler,
-        planner_engine=planner_engine,
     )
     for tenant_id, claims in tenants.items():
         server.submit(tenant_id, claims)
@@ -461,22 +460,19 @@ def _drain_server(serving_corpus, tenants, *, scheduler, planner_engine=None):
 def test_fused_rounds_match_unfused_rounds(serving_corpus):
     """Fusion changes where selection happens, never what gets verified.
 
-    Both servers plan through a ``PlannerEngine``; the only difference is
-    whether the round's scheduled tenants are solved in one fused pass or
-    one at a time — so claim sets AND verdicts must be identical.
+    Both servers plan through their ``PlannerEngine``; the only difference
+    is whether the round's scheduled tenants are solved in one fused pass
+    or one at a time (``max_fused_pool=1`` keeps every tenant pool solo) —
+    so claim sets AND verdicts must be identical.
     """
-    from repro.planning.engine import PlannerEngine
     from repro.serving.scheduler import SchedulerConfig
 
     tenants = _split(serving_corpus, 4)
     fused_outcomes, fused_verdicts, fused_stats, fused_statuses = _drain_server(
-        serving_corpus, tenants, scheduler=SchedulerConfig(fuse_planning=True)
+        serving_corpus, tenants, scheduler=SchedulerConfig()
     )
     solo_outcomes, solo_verdicts, solo_stats, _ = _drain_server(
-        serving_corpus,
-        tenants,
-        scheduler=SchedulerConfig(fuse_planning=False),
-        planner_engine=PlannerEngine(),
+        serving_corpus, tenants, scheduler=SchedulerConfig(max_fused_pool=1)
     )
     assert fused_verdicts == solo_verdicts
     # Per-batch composition matched too, not just the final union.
