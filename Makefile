@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-quick bench-runtime bench-serving bench-planner bench-store bench-gateway bench-baseline coverage lint lint-invariants typecheck check-docs check
+.PHONY: test bench bench-quick bench-runtime bench-serving bench-planner bench-store bench-gateway bench-baseline coverage lint lint-invariants typecheck check-docs examples check
 
 # Tier-1 verification: the full unit + benchmark suite, fail-fast.
 test:
@@ -105,4 +105,14 @@ typecheck:
 check-docs:
 	$(PYTHON) scripts/check_docs.py
 
-check: lint lint-invariants typecheck check-docs test
+# Run the maintained examples end to end (about 20s together); each
+# writes only to a temporary directory.  The first failure stops the run.
+EXAMPLES = quickstart question_planning_demo active_learning_cold_start \
+	multi_tenant_serving sharded_runtime
+examples:
+	@set -e; for example in $(EXAMPLES); do \
+		echo "== examples/$$example.py"; \
+		$(PYTHON) examples/$$example.py; \
+	done
+
+check: lint lint-invariants typecheck check-docs examples test

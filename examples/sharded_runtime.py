@@ -1,13 +1,16 @@
-"""Sharded verification with checkpoint/resume.
+"""Sharded verification on the server, with per-round checkpoints.
 
-This example shows the two operational features of :mod:`repro.runtime`:
+A sharded run is K tenants of one :class:`~repro.serving.VerificationServer`
+(:func:`~repro.serving.run_sharded`).  This example shows:
 
 1. **Sharding** — the corpus is partitioned by a stable claim key and
-   verified by four independent services over a worker pool, then the
-   per-shard reports and translator updates are merged.
-2. **Checkpoint/resume** — a run is deliberately interrupted after one
-   batch per shard, a fresh runner resumes it from the snapshot files,
-   and the final verified-claim set matches an uninterrupted run exactly.
+   verified as four shard tenants, then the per-shard reports are merged
+   and one translator is reconciled from the merged report.
+2. **Checkpoint/resume** — a run over a snapshot directory is stopped
+   after one round without closing its server (a stand-in for a kill);
+   every shard that ran had already been checkpointed, and rerunning the
+   same call on a fresh server finishes the run with the same verdicts as
+   the uninterrupted one.
 
 Run with::
 
@@ -20,9 +23,17 @@ import tempfile
 from pathlib import Path
 
 from repro.config import BatchingConfig, ScrutinizerConfig
-from repro.runtime.sharding import ShardedVerificationRunner
+from repro.serving import (
+    AdmissionPolicy,
+    VerificationServer,
+    reconcile_translator,
+    run_sharded,
+    shard_claims,
+)
 from repro.synth.energy_data import EnergyDataConfig
 from repro.synth.report_generator import SyntheticCorpusConfig, generate_corpus
+
+SHARDS = 4
 
 
 def build_workload():
@@ -43,46 +54,59 @@ def build_workload():
     return generate_corpus(corpus_config), system_config
 
 
+def new_server(corpus, config, snapshot_dir=None, executor="thread") -> VerificationServer:
+    return VerificationServer(
+        corpus,
+        config,
+        policy=AdmissionPolicy(max_resident_sessions=SHARDS),
+        executor=executor,
+        snapshot_dir=snapshot_dir,
+    )
+
+
+def verdicts(report) -> dict[str, bool | None]:
+    return {v.claim_id: v.verdict for v in report.verifications}
+
+
 def main() -> None:
     corpus, config = build_workload()
     print(f"workload: {corpus.claim_count} claims over {len(corpus.document.sections)} sections")
 
     # -- sharded run ------------------------------------------------------
-    runner = ShardedVerificationRunner(corpus, config, shard_count=4, executor="thread")
-    result = runner.run()
-    print(
-        f"\n4-shard run [{result.executor}]: {result.claim_count} claims in "
-        f"{result.wall_seconds:.2f}s ({result.claims_per_second:.0f} claims/s)"
-    )
-    for shard in result.shards:
+    with new_server(corpus, config) as server:
+        report = run_sharded(server, corpus.claim_ids, SHARDS)
         print(
-            f"  shard {shard.shard_index}: {shard.claim_count} claims, "
-            f"{shard.batches_run} batches, {shard.wall_seconds:.2f}s"
+            f"\n{SHARDS}-shard run: {report.claim_count} claims in "
+            f"{server.stats.rounds} rounds, {report.total_seconds / report.claim_count:.1f} "
+            "checker-seconds per claim"
         )
-    merged = result.merged_translator
+        for index, shard in enumerate(shard_claims(corpus.claim_ids, SHARDS)):
+            status = server.tenant_status(f"shard-{index}")
+            print(
+                f"  shard-{index}: {len(shard)} claims, {status.batches_run} batches"
+            )
+    merged = reconcile_translator(corpus, config, report)
     print(f"reconciled translator trained: {merged is not None and merged.is_trained}")
 
-    # -- interrupt and resume --------------------------------------------
+    # -- stop after one round, then rerun ---------------------------------
     with tempfile.TemporaryDirectory() as scratch:
-        checkpoint_dir = Path(scratch) / "checkpoints"
-        interrupted = ShardedVerificationRunner(
-            corpus, config, shard_count=4, executor="thread", checkpoint_dir=checkpoint_dir
-        )
-        partial = interrupted.run(max_batches_per_shard=1)
+        snapshot_dir = Path(scratch) / "shards"
+        # A serial server holds no threads, so it can simply be dropped.
+        killed = new_server(corpus, config, snapshot_dir, executor="serial")
+        partial = run_sharded(killed, corpus.claim_ids, SHARDS, max_rounds=1)
+        del killed
+        saved = sorted(path.name for path in snapshot_dir.glob("*.json"))
         print(
-            f"\ninterrupted after one batch per shard: "
-            f"{partial.claim_count}/{corpus.claim_count} claims verified"
+            f"\nstopped after one round: {partial.claim_count}/{corpus.claim_count} "
+            f"claims verified, checkpoints {saved}"
         )
-
-        resumed = ShardedVerificationRunner(
-            corpus, config, shard_count=4, executor="thread", checkpoint_dir=checkpoint_dir
-        ).resume()
-        same = {v.claim_id: v.verdict for v in resumed.report.verifications} == {
-            v.claim_id: v.verdict for v in result.report.verifications
-        }
+        # Only the per-round checkpoints carry over: the stopped server's
+        # sessions were never passivated.
+        with new_server(corpus, config, snapshot_dir) as server:
+            resumed = run_sharded(server, corpus.claim_ids, SHARDS)
         print(
-            f"resumed run verified {resumed.claim_count} claims; "
-            f"identical to the uninterrupted run: {same}"
+            f"rerun verified {resumed.claim_count} claims; identical to the "
+            f"uninterrupted run: {verdicts(resumed) == verdicts(report)}"
         )
 
 

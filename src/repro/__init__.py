@@ -40,15 +40,15 @@ The substrates, mirroring the paper's structure:
 * :mod:`repro.crowd`, :mod:`repro.core` and :mod:`repro.simulation` — the
   simulated crowd of domain experts, the main verification loop
   (Algorithm 1) and the full-report simulator used in Section 6.2.
-* :mod:`repro.runtime` — the scale-out runtime: sharded parallel execution
-  over a worker pool (:class:`~repro.runtime.sharding.ShardedVerificationRunner`)
-  and versioned JSON checkpoints with byte-identical resume
-  (:class:`~repro.runtime.snapshot.ServiceSnapshot`,
-  ``python -m repro.runtime``).
+* :mod:`repro.runtime` — versioned JSON checkpoints with byte-identical
+  resume (:class:`~repro.runtime.snapshot.ServiceSnapshot`) and the worker
+  pool the server schedules on.
 * :mod:`repro.serving` — the multi-tenant serving layer: one
   :class:`~repro.serving.server.VerificationServer` multiplexes many tenant
   sessions behind admission control, passivating idle sessions to
-  snapshots and rehydrating them on demand (``python -m repro.serving``).
+  snapshots and rehydrating them on demand (``python -m repro.serving``);
+  a sharded run is one tenant per claim partition
+  (:func:`~repro.serving.sharding.run_sharded`).
 * :mod:`repro.synth` — a synthetic substitute for the proprietary IEA corpus.
 * :mod:`repro.experiments` — one entry point per table/figure of the paper.
 """
@@ -63,9 +63,9 @@ from repro.dataset.database import Database
 from repro.dataset.relation import Relation
 from repro.pipeline.batch import ClaimBatchPredictions
 from repro.pipeline.feature_store import ClaimFeatureStore
-from repro.runtime.sharding import ShardedVerificationRunner
 from repro.runtime.snapshot import ServiceSnapshot
 from repro.serving.server import AdmissionPolicy, VerificationServer
+from repro.serving.sharding import run_sharded
 from repro.synth.report_generator import SyntheticCorpusConfig, generate_corpus
 from repro.translation.translator import ClaimTranslator
 
@@ -89,12 +89,12 @@ __all__ = [
     "Scrutinizer",
     "ScrutinizerBuilder",
     "ServiceSnapshot",
-    "ShardedVerificationRunner",
     "SyntheticCorpusConfig",
     "TranslationBackend",
     "VerificationReport",
     "VerificationServer",
     "VerificationService",
     "generate_corpus",
+    "run_sharded",
     "__version__",
 ]

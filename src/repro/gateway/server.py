@@ -69,7 +69,7 @@ class RecoveryReport:
     duplicate_claims: int
     rejected_records: int
     #: Edge dedup sets rebuilt from snapshots + journal, per tenant.
-    known_claims: dict[str, set[str]]
+    known_claims: dict[str, frozenset[str]]
     #: Undecided (pending + queued) claims per tenant after replay.
     outstanding: dict[str, int]
     verified: dict[str, int]
@@ -101,13 +101,6 @@ def recover_server(
     replay-of-a-replay — idempotent.
     """
     adopted = server.adopt_tenants()
-    known: dict[str, set[str]] = {}
-    if server.store is not None:
-        for key, snapshot in server.store.items():
-            claims = set(snapshot.verdicts)
-            if snapshot.session is not None:
-                claims.update(str(c) for c in snapshot.session["pending"])
-            known[key] = claims
     scan = scan_journal(journal_dir, strict=strict)
     replayed_records = replayed_claims = duplicate_claims = rejected_records = 0
     for record in scan.records:
@@ -122,18 +115,18 @@ def recover_server(
         except ReproError:
             rejected_records += 1
             continue
-        known.setdefault(record.tenant_id, set()).update(record.claim_ids)
         replayed_records += 1
         replayed_claims += accepted
         duplicate_claims += len(record.claim_ids) - accepted
     server.flush_submissions()
+    known: dict[str, frozenset[str]] = {}
     outstanding: dict[str, int] = {}
     verified: dict[str, int] = {}
     for tenant_id in server.tenant_ids:
         status = server.tenant_status(tenant_id)
+        known[tenant_id] = server.known_claims(tenant_id)
         outstanding[tenant_id] = status.pending_claims + status.queued_claims
         verified[tenant_id] = status.verified_claims
-        known.setdefault(tenant_id, set())
     return RecoveryReport(
         adopted_tenants=adopted,
         scan=scan,
@@ -407,9 +400,7 @@ class GatewayServer:
         self._journal.abandon()
         # Free worker threads without passivating: a crash writes no
         # snapshots, but threads are not state.
-        if self._server._owns_pool:  # noqa: SLF001 — crash simulation only
-            with contextlib.suppress(ReproError):
-                self._server._pool.close()  # noqa: SLF001
+        self._server._pool.close()  # noqa: SLF001 — crash simulation only
         await self._close_connections()
         self._stopped = True
 

@@ -1,4 +1,4 @@
-"""Scale-out runtime: sharded execution and checkpoint/restore.
+"""Session runtime: checkpoint/restore and the worker pool.
 
 The verification loop of :mod:`repro.api` is a long-running, stateful
 process — crowd batches arrive over hours, and classifier state accumulates
@@ -10,16 +10,13 @@ across every batch.  This package makes that loop operable:
   planner/report accounting).  ``service.snapshot()`` captures one,
   ``ScrutinizerBuilder.from_snapshot(...)`` restores it; a restored run
   continues byte-identically to an uninterrupted one.
-* :mod:`repro.runtime.sharding` — :class:`ShardedVerificationRunner`,
-  which partitions pending claims into K shards by a stable key, drives K
-  services across a ``concurrent.futures`` pool (threads, processes, or
-  inline), merges per-shard reports into a global one and reconciles the
-  per-shard translator updates.
-* :mod:`repro.runtime.pool` — :class:`WorkerPool`, the reusable
-  serial/thread/process executor facade shared by the sharded runner and
-  the multi-tenant :mod:`repro.serving` layer.
-* :mod:`repro.runtime.cli` — ``python -m repro.runtime`` with ``run`` /
-  ``resume`` / ``status`` verbs over synthetic workloads.
+  :class:`SnapshotStore` keeps one snapshot per key in a directory.
+* :mod:`repro.runtime.pool` — :class:`WorkerPool`, the serial/thread
+  executor facade the multi-tenant :mod:`repro.serving` layer schedules
+  tenant batches on.
+
+Sharded runs are tenants of a :mod:`repro.serving` server
+(:func:`repro.serving.sharding.run_sharded`).
 
 Layering contract: layer 11 of the enforced import DAG (peer of
 ``simulation``) — may import ``api`` and everything below it; never
@@ -28,12 +25,6 @@ Layering contract: layer 11 of the enforced import DAG (peer of
 """
 
 from repro.runtime.pool import EXECUTOR_KINDS, WorkerPool
-from repro.runtime.sharding import (
-    ShardedRunResult,
-    ShardedVerificationRunner,
-    ShardResult,
-    shard_claims,
-)
 from repro.runtime.snapshot import (
     SNAPSHOT_SCHEMA_VERSION,
     ServiceSnapshot,
@@ -46,12 +37,8 @@ __all__ = [
     "EXECUTOR_KINDS",
     "SNAPSHOT_SCHEMA_VERSION",
     "ServiceSnapshot",
-    "ShardResult",
-    "ShardedRunResult",
-    "ShardedVerificationRunner",
     "SnapshotStore",
     "WorkerPool",
     "scrutinizer_config_from_dict",
     "scrutinizer_config_to_dict",
-    "shard_claims",
 ]

@@ -1,44 +1,26 @@
-"""Reusable worker pools shared by the sharded runner and the server.
+"""The worker pool the verification server schedules tenant batches on.
 
-Every scale-out component of the runtime fans work out over the same three
-executor kinds — ``"serial"`` (inline, deterministic debugging),
-``"thread"`` (parallel numpy sections, zero pickling) and ``"process"``
-(true parallelism for picklable tasks).  :class:`WorkerPool` wraps that
-choice once so the :class:`~repro.runtime.sharding.ShardedVerificationRunner`
-and the :class:`~repro.serving.server.VerificationServer` can share a
-single pool instead of each spinning up their own executors per call:
-the server hands its pool to embedded runners, and repeated scheduling
-rounds reuse the same threads instead of paying pool startup per round.
+:class:`WorkerPool` wraps the two executor kinds once — ``"serial"``
+(inline, deterministic debugging) and ``"thread"`` (parallel numpy
+sections, zero pickling) — so repeated scheduling rounds reuse the same
+threads instead of paying pool startup per round.
 
 The pool is lazy (no executor exists until the first task) and reusable
 (``close()`` only happens explicitly or via the context manager), which is
 what a long-lived serving process needs.
 
-Two consumption styles are supported:
-
-* :meth:`map` — the barrier style: every task completes before any result
-  is seen.  Right for shard fan-out where the merge needs all shards.
-* :meth:`submit` / :meth:`wait_any` / :meth:`drain` — the steal-friendly
-  style: callers observe completions *as they happen* and can hand freed
-  workers new tasks immediately.  The serving scheduler uses this to keep
-  the pool saturated instead of waiting on a round barrier; the sharded
-  runner uses :meth:`submit` + :meth:`drain` so both components share one
-  dispatch vocabulary.  On the ``"serial"`` kind :meth:`submit` runs the
-  task inline and returns an already-resolved future, so single-threaded
-  runs stay deterministic.
+Callers dispatch with :meth:`~WorkerPool.submit` and observe completions
+*as they happen* with :meth:`~WorkerPool.wait_any`, handing freed workers
+new tasks immediately: the serving scheduler keeps the pool saturated this
+way instead of waiting on a round barrier.  On the ``"serial"`` kind
+:meth:`~WorkerPool.submit` runs the task inline and returns an
+already-resolved future, so single-threaded runs stay deterministic.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Executor,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from collections.abc import Callable, Iterable
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from typing import TypeVar
 
 from repro.errors import ConfigurationError
@@ -46,21 +28,20 @@ from repro.errors import ConfigurationError
 __all__ = ["EXECUTOR_KINDS", "WorkerPool"]
 
 #: The executor kinds every runtime component understands.
-EXECUTOR_KINDS = ("serial", "thread", "process")
+EXECUTOR_KINDS = ("serial", "thread")
 
-_TaskT = TypeVar("_TaskT")
 _ResultT = TypeVar("_ResultT")
 
 
 class WorkerPool:
-    """A lazily created, reusable serial/thread/process executor facade.
+    """A lazily created, reusable serial/thread executor facade.
 
     Parameters
     ----------
     kind:
-        ``"serial"``, ``"thread"`` or ``"process"``.
+        ``"serial"`` or ``"thread"``.
     max_workers:
-        Pool width for the threaded/process kinds; ``None`` defers to
+        Pool width for the threaded kind; ``None`` defers to
         ``concurrent.futures`` defaults.  Ignored by ``"serial"``.
     """
 
@@ -73,16 +54,12 @@ class WorkerPool:
             raise ConfigurationError("max_workers must be at least 1")
         self.kind = kind
         self.max_workers = max_workers
-        self._executor: Executor | None = None
+        self._executor: ThreadPoolExecutor | None = None
         self._closed = False
 
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
-    @property
-    def is_open(self) -> bool:
-        return not self._closed
-
     @property
     def width(self) -> int | None:
         """How many tasks can genuinely overlap (1 for serial, ``None``
@@ -91,12 +68,9 @@ class WorkerPool:
             return 1
         return self.max_workers
 
-    def _ensure_executor(self) -> Executor:
-        if self._closed:
-            raise ConfigurationError("the worker pool has been closed")
+    def _ensure_executor(self) -> ThreadPoolExecutor:
         if self._executor is None:
-            pool_cls = ProcessPoolExecutor if self.kind == "process" else ThreadPoolExecutor
-            self._executor = pool_cls(max_workers=self.max_workers)
+            self._executor = ThreadPoolExecutor(max_workers=self.max_workers)
         return self._executor
 
     def close(self) -> None:
@@ -152,32 +126,3 @@ class WorkerPool:
             return set(), set()
         done, not_done = wait(pending, return_when=FIRST_COMPLETED)
         return set(done), set(not_done)
-
-    @staticmethod
-    def drain(futures: Sequence["Future[_ResultT]"]) -> list[_ResultT]:
-        """Results of ``futures`` in submission order (blocking).
-
-        The barrier-style companion of :meth:`submit`: fan out with
-        ``submit``, then ``drain`` when every result is needed together
-        (the sharded runner's merge step).  Exceptions re-raise here, on
-        the caller's thread.
-        """
-        return [future.result() for future in futures]
-
-    def map(
-        self,
-        fn: Callable[[_TaskT], _ResultT],
-        tasks: Sequence[_TaskT] | Iterable[_TaskT],
-    ) -> list[_ResultT]:
-        """Apply ``fn`` to every task, preserving input order.
-
-        A single task (or the serial kind) runs inline — no executor is
-        ever created for work that cannot overlap, so one-shard runs and
-        single-tenant rounds stay on the deterministic fast path.
-        """
-        items = list(tasks)
-        if self._closed:
-            raise ConfigurationError("the worker pool has been closed")
-        if self.kind == "serial" or len(items) <= 1:
-            return [fn(item) for item in items]
-        return self.drain([self.submit(fn, item) for item in items])

@@ -349,8 +349,8 @@ class SnapshotStore:
     """A directory of snapshots keyed by name (one JSON file per key).
 
     The serving layer passivates idle tenant sessions through a store —
-    ``save`` on eviction, ``load`` on the next request — and the runtime
-    CLI inspects stores read-only.  Keys are mangled into safe file names
+    ``save`` on eviction or checkpoint, ``load`` on the next request — and
+    the serving and gateway CLIs inspect stores read-only.  Keys are mangled into safe file names
     (anything outside ``[A-Za-z0-9._-]`` becomes ``_`` plus a stable CRC-32
     suffix), so arbitrary tenant ids never escape the directory.
     """

@@ -15,7 +15,12 @@ Two verbs over the deterministic synthetic workload:
 
 ``status``
     Inspect a snapshot directory read-only: every passivated tenant's
-    verified/pending counts and completion.
+    verified/pending counts and completion.  A missing directory is an
+    error (exit 1), so a mistyped path never reads as an empty run.
+
+Rerunning ``run`` with the same arguments over the same ``--snapshot-dir``
+resumes an interrupted run: every tenant with a snapshot is adopted on
+admission and its already-submitted claims are dropped as duplicates.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from collections.abc import Sequence
 from pathlib import Path
 
 from repro.config import BatchingConfig, ScrutinizerConfig
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.runtime.snapshot import SnapshotStore
 from repro.serving.server import AdmissionPolicy, VerificationServer
 from repro.serving.workloads import (
@@ -177,8 +182,9 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_status(args: argparse.Namespace, out) -> int:
-    store = SnapshotStore(args.snapshot_dir)
-    entries = store.items()
+    if not Path(args.snapshot_dir).is_dir():
+        raise ConfigurationError(f"no snapshot directory at {args.snapshot_dir}")
+    entries = SnapshotStore(args.snapshot_dir).items()
     if not entries:
         print(f"no tenant snapshots in {args.snapshot_dir}", file=out)
         return 0

@@ -77,12 +77,6 @@ __all__ = [
     "VerificationServer",
 ]
 
-#: Executors a server may use; processes are excluded because sessions
-#: live in the scheduler's address space (state would have to round-trip
-#: through pickling on every batch).
-_SERVER_EXECUTORS = ("serial", "thread")
-
-
 # ---------------------------------------------------------------------- #
 # policy
 # ---------------------------------------------------------------------- #
@@ -298,10 +292,6 @@ class VerificationServer:
         Directory for passivated sessions.  Without one, evicted sessions
         park their snapshots in memory — same round-trip semantics, no
         crash durability.
-    pool:
-        Share an existing :class:`~repro.runtime.pool.WorkerPool` (e.g.
-        with a :class:`~repro.runtime.sharding.ShardedVerificationRunner`).
-        The server then never closes it.
     scheduler:
         The :class:`~repro.serving.scheduler.SchedulerConfig` of the
         work-stealing tenant scheduler (fairness pressure, starvation
@@ -332,34 +322,20 @@ class VerificationServer:
         max_workers: int | None = None,
         snapshot_dir: str | Path | None = None,
         system_name: str = "Serving",
-        pool: WorkerPool | None = None,
         scheduler: SchedulerConfig | None = None,
         feature_backend_factory: "Callable[[str], FeatureBackend] | None" = None,
     ) -> None:
-        if pool is None and executor not in _SERVER_EXECUTORS:
-            raise ConfigurationError(
-                f"server executor must be one of {_SERVER_EXECUTORS}, got {executor!r}"
-            )
-        if pool is not None and pool.kind == "process":
-            raise ConfigurationError("the server cannot run sessions on a process pool")
         self.corpus = corpus
         self.config = config if config is not None else ScrutinizerConfig()
         self.policy = policy if policy is not None else AdmissionPolicy()
         self.store = SnapshotStore(snapshot_dir) if snapshot_dir is not None else None
         self.stats = ServerStats()
         self._system_name = system_name
-        self._owns_pool = pool is None
-        self._pool = (
-            pool
-            if pool is not None
-            else WorkerPool(
-                executor,
-                max_workers=(
-                    max_workers
-                    if max_workers is not None
-                    else self.policy.max_resident_sessions
-                ),
-            )
+        self._pool = WorkerPool(
+            executor,
+            max_workers=(
+                max_workers if max_workers is not None else self.policy.max_resident_sessions
+            ),
         )
         self.scheduler_config = scheduler if scheduler is not None else SchedulerConfig()
         self._scheduler = TenantScheduler(self.scheduler_config)
@@ -710,6 +686,22 @@ class VerificationServer:
         self._passivate(record)
         return True
 
+    def checkpoint(self, tenant_id: str) -> bool:
+        """Save a resident tenant's session to the store without evicting it.
+
+        Returns ``True`` when a snapshot was written.  A passivated tenant
+        was saved when it was evicted, so nothing is written for it; a
+        server without a snapshot directory has nowhere to write and
+        raises :class:`~repro.errors.ServingError`.
+        """
+        record = self._record(tenant_id)
+        if self.store is None:
+            raise ServingError("checkpoint needs a server with a snapshot directory")
+        if record.service is None:
+            return False
+        self.store.save(tenant_id, record.service.snapshot(metadata={"tenant_id": tenant_id}))
+        return True
+
     def _evict_over_capacity(self, protected: Sequence[str] = ()) -> None:
         """LRU-evict resident sessions beyond ``max_resident_sessions``."""
         self._evict_lru(
@@ -921,6 +913,10 @@ class VerificationServer:
             )
         )
 
+    def known_claims(self, tenant_id: str) -> frozenset[str]:
+        """Every claim id the tenant has submitted or adopted from a snapshot."""
+        return frozenset(self._record(tenant_id).known_claims)
+
     def tenant_status(self, tenant_id: str) -> TenantStatus:
         record = self._record(tenant_id)
         return TenantStatus(
@@ -972,8 +968,7 @@ class VerificationServer:
                 self._ensure_resident(record)
             if record.resident:
                 self._passivate(record)
-        if self._owns_pool:
-            self._pool.close()
+        self._pool.close()
         self._closed = True
 
     def __enter__(self) -> "VerificationServer":

@@ -361,8 +361,13 @@ def drive_workload(
         round_index += 1
         if not pending_events and not crash_events and server.is_idle:
             break
+    # A run stopped early (max_rounds) may end before a tenant's arrival
+    # round; a tenant the server never admitted has verified nothing.
+    admitted = set(server.tenant_ids)
     verified = {
         scenario.tenant_id: server.verified_claim_ids(scenario.tenant_id)
+        if scenario.tenant_id in admitted
+        else ()
         for scenario in workload.scenarios
     }
     return WorkloadRunResult(

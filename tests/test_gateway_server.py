@@ -21,8 +21,9 @@ from repro.errors import (
     UnknownTenantError,
 )
 from repro.gateway.client import GatewayClient, drive_workload_through_gateway
-from repro.gateway.journal import scan_journal
+from repro.gateway.journal import JournalWriter, scan_journal
 from repro.gateway.server import GatewayServer, recover_server
+from repro.runtime.snapshot import ServiceSnapshot
 from repro.serving.cli import workload_corpus
 from repro.serving.server import AdmissionPolicy, VerificationServer
 from repro.serving.workloads import build_workload
@@ -381,6 +382,46 @@ class TestCrashRecovery:
         alpha, beta = asyncio.run(second_life())
         assert alpha["pending"] == 0 and len(alpha["verdicts"]) == 6
         assert beta["pending"] == 0 and len(beta["verdicts"]) == 4
+
+    def test_recovery_parses_each_snapshot_once(
+        self, gateway_corpus, gateway_config, tmp_path, monkeypatch
+    ):
+        ids = list(gateway_corpus.claim_ids)
+        tenants = {f"t{index}": ids[index * 4 : index * 4 + 4] for index in range(3)}
+        with VerificationServer(
+            gateway_corpus, gateway_config, executor="serial", snapshot_dir=tmp_path / "snap"
+        ) as first:
+            for tenant_id, claims in tenants.items():
+                first.submit(tenant_id, claims[:3])
+            first.run_round()
+        with JournalWriter(tmp_path / "wal") as journal:
+            journal.append("t0", tenants["t0"])  # one fresh claim, three known
+            journal.append("fresh", ids[20:22])  # a tenant without a snapshot
+            journal.commit()
+
+        loads = []
+        real_load = ServiceSnapshot.load.__func__
+
+        def counting_load(cls, path):
+            loads.append(path)
+            return real_load(cls, path)
+
+        monkeypatch.setattr(ServiceSnapshot, "load", classmethod(counting_load))
+        with VerificationServer(
+            gateway_corpus, gateway_config, executor="serial", snapshot_dir=tmp_path / "snap"
+        ) as server:
+            recovery = recover_server(server, tmp_path / "wal")
+            assert len(loads) == len(tenants)
+            assert sorted(recovery.adopted_tenants) == sorted(tenants)
+            # The edge dedup sets are the server's own, after replay.
+            assert recovery.known_claims == {
+                "t0": set(tenants["t0"]),
+                "t1": set(tenants["t1"][:3]),
+                "t2": set(tenants["t2"][:3]),
+                "fresh": set(ids[20:22]),
+            }
+            assert recovery.replayed_claims == 3
+            assert recovery.duplicate_claims == 3
 
     def test_recovery_tolerates_damaged_journal_tail(
         self, gateway_corpus, gateway_config, tmp_path

@@ -1,18 +1,16 @@
-"""Sharded execution: partitioning, merging, resume and the CLI."""
+"""Sharded runs on the verification server: partition, merge and resume."""
 
 from __future__ import annotations
-
-import io
-import json
 
 import pytest
 
 from repro.config import BatchingConfig, ScrutinizerConfig
-from repro.errors import ConfigurationError, SerializationError
-from repro.runtime.cli import main as runtime_main
-from repro.runtime.sharding import (
-    ShardedVerificationRunner,
+from repro.errors import ConfigurationError
+from repro.serving.server import VerificationServer
+from repro.serving.sharding import (
     merge_shard_reports,
+    reconcile_translator,
+    run_sharded,
     shard_claims,
 )
 from repro.synth.energy_data import EnergyDataConfig
@@ -37,6 +35,28 @@ def _config() -> ScrutinizerConfig:
     return ScrutinizerConfig(
         batching=BatchingConfig(min_batch_size=1, max_batch_size=10), seed=13
     )
+
+
+def _run(corpus, shard_count, *, executor="serial", snapshot_dir=None, max_rounds=None):
+    """A sharded run on a fresh server, plus each shard tenant's report."""
+    with VerificationServer(
+        corpus, _config(), executor=executor, snapshot_dir=snapshot_dir
+    ) as server:
+        merged = run_sharded(
+            server, corpus.claim_ids, shard_count, max_rounds=max_rounds
+        )
+        shards = [server.report(tenant_id) for tenant_id in sorted(server.tenant_ids)]
+    return merged, shards
+
+
+def _verdicts(report):
+    return {v.claim_id: v.verdict for v in report.verifications}
+
+
+@pytest.fixture(scope="module")
+def straight(shard_corpus):
+    merged, _ = _run(shard_corpus, 3)
+    return merged
 
 
 # ---------------------------------------------------------------------- #
@@ -82,71 +102,48 @@ def test_single_shard_contains_everything(shard_corpus):
 # ---------------------------------------------------------------------- #
 @pytest.mark.parametrize("executor", ["serial", "thread"])
 def test_sharded_run_verifies_every_claim_once(shard_corpus, executor):
-    runner = ShardedVerificationRunner(
-        shard_corpus, _config(), shard_count=3, executor=executor
-    )
-    result = runner.run()
-    claim_ids = [v.claim_id for v in result.report.verifications]
+    merged, shards = _run(shard_corpus, 3, executor=executor)
+    claim_ids = [v.claim_id for v in merged.verifications]
     assert sorted(claim_ids) == sorted(shard_corpus.claim_ids)
     assert len(set(claim_ids)) == len(claim_ids)
-    assert result.shard_count == 3
-    assert len(result.shards) == 3
+    assert len(shards) == 3
     # Machine time sums over shards.
-    assert result.report.computation_seconds == pytest.approx(
-        sum(shard.report.computation_seconds for shard in result.shards)
+    assert merged.computation_seconds == pytest.approx(
+        sum(shard.computation_seconds for shard in shards)
     )
 
 
-def test_sharded_run_is_deterministic(shard_corpus):
-    first = ShardedVerificationRunner(shard_corpus, _config(), shard_count=3).run()
-    second = ShardedVerificationRunner(shard_corpus, _config(), shard_count=3).run()
-    assert [v.claim_id for v in first.report.verifications] == [
-        v.claim_id for v in second.report.verifications
+def test_sharded_run_is_deterministic(shard_corpus, straight):
+    again, _ = _run(shard_corpus, 3)
+    assert [v.claim_id for v in again.verifications] == [
+        v.claim_id for v in straight.verifications
     ]
-    assert {v.claim_id: v.verdict for v in first.report.verifications} == {
-        v.claim_id: v.verdict for v in second.report.verifications
-    }
+    assert _verdicts(again) == _verdicts(straight)
+    # Each shard is its own seeded session, so the pool kind cannot matter.
+    threaded, _ = _run(shard_corpus, 3, executor="thread")
+    assert _verdicts(threaded) == _verdicts(straight)
+    assert threaded.total_seconds == pytest.approx(straight.total_seconds)
 
 
-def test_process_executor_round_trips_state(shard_corpus):
-    runner = ShardedVerificationRunner(
-        shard_corpus, _config(), shard_count=2, executor="process"
-    )
-    result = runner.run()
-    assert sorted(v.claim_id for v in result.report.verifications) == sorted(
-        shard_corpus.claim_ids
-    )
-    # Serial and process execution of the same shards agree claim by claim.
-    serial = ShardedVerificationRunner(
-        shard_corpus, _config(), shard_count=2, executor="serial"
-    ).run()
-    assert {v.claim_id: v.verdict for v in result.report.verifications} == {
-        v.claim_id: v.verdict for v in serial.report.verifications
-    }
-
-
-def test_merge_orders_by_round_then_shard(shard_corpus):
-    result = ShardedVerificationRunner(shard_corpus, _config(), shard_count=3).run()
+def test_merge_orders_by_round_then_shard(shard_corpus, straight):
     shard_of = {
-        claim_id: shard.shard_index
-        for shard in result.shards
-        for claim_id in shard.claim_ids
+        claim_id: index
+        for index, shard in enumerate(shard_claims(shard_corpus.claim_ids, 3))
+        for claim_id in shard
     }
-    keys = [
-        (v.batch_index, shard_of[v.claim_id]) for v in result.report.verifications
-    ]
+    keys = [(v.batch_index, shard_of[v.claim_id]) for v in straight.verifications]
     assert keys == sorted(keys)
 
 
 def test_merge_averages_accuracy_history(shard_corpus):
-    result = ShardedVerificationRunner(shard_corpus, _config(), shard_count=2).run()
-    rounds = max(len(shard.report.accuracy_history) for shard in result.shards)
-    assert len(result.report.accuracy_history) == rounds
-    for round_index, entry in enumerate(result.report.accuracy_history):
+    merged, shards = _run(shard_corpus, 2)
+    rounds = max(len(shard.accuracy_history) for shard in shards)
+    assert len(merged.accuracy_history) == rounds
+    for round_index, entry in enumerate(merged.accuracy_history):
         contributions = [
-            shard.report.accuracy_history[round_index]
-            for shard in result.shards
-            if round_index < len(shard.report.accuracy_history)
+            shard.accuracy_history[round_index]
+            for shard in shards
+            if round_index < len(shard.accuracy_history)
         ]
         for series, value in entry.items():
             values = [c[series] for c in contributions if series in c]
@@ -159,178 +156,94 @@ def test_merge_shard_reports_empty():
     assert merged.accuracy_history == []
 
 
-def test_reconciled_translator_predicts(shard_corpus):
-    result = ShardedVerificationRunner(shard_corpus, _config(), shard_count=3).run()
-    translator = result.merged_translator
+def test_reconciled_translator_predicts(shard_corpus, straight):
+    translator = reconcile_translator(shard_corpus, _config(), straight)
     assert translator is not None and translator.is_trained
     predictions = translator.predict(shard_corpus.claim(shard_corpus.claim_ids[0]))
     assert len(predictions) == 4
-    # The union of shard examples is the whole corpus.
+    # The merged report covers the whole corpus, so every claim trains it.
     assert translator.suite.example_count == shard_corpus.claim_count
-
-
-def test_reconcile_can_be_disabled(shard_corpus):
-    result = ShardedVerificationRunner(
-        shard_corpus, _config(), shard_count=2, reconcile=False
-    ).run()
-    assert result.merged_translator is None
-    assert all(shard.translator_state is None for shard in result.shards)
+    empty = merge_shard_reports([], system_name="empty", checker_count=1)
+    assert reconcile_translator(shard_corpus, _config(), empty) is None
 
 
 # ---------------------------------------------------------------------- #
-# checkpoint / resume
+# checkpoint / resume by rerunning
 # ---------------------------------------------------------------------- #
-def test_interrupted_sharded_run_resumes_to_same_result(tmp_path, shard_corpus):
-    """Acceptance: interrupt per shard, resume, match the straight run."""
-    straight = ShardedVerificationRunner(shard_corpus, _config(), shard_count=3).run()
-
-    checkpoint_dir = tmp_path / "ckpt"
-    interrupted = ShardedVerificationRunner(
-        shard_corpus, _config(), shard_count=3, checkpoint_dir=checkpoint_dir
-    )
-    partial = interrupted.run(max_batches_per_shard=1)
+def test_interrupted_sharded_run_resumes_to_same_result(tmp_path, shard_corpus, straight):
+    """Acceptance: stop after one round, rerun, match the straight run."""
+    partial, _ = _run(shard_corpus, 3, snapshot_dir=tmp_path, max_rounds=1)
     assert partial.claim_count < shard_corpus.claim_count
-    assert sorted(path.name for path in checkpoint_dir.glob("shard-*.json")) == [
+    assert sorted(path.name for path in tmp_path.glob("shard-*.json")) == [
         "shard-0.json",
         "shard-1.json",
         "shard-2.json",
     ]
 
-    resumed = ShardedVerificationRunner(
-        shard_corpus, _config(), shard_count=3, checkpoint_dir=checkpoint_dir
-    ).resume()
-    assert {v.claim_id: v.verdict for v in resumed.report.verifications} == {
-        v.claim_id: v.verdict for v in straight.report.verifications
-    }
-    assert resumed.report.total_seconds == pytest.approx(straight.report.total_seconds)
+    resumed, _ = _run(shard_corpus, 3, snapshot_dir=tmp_path)
+    assert _verdicts(resumed) == _verdicts(straight)
+    assert resumed.total_seconds == pytest.approx(straight.total_seconds)
 
 
 def test_resume_of_completed_run_is_a_no_op(tmp_path, shard_corpus):
-    checkpoint_dir = tmp_path / "ckpt"
-    runner = ShardedVerificationRunner(
-        shard_corpus, _config(), shard_count=2, checkpoint_dir=checkpoint_dir
-    )
-    finished = runner.run()
-    resumed = ShardedVerificationRunner(
-        shard_corpus, _config(), shard_count=2, checkpoint_dir=checkpoint_dir
-    ).resume()
-    assert {v.claim_id: v.verdict for v in resumed.report.verifications} == {
-        v.claim_id: v.verdict for v in finished.report.verifications
-    }
-
-
-def test_resume_reruns_shards_that_never_checkpointed(tmp_path, shard_corpus):
-    """A crash before a shard's first checkpoint must not drop its claims."""
-    straight = ShardedVerificationRunner(shard_corpus, _config(), shard_count=3).run()
-    checkpoint_dir = tmp_path / "ckpt"
-    interrupted = ShardedVerificationRunner(
-        shard_corpus, _config(), shard_count=3, checkpoint_dir=checkpoint_dir
-    )
-    interrupted.run(max_batches_per_shard=1)
-    # Simulate a crash that happened before shard 1 ever wrote a snapshot.
-    (checkpoint_dir / "shard-1.json").unlink()
-
-    resumed = ShardedVerificationRunner(
-        shard_corpus, _config(), shard_count=3, checkpoint_dir=checkpoint_dir
-    ).resume()
-    assert {v.claim_id: v.verdict for v in resumed.report.verifications} == {
-        v.claim_id: v.verdict for v in straight.report.verifications
-    }
+    finished, _ = _run(shard_corpus, 2, snapshot_dir=tmp_path)
+    resumed, _ = _run(shard_corpus, 2, snapshot_dir=tmp_path)
+    assert _verdicts(resumed) == _verdicts(finished)
 
 
 def test_resume_folds_completed_shards_without_rerunning(tmp_path, shard_corpus):
     """Completed shards come back from their snapshots, not from services."""
-    checkpoint_dir = tmp_path / "ckpt"
-    ShardedVerificationRunner(
-        shard_corpus, _config(), shard_count=2, checkpoint_dir=checkpoint_dir
-    ).run()
-    mtimes = {
-        path.name: path.stat().st_mtime_ns
-        for path in checkpoint_dir.glob("shard-*.json")
-    }
-    resumed = ShardedVerificationRunner(
-        shard_corpus, _config(), shard_count=2, checkpoint_dir=checkpoint_dir
-    ).resume()
-    # No shard was re-executed, so no checkpoint was rewritten...
+    _run(shard_corpus, 2, snapshot_dir=tmp_path)
+    mtimes = {path.name: path.stat().st_mtime_ns for path in tmp_path.glob("shard-*.json")}
+    with VerificationServer(
+        shard_corpus, _config(), executor="serial", snapshot_dir=tmp_path
+    ) as server:
+        resumed = run_sharded(server, shard_corpus.claim_ids, 2)
+        assert server.stats.rehydrations == 0
+        assert server.stats.sessions_started == 0
+        assert server.stats.batches == 0
+    # No shard was re-executed, so no snapshot was rewritten...
     assert {
-        path.name: path.stat().st_mtime_ns
-        for path in checkpoint_dir.glob("shard-*.json")
+        path.name: path.stat().st_mtime_ns for path in tmp_path.glob("shard-*.json")
     } == mtimes
-    assert all(shard.wall_seconds == 0.0 for shard in resumed.shards)
-    # ...yet the merge still carries every claim and the reconciled model.
-    assert sorted(v.claim_id for v in resumed.report.verifications) == sorted(
+    # ...yet the merge still carries every claim and reconciles the model.
+    assert sorted(v.claim_id for v in resumed.verifications) == sorted(
         shard_corpus.claim_ids
     )
-    assert resumed.merged_translator is not None and resumed.merged_translator.is_trained
+    translator = reconcile_translator(shard_corpus, _config(), resumed)
+    assert translator is not None and translator.is_trained
 
 
-def test_resume_without_checkpoints_raises(tmp_path, shard_corpus):
-    runner = ShardedVerificationRunner(
-        shard_corpus, _config(), shard_count=2, checkpoint_dir=tmp_path / "empty"
+def test_resume_reruns_shards_that_never_checkpointed(tmp_path, shard_corpus, straight):
+    """A crash before a shard's first checkpoint must not drop its claims."""
+    _run(shard_corpus, 3, snapshot_dir=tmp_path, max_rounds=1)
+    # Simulate a crash that happened before shard 1 ever wrote a snapshot.
+    (tmp_path / "shard-1.json").unlink()
+
+    with VerificationServer(
+        shard_corpus, _config(), executor="serial", snapshot_dir=tmp_path
+    ) as server:
+        resumed = run_sharded(server, shard_corpus.claim_ids, 3)
+        # Only shard 1 starts a fresh session; the others resume.
+        assert server.stats.sessions_started == 1
+    assert _verdicts(resumed) == _verdicts(straight)
+
+
+def test_killed_run_resumes_from_per_round_checkpoints(tmp_path, shard_corpus, straight):
+    """Without ``close()`` only the per-round checkpoints survive a kill."""
+    killed = VerificationServer(
+        shard_corpus, _config(), executor="serial", snapshot_dir=tmp_path
     )
-    with pytest.raises(SerializationError):
-        runner.resume()
+    run_sharded(killed, shard_corpus.claim_ids, 3, max_rounds=1)
+    # Every shard ran in the first round, so every shard left a snapshot
+    # while its session is still resident.
+    assert killed.resident_count == 3
+    assert sorted(path.name for path in tmp_path.glob("shard-*.json")) == [
+        "shard-0.json",
+        "shard-1.json",
+        "shard-2.json",
+    ]
 
-
-def test_resume_requires_checkpoint_dir(shard_corpus):
-    runner = ShardedVerificationRunner(shard_corpus, _config(), shard_count=2)
-    with pytest.raises(ConfigurationError):
-        runner.resume()
-
-
-# ---------------------------------------------------------------------- #
-# the CLI
-# ---------------------------------------------------------------------- #
-def test_cli_run_status_resume_cycle(tmp_path):
-    checkpoint = tmp_path / "ck"
-    report_path = tmp_path / "report.json"
-    out = io.StringIO()
-    code = runtime_main(
-        [
-            "run",
-            "--claims", "24",
-            "--batch-size", "8",
-            "--shards", "2",
-            "--executor", "serial",
-            "--max-batches", "1",
-            "--checkpoint", str(checkpoint),
-        ],
-        out=out,
-    )
-    assert code == 0
-    assert (checkpoint / "manifest.json").exists()
-
-    out = io.StringIO()
-    assert runtime_main(["status", "--checkpoint", str(checkpoint)], out=out) == 0
-    status_text = out.getvalue()
-    assert "in progress" in status_text
-
-    out = io.StringIO()
-    code = runtime_main(
-        ["resume", "--checkpoint", str(checkpoint), "--report", str(report_path)],
-        out=out,
-    )
-    assert code == 0
-    assert report_path.exists()
-    payload = json.loads(report_path.read_text())
-    assert len(payload["verifications"]) == 24
-
-    out = io.StringIO()
-    assert runtime_main(["status", "--checkpoint", str(checkpoint)], out=out) == 0
-    assert "complete" in out.getvalue()
-    assert "0 pending" in out.getvalue()
-
-
-def test_cli_resume_rejects_non_checkpoint_directory(tmp_path):
-    assert runtime_main(["resume", "--checkpoint", str(tmp_path)]) == 1
-
-
-def test_cli_run_without_checkpoint(tmp_path):
-    out = io.StringIO()
-    code = runtime_main(
-        ["run", "--claims", "16", "--batch-size", "8", "--shards", "1",
-         "--executor", "serial"],
-        out=out,
-    )
-    assert code == 0
-    assert "verified 16 claims" in out.getvalue()
+    resumed, _ = _run(shard_corpus, 3, snapshot_dir=tmp_path)
+    assert _verdicts(resumed) == _verdicts(straight)
+    assert resumed.total_seconds == pytest.approx(straight.total_seconds)

@@ -16,10 +16,11 @@ from repro.errors import (
     ServingError,
     UnknownTenantError,
 )
-from repro.runtime.pool import WorkerPool
 from repro.runtime.snapshot import SnapshotStore
 from repro.serving.cli import main as serving_main
+from repro.serving.cli import workload_corpus
 from repro.serving.server import AdmissionPolicy, VerificationServer
+from repro.serving.workloads import build_workload, drive_workload
 from repro.synth.energy_data import EnergyDataConfig
 from repro.synth.report_generator import SyntheticCorpusConfig, generate_corpus
 
@@ -70,10 +71,6 @@ def test_policy_validation():
 def test_server_rejects_process_executor(serving_corpus):
     with pytest.raises(ConfigurationError):
         VerificationServer(serving_corpus, _config(), executor="process")
-    with pytest.raises(ConfigurationError):
-        VerificationServer(
-            serving_corpus, _config(), pool=WorkerPool("process", max_workers=1)
-        )
 
 
 def test_registry_bound_rejects_new_tenants(serving_corpus):
@@ -313,6 +310,56 @@ def test_claims_submitted_while_passivated_survive_restart(serving_corpus, tmp_p
     second.close()
 
 
+def test_checkpoint_saves_without_evicting(serving_corpus, tmp_path):
+    ids = list(serving_corpus.claim_ids)
+    server = VerificationServer(
+        serving_corpus, _config(), executor="serial", snapshot_dir=tmp_path
+    )
+    server.submit("a", ids[:12])
+    server.run_round()
+    assert server.checkpoint("a")
+    status = server.tenant_status("a")
+    assert status.resident and status.evictions == 0
+    snapshot = server.store.load("a")
+    assert snapshot.verified_count == status.verified_claims
+    assert snapshot.pending_count == status.pending_claims
+    # A passivated tenant's snapshot is already current: nothing to write.
+    server.evict("a")
+    assert not server.checkpoint("a")
+    with pytest.raises(UnknownTenantError):
+        server.checkpoint("ghost")
+    server.close()
+
+    memory_only = VerificationServer(serving_corpus, _config(), executor="serial")
+    memory_only.submit("a", ids[:4])
+    with pytest.raises(ServingError):
+        memory_only.checkpoint("a")
+    memory_only.close()
+
+
+def test_known_claims_cover_snapshots_and_submissions(serving_corpus, tmp_path):
+    ids = list(serving_corpus.claim_ids)
+    first = VerificationServer(
+        serving_corpus, _config(), executor="serial", snapshot_dir=tmp_path
+    )
+    first.submit("a", ids[:8])
+    assert first.known_claims("a") == frozenset(ids[:8])
+    first.run_round()
+    first.close()
+
+    second = VerificationServer(
+        serving_corpus, _config(), executor="serial", snapshot_dir=tmp_path
+    )
+    second.adopt_tenants()
+    # Adopted from the snapshot: verified and pending claims alike.
+    assert second.known_claims("a") == frozenset(ids[:8])
+    second.submit("a", ids[6:10])
+    assert second.known_claims("a") == frozenset(ids[:10])
+    with pytest.raises(UnknownTenantError):
+        second.known_claims("ghost")
+    second.close()
+
+
 def test_feature_cache_cap_is_applied_per_tenant(serving_corpus):
     server = VerificationServer(
         serving_corpus,
@@ -333,28 +380,6 @@ def test_feature_cache_cap_is_applied_per_tenant(serving_corpus):
         stores.append(store)
     assert stores[0] is not stores[1], "tenants must not share a feature store"
     server.close()
-
-
-def test_shared_pool_is_not_closed_by_server(serving_corpus):
-    pool = WorkerPool("serial")
-    server = VerificationServer(serving_corpus, _config(), pool=pool)
-    server.submit("a", serving_corpus.claim_ids[:4])
-    server.run_until_idle()
-    server.close()
-    assert pool.is_open
-    pool.close()
-
-
-def test_runner_reflects_shared_pool_width(serving_corpus):
-    from repro.runtime.sharding import ShardedVerificationRunner
-
-    pool = WorkerPool("thread", max_workers=2)
-    runner = ShardedVerificationRunner(
-        serving_corpus, _config(), shard_count=8, pool=pool
-    )
-    assert runner.executor == "thread"
-    assert runner.max_workers == 2
-    pool.close()
 
 
 # ---------------------------------------------------------------------- #
@@ -427,6 +452,60 @@ def test_serving_cli_status_empty_dir(tmp_path):
     out = io.StringIO()
     assert serving_main(["status", "--snapshot-dir", str(tmp_path)], out=out) == 0
     assert "no tenant snapshots" in out.getvalue()
+
+
+def test_serving_cli_status_rejects_missing_dir(tmp_path, capsys):
+    missing = tmp_path / "nowhere"
+    out = io.StringIO()
+    assert serving_main(["status", "--snapshot-dir", str(missing)], out=out) == 1
+    assert out.getvalue() == ""
+    assert str(missing) in capsys.readouterr().err
+
+
+def test_serving_cli_rerun_resumes_a_staged_run(tmp_path):
+    """A rerun over the same snapshot directory finishes a stopped run."""
+    args = [
+        "run",
+        "--claims", "24",
+        "--tenants", "3",
+        "--seed", "5",
+        "--batch-size", "6",
+        "--max-resident", "2",
+        "--executor", "serial",
+    ]
+    corpus = workload_corpus(24, 5)
+    staged = VerificationServer(
+        corpus,
+        ScrutinizerConfig(
+            checker_count=3,
+            options_per_property=10,
+            batching=BatchingConfig(min_batch_size=1, max_batch_size=6),
+            seed=5,
+        ),
+        policy=AdmissionPolicy(max_tenants=3, max_resident_sessions=2),
+        executor="serial",
+        snapshot_dir=tmp_path / "resumed",
+    )
+    partial = drive_workload(
+        staged, build_workload(corpus.claim_ids, tenant_count=3, seed=5), max_rounds=1
+    )
+    staged.close()
+    assert partial.verified_count < 24
+
+    for directory in ("resumed", "straight"):
+        out = io.StringIO()
+        code = serving_main([*args, "--snapshot-dir", str(tmp_path / directory)], out=out)
+        assert code == 0
+        assert "served 24/24 claims" in out.getvalue()
+
+    def verdicts(directory):
+        return {
+            key: snapshot.verdicts
+            for key, snapshot in SnapshotStore(tmp_path / directory).items()
+        }
+
+    assert verdicts("resumed") == verdicts("straight")
+    assert sum(len(tenant) for tenant in verdicts("straight").values()) == 24
 
 
 # ---------------------------------------------------------------------- #

@@ -163,6 +163,25 @@ def test_drive_workload_retries_backpressured_submissions(workload_corpus):
     server.close()
 
 
+def test_drive_workload_stopped_before_an_arrival(workload_corpus):
+    """A staged run reports nothing, rather than failing, for late tenants."""
+    workload = build_workload(workload_corpus.claim_ids, tenant_count=3, seed=5)
+    late = [
+        event.tenant_id for event in workload.submissions if event.round_index > 0
+    ]
+    early = {event.tenant_id for event in workload.submissions if event.round_index == 0}
+    unadmitted = set(late) - early
+    assert unadmitted, "the script must have a tenant arriving after round 0"
+    server = VerificationServer(workload_corpus, _config(), executor="serial")
+    result = drive_workload(server, workload, max_rounds=1)
+    assert result.rounds == 1
+    assert set(result.verified_by_tenant) == {s.tenant_id for s in workload.scenarios}
+    for tenant_id in unadmitted:
+        assert result.verified_by_tenant[tenant_id] == ()
+    assert 0 < result.verified_count < workload.claim_count
+    server.close()
+
+
 # ---------------------------------------------------------------------- #
 # zipf generation
 # ---------------------------------------------------------------------- #
