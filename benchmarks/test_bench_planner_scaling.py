@@ -7,8 +7,9 @@ rounds over a 2,000-claim pending pool — each round selects a batch and
 removes it from the pool, exactly like the serving scheduler — and times
 the old path (dense MILP re-encoded from scratch each round,
 ``select_claim_batch``) against :class:`~repro.planning.engine.PlannerEngine`
-(dominance pruning, per-section aggregation, skeleton caching, greedy
-warm start).  Both are exact: the per-round objective values must agree.
+(dominance pruning, per-section aggregation, a sparse MILP with
+aggregated linking rows, greedy warm start).  Both are exact: the
+per-round objective values must agree.
 
 Results persist to ``bench-out/BENCH_planner_scaling.json``.
 ``REPRO_BENCH_QUICK=1`` (the ``make bench-planner`` configuration) shrinks

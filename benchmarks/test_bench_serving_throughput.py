@@ -57,8 +57,6 @@ def _scheduler_metrics(stats: ServerStats) -> dict[str, int]:
         "rounds": stats.rounds,
         "steals": stats.steals,
         "deadline_boosts": stats.deadline_boosts,
-        "fused_rounds": stats.fused_rounds,
-        "fused_batches": stats.fused_batches,
         "evictions": stats.evictions,
         "rehydrations": stats.rehydrations,
     }

@@ -10,7 +10,7 @@ This package is the front door for embedding the Scrutinizer loop:
   construction with pluggable backends.
 * :mod:`repro.api.service` — :class:`VerificationService`, the incremental
   engine (``submit`` / ``run_batch`` / ``iter_results`` / callbacks).
-* :mod:`repro.api.serialization` — JSON interchange for reports.
+* :mod:`repro.api.serialization` — JSON report files.
 
 Layering contract: layer 10 of the enforced import DAG — may import the
 data plane and planners below it (``pipeline``/``planning``, ``crowd``,
@@ -27,16 +27,7 @@ from repro.api.protocols import (
     Checker,
     TranslationBackend,
 )
-from repro.api.serialization import (
-    read_report,
-    report_from_dict,
-    report_from_json,
-    report_to_dict,
-    report_to_json,
-    verification_from_dict,
-    verification_to_dict,
-    write_report,
-)
+from repro.api.serialization import read_report, write_report
 from repro.api.service import (
     LIFECYCLE_EVENTS,
     BatchResult,
@@ -58,11 +49,5 @@ __all__ = [
     "TranslationBackend",
     "VerificationService",
     "read_report",
-    "report_from_dict",
-    "report_from_json",
-    "report_to_dict",
-    "report_to_json",
-    "verification_from_dict",
-    "verification_to_dict",
     "write_report",
 ]

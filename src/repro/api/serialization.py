@@ -1,62 +1,21 @@
-"""JSON interchange helpers for verification results.
+"""JSON file helpers for verification reports.
 
 Reports and per-claim verifications serialize to plain JSON so they can
 cross process boundaries — a worker process can run the verification loop
 and ship the report to a collector, or a run can be checkpointed to disk
 and analysed later.  The canonical implementation lives on the dataclasses
 themselves (:meth:`~repro.core.report.VerificationReport.to_json` and
-friends); this module adds the module-level functions and file helpers.
+friends); this module adds the file helpers.
 """
 
 from __future__ import annotations
 
-import json
-from collections.abc import Mapping
 from pathlib import Path
 
-from repro.core.report import ClaimVerification, VerificationReport
+from repro.core.report import VerificationReport
 from repro.errors import SerializationError
 
-__all__ = [
-    "read_report",
-    "report_from_dict",
-    "report_from_json",
-    "report_to_dict",
-    "report_to_json",
-    "verification_from_dict",
-    "verification_to_dict",
-    "write_report",
-]
-
-
-def report_to_dict(report: VerificationReport) -> dict[str, object]:
-    """JSON-compatible dict form of a report."""
-    return report.to_dict()
-
-
-def report_from_dict(payload: Mapping[str, object]) -> VerificationReport:
-    """Rebuild a report from :func:`report_to_dict` output."""
-    return VerificationReport.from_dict(payload)
-
-
-def report_to_json(report: VerificationReport, indent: int | None = None) -> str:
-    """Serialize a report to a JSON string."""
-    return report.to_json(indent=indent)
-
-
-def report_from_json(text: str) -> VerificationReport:
-    """Deserialize a report from :func:`report_to_json` output."""
-    return VerificationReport.from_json(text)
-
-
-def verification_to_dict(verification: ClaimVerification) -> dict[str, object]:
-    """JSON-compatible dict form of one claim verification."""
-    return verification.to_dict()
-
-
-def verification_from_dict(payload: Mapping[str, object]) -> ClaimVerification:
-    """Rebuild one claim verification from :func:`verification_to_dict` output."""
-    return ClaimVerification.from_dict(payload)
+__all__ = ["read_report", "write_report"]
 
 
 def write_report(report: VerificationReport, path: str | Path) -> Path:
@@ -74,11 +33,3 @@ def read_report(path: str | Path) -> VerificationReport:
     except OSError as error:
         raise SerializationError(f"cannot read report from {source}: {error}") from error
     return VerificationReport.from_json(text)
-
-
-def _self_check() -> None:  # pragma: no cover - debugging aid
-    """Round-trip an empty report; raises if the format is inconsistent."""
-    empty = VerificationReport(system_name="check")
-    restored = VerificationReport.from_json(empty.to_json())
-    if json.dumps(restored.to_dict()) != json.dumps(empty.to_dict()):
-        raise SerializationError("report JSON round-trip is not stable")

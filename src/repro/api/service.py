@@ -41,8 +41,7 @@ from repro.crowd.worker import CheckerResponse, SimulatedChecker
 from repro.errors import ClaimError, InfeasibleSelectionError, SimulationError
 from repro.ml.base import Prediction
 from repro.pipeline.batch import ClaimBatchPredictions
-from repro.planning.batching import BatchCandidate, ClaimSelection
-from repro.planning.engine import FusionRequest
+from repro.planning.batching import BatchCandidate
 from repro.planning.planner import QuestionPlanner
 from repro.translation.translator import ClaimTranslator
 
@@ -74,9 +73,9 @@ class BatchResult:
     #: name; empty when tracking is off or no claims remain.
     accuracy_by_property: dict[str, float]
     #: Which strategy selected the batch: the engine's ``"engine-direct"``,
-    #: ``"engine-dp"``, ``"engine-fused"``, ``"engine-milp"`` or
-    #: ``"engine-greedy"``, ``"sequential"`` for the baseline, or a custom
-    #: batch selector's own tag.
+    #: ``"engine-dp"``, ``"engine-milp"`` or ``"engine-greedy"``,
+    #: ``"sequential"`` for the baseline, or a custom batch selector's own
+    #: tag.
     solver: str
     #: Number of claims still pending after this batch.
     pending_after: int
@@ -363,72 +362,27 @@ class VerificationService:
         self._emit("submitted")
         return self
 
-    def planning_inputs(self) -> FusionRequest | None:
-        """This run's batch-selection problem, for a fused cross-tenant solve.
-
-        The serving scheduler collects one :class:`FusionRequest` per
-        runnable tenant and submits them together to
-        :meth:`~repro.planning.engine.PlannerEngine.plan_fused`; each
-        tenant's slice of the fused answer is then executed via
-        ``run_batch(selection=...)``.  The candidates are scored fresh by
-        the current translator, exactly as :meth:`run_batch` scores them, so
-        a fused solve of this request is claim-for-claim identical to the
-        selection an unfused ``run_batch`` would have computed.
-
-        Returns ``None`` whenever that exactness guarantee cannot be made —
-        nothing pending, a custom batch selector, or the sequential
-        baseline — in which case the caller must fall back to a plain
-        :meth:`run_batch`.
-        """
-        session = self._session
-        if session is None or session.is_complete:
-            return None
-        selector = self.batch_selector
-        if not isinstance(selector, QuestionPlanner) or not selector.config.claim_ordering:
-            return None
-        pending = session.pending_claim_ids
-        candidates = self._batch_candidates(pending, self._predict_pending(pending))
-        return FusionRequest(
-            candidates=tuple(candidates),
-            section_read_costs=self._section_read_costs,
-            config=selector.config.batching,
-        )
-
-    def run_batch(self, selection: ClaimSelection | None = None) -> BatchResult | None:
+    def run_batch(self) -> BatchResult | None:
         """Run one iteration of Algorithm 1; ``None`` when nothing is pending.
 
         One iteration selects the next claim batch, plans and collects the
         crowd's answers for every claim in it, retrains the classifiers on
         the newly verified claims, and measures classifier accuracy on the
-        claims still pending.
-
-        ``selection`` short-circuits batch selection with a precomputed
-        :class:`~repro.planning.batching.ClaimSelection` — the fused-solve
-        handshake: the caller obtained :meth:`planning_inputs`, solved it
-        (typically fused with other tenants' requests) and hands the answer
-        back.  Every claim of the selection must still be pending.
+        claims still pending.  A selection that raises leaves the batch
+        counter where it was.
         """
         session = self._session
         if session is None or session.is_complete:
             return None
         report = self.report
-        self._batch_index += 1
         planning_started = time.perf_counter()
         pending = session.pending_claim_ids
-        if selection is not None:
-            not_pending = set(selection.claim_ids).difference(pending)
-            if not_pending:
-                raise ClaimError(
-                    "precomputed selection contains claims that are not "
-                    f"pending: {sorted(not_pending)[:5]!r}"
-                )
-            batch_predictions = self._predict_pending(selection.claim_ids)
-        else:
-            batch_predictions = self._predict_pending(pending)
-            candidates = self._batch_candidates(pending, batch_predictions)
-            selection = self.batch_selector.plan_batch(
-                candidates, self._section_read_costs, document_order=self._document_order
-            )
+        batch_predictions = self._predict_pending(pending)
+        selection = self.batch_selector.plan_batch(
+            self._batch_candidates(pending, batch_predictions),
+            self._section_read_costs,
+            document_order=self._document_order,
+        )
         if not selection.claim_ids:
             # A legal-but-empty selection (possible under a genuine cost
             # threshold with min_batch_size=0) would verify nothing while
@@ -439,6 +393,7 @@ class VerificationService:
                 "cost threshold",
                 constraint="cost_threshold",
             )
+        self._batch_index += 1
         planning_seconds = time.perf_counter() - planning_started
         report.computation_seconds += planning_seconds
 

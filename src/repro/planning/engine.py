@@ -22,11 +22,8 @@ the test and benchmark oracle — while shrinking the work:
   by per-claim objective weight, so the decision variables collapse to one
   claim *count* per section and an exact dynamic program over sections
   replaces the MILP outright.  Under a genuine cost threshold the MILP
-  remains, but over the pruned pool with a sparse skeleton.
-* **Skeleton caching** — the structural (sparse) constraint block depends
-  only on the section signature of the pruned pool, so it is cached across
-  rounds and across tenants sharing the engine; only the objective and the
-  dynamic budget/bound rows are rebuilt per round.
+  remains, but over the pruned pool, sparse, and with one aggregated
+  linking row per section instead of one per claim.
 * **Greedy warm start** — the greedy heuristic runs first on the pruned
   pool; its objective value becomes an incumbent bound row that tightens
   the MILP search, and its solution is the fallback when the MILP solver
@@ -41,10 +38,8 @@ The dense MILP returns whichever optimum the solver happens to find.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from bisect import bisect_right, insort
-from collections import OrderedDict
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -52,7 +47,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.config import BatchingConfig
-from repro.errors import ConfigurationError, InfeasibleSelectionError, StorageError
+from repro.errors import InfeasibleSelectionError, StorageError
 from repro.planning.batching import (
     BatchCandidate,
     ClaimSelection,
@@ -142,59 +137,15 @@ def dominance_prune(
 
 
 # --------------------------------------------------------------------------- #
-# pool encoding shared by plan() and plan_fused()
-# --------------------------------------------------------------------------- #
-def _pool_arrays(
-    candidates: Sequence[BatchCandidate],
-    section_read_costs: Mapping[str, float],
-    config: BatchingConfig,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """A pool as arrays: per-claim utilities, costs and section indices, plus
-    each distinct section's read cost (sections indexed in sorted id order)."""
-    section_ids = sorted({candidate.section_id for candidate in candidates})
-    section_index = {section_id: index for index, section_id in enumerate(section_ids)}
-    utilities = np.array([candidate.training_utility for candidate in candidates], dtype=float)
-    costs = np.array([candidate.verification_cost for candidate in candidates], dtype=float)
-    sections = np.array(
-        [section_index[candidate.section_id] for candidate in candidates], dtype=np.int64
-    )
-    default_read_cost = config.section_read_cost
-    read_costs = np.array(
-        [section_read_costs.get(section_id, default_read_cost) for section_id in section_ids],
-        dtype=float,
-    )
-    return utilities, costs, sections, read_costs
-
-
-def _pinned_shortcut(
-    utilities: np.ndarray, max_batch: int, weight: float | None
-) -> list[int] | None:
-    """The pinned-size selections that need no solver, else ``None``.
-
-    A pool that fits the batch is taken whole; under the pure-utility
-    objective the top ``max_batch`` utilities win regardless of sections
-    (lowest index on ties).
-    """
-    if max_batch >= len(utilities):
-        return list(range(len(utilities)))
-    if weight is None:
-        top = np.lexsort((np.arange(len(utilities)), -utilities))[:max_batch]
-        return sorted(int(index) for index in top)
-    return None
-
-
-# --------------------------------------------------------------------------- #
-# cross-tenant fusion
+# the repository benchmark's argument type
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class FusionRequest:
-    """One tenant's batch-selection problem, submitted to a fused solve.
+    """One batch-selection problem: the argument type of
+    :meth:`PlannerEngine.plan_fused`.
 
-    Tenant pools are disjoint decision spaces — each request carries its
-    own candidates, read costs and batching bounds — so the fused program
-    is block-separable and :meth:`PlannerEngine.plan_fused` is *exact*:
-    the returned selection matches an independent
-    :meth:`PlannerEngine.plan` for the same request claim-for-claim.
+    It exists only because the repository benchmark's tracer wraps
+    ``plan_fused``; no session plans through it.
     """
 
     candidates: tuple[BatchCandidate, ...]
@@ -215,20 +166,11 @@ class EngineStats:
     direct_solves: int = 0
     claims_seen: int = 0
     claims_pruned: int = 0
-    skeleton_hits: int = 0
-    skeleton_misses: int = 0
     #: Per-claim scores computed for planning by the sessions using this
     #: engine.  Every round scores its whole pending pool fresh, so
     #: ``scores_reused`` always reads 0.
     scores_computed: int = 0
     scores_reused: int = 0
-    #: Cross-tenant fusion: :meth:`PlannerEngine.plan_fused` calls made,
-    #: requests solved inside a fused pass, and requests that had to fall
-    #: back to an individual :meth:`PlannerEngine.plan` (cost-threshold
-    #: regime, where the per-tenant MILP cannot be folded into one pass).
-    fused_plans: int = 0
-    fused_requests: int = 0
-    fusion_fallbacks: int = 0
     #: Relational pushdown: :meth:`PlannerEngine.plan_pushdown` calls made
     #: and claims the SQL dominance pre-filter removed before the pool ever
     #: reached Python (they are *not* double-counted in ``claims_pruned``,
@@ -237,31 +179,16 @@ class EngineStats:
     pushdown_prefiltered: int = 0
 
 
-@dataclass(frozen=True)
-class _Skeleton:
-    """The structural constraint block shared by every round with the same
-    pruned-pool section signature: the batch-size row plus the aggregated
-    per-section linking rows, as one sparse matrix."""
-
-    matrix: object  # scipy.sparse.csr_matrix
-    claim_count: int
-    section_count: int
-
-
 class PlannerEngine:
     """Exact claim-batch planner, shareable across sessions.
 
-    One engine instance can serve many sessions: the skeleton cache depends
-    only on pool structure, so it is shared.  The engine's shared state —
-    skeleton cache and statistics — is lock-protected, because a serving
+    A serving layer points every tenant session at one engine so that its
+    statistics aggregate over tenants.  Those statistics are the engine's
+    only shared state, and they are lock-protected, because a serving
     scheduler runs tenant sessions concurrently on a thread pool.
     """
 
-    def __init__(self, *, skeleton_cache_size: int = 64) -> None:
-        if skeleton_cache_size < 1:
-            raise ConfigurationError("skeleton_cache_size must be at least 1")
-        self._skeleton_cache_size = skeleton_cache_size
-        self._skeletons: OrderedDict[bytes, _Skeleton] = OrderedDict()
+    def __init__(self) -> None:
         self._lock = threading.RLock()
         self.stats = EngineStats()
 
@@ -301,17 +228,33 @@ class PlannerEngine:
         if threshold is None:
             min_batch = max_batch
         weight = config.utility_weight if config.utility_weight > 0 else None
-        utilities, costs, sections, read_costs = _pool_arrays(
-            candidates, section_read_costs, config
+        # The pool as arrays, sections indexed in sorted id order.
+        section_ids = sorted({candidate.section_id for candidate in candidates})
+        section_index = {section_id: index for index, section_id in enumerate(section_ids)}
+        utilities = np.array([candidate.training_utility for candidate in candidates], dtype=float)
+        costs = np.array([candidate.verification_cost for candidate in candidates], dtype=float)
+        sections = np.array(
+            [section_index[candidate.section_id] for candidate in candidates], dtype=np.int64
+        )
+        read_costs = np.array(
+            [
+                section_read_costs.get(section_id, config.section_read_cost)
+                for section_id in section_ids
+            ],
+            dtype=float,
         )
 
-        if threshold is None:
-            direct = _pinned_shortcut(utilities, max_batch, weight)
-            if direct is not None:
-                self.record(direct_solves=1)
-                return self._selection(
-                    candidates, direct, section_read_costs, "engine-direct"
-                )
+        # Pinned-size selections that need no solver: a pool that fits the
+        # batch is taken whole; under the pure-utility objective the top
+        # max_batch utilities win regardless of sections (lowest index on
+        # ties).
+        if threshold is None and (max_batch >= len(candidates) or weight is None):
+            top = np.lexsort((np.arange(len(utilities)), -utilities))[:max_batch]
+            self.record(direct_solves=1)
+            return self._selection(
+                candidates, sorted(int(index) for index in top), section_read_costs,
+                "engine-direct",
+            )
 
         kept = dominance_prune(
             utilities,
@@ -463,114 +406,17 @@ class PlannerEngine:
         )
 
     def plan_fused(self, requests: Sequence[FusionRequest]) -> list[ClaimSelection]:
-        """Solve many tenants' batch selections in one fused pass.
+        """:meth:`plan` each request in turn; selections in request order.
 
-        The serving scheduler collects the runnable small tenants of a
-        round and submits them together; tenant pools are disjoint, so the
-        union program is block-separable and the result is *exact* — each
-        returned :class:`~repro.planning.batching.ClaimSelection` equals an
-        independent :meth:`plan` of the same request claim-for-claim (the
-        ``solver`` tag is ``"engine-fused"``).
-
-        In the paper's default pinned-size regime (no cost threshold) the
-        fused pass concatenates every tenant's pool, computes all objective
-        weights vectorized, ranks the union pool with **one** sort, and
-        splits the ranking back per tenant for the per-section count DP —
-        one engine entry, one stats/lock acquisition and one sort instead
-        of per-tenant ones.  Requests under a genuine cost threshold keep
-        their per-tenant MILP (sharing the cross-tenant skeleton cache via
-        :meth:`plan`) and are counted as ``fusion_fallbacks``.
-
-        Selections are returned in request order.  Empty candidate pools
-        are infeasible here exactly as in :meth:`plan`.
+        Each session selects from its own scores (Definition 9), so
+        planning sessions together cannot change a selection, and no
+        session plans through this method.  It stays only because the
+        repository benchmark's tracer wraps it by name.
         """
-        selections: dict[int, ClaimSelection] = {}
-        fused: list[tuple[int, FusionRequest, BatchingConfig]] = []
-        fallback_positions: list[int] = []
-        for position, request in enumerate(requests):
-            config = request.config if request.config is not None else BatchingConfig()
-            check_batch_feasibility(len(request.candidates), config)
-            if config.cost_threshold is not None:
-                fallback_positions.append(position)
-            else:
-                fused.append((position, request, config))
-        for position in fallback_positions:
-            request = requests[position]
-            selections[position] = self.plan(
-                request.candidates, request.section_read_costs, config=request.config
-            )
-        if fused:
-            # (position, candidates, read-cost map, weights, sections,
-            #  read costs, max batch) for the requests that need the DP;
-            # trivially small pools short-circuit exactly like plan().
-            dp_entries: list[tuple] = []
-            for position, request, config in fused:
-                candidates = request.candidates
-                max_batch = min(config.max_batch_size, len(candidates))
-                weight = config.utility_weight if config.utility_weight > 0 else None
-                utilities, costs, sections, read_costs = _pool_arrays(
-                    candidates, request.section_read_costs, config
-                )
-                direct = _pinned_shortcut(utilities, max_batch, weight)
-                if direct is not None:
-                    selections[position] = self._selection(
-                        candidates, direct, request.section_read_costs, "engine-fused"
-                    )
-                    continue
-                dp_entries.append(
-                    (
-                        position,
-                        candidates,
-                        request.section_read_costs,
-                        costs - weight * utilities,
-                        sections,
-                        read_costs,
-                        max_batch,
-                    )
-                )
-            if dp_entries:
-                # One ranking of the union pool; within a tenant the global
-                # tie-break (ascending concatenation index) equals its local
-                # lowest-index tie-break, so each tenant's slice of this
-                # sort is exactly the order plan() would have computed.
-                weights_all = np.concatenate([entry[3] for entry in dp_entries])
-                owner = np.concatenate(
-                    [
-                        np.full(len(entry[3]), index, dtype=np.int64)
-                        for index, entry in enumerate(dp_entries)
-                    ]
-                )
-                local_index = np.concatenate(
-                    [np.arange(len(entry[3]), dtype=np.int64) for entry in dp_entries]
-                )
-                global_order = np.lexsort(
-                    (np.arange(len(weights_all)), weights_all)
-                )
-                ranked_owner = owner[global_order]
-                ranked_local = local_index[global_order]
-                for index, entry in enumerate(dp_entries):
-                    position, candidates, read_cost_map, weights = entry[:4]
-                    sections, read_costs, max_batch = entry[4:]
-                    chosen, _ = self._solve_pinned_dp(
-                        weights,
-                        sections,
-                        read_costs,
-                        max_batch,
-                        order=ranked_local[ranked_owner == index],
-                    )
-                    selections[position] = self._selection(
-                        candidates, chosen, read_cost_map, "engine-fused"
-                    )
-        if fused or fallback_positions:
-            self.record(
-                plans=len(fused),
-                claims_seen=sum(len(request.candidates) for _, request, _ in fused),
-                direct_solves=len(fused),
-                fused_plans=1,
-                fused_requests=len(fused),
-                fusion_fallbacks=len(fallback_positions),
-            )
-        return [selections[position] for position in range(len(requests))]
+        return [
+            self.plan(request.candidates, request.section_read_costs, config=request.config)
+            for request in requests
+        ]
 
     # ------------------------------------------------------------------ #
     # exact DP for the pinned-size regime (one count variable per section)
@@ -581,7 +427,6 @@ class PlannerEngine:
         claim_sections: np.ndarray,
         section_read_costs: np.ndarray,
         batch: int,
-        order: np.ndarray | None = None,
     ) -> tuple[list[int], float]:
         """Choose exactly ``batch`` claims minimising ``sum w_i`` plus one
         read cost per opened section.
@@ -592,14 +437,9 @@ class PlannerEngine:
         section's read cost when ``k > 0``.  Exactly the Definition 9
         optimum because, for a fixed per-section count, the cheapest claims
         of that section are always the right ones.
-
-        ``order`` is the (weight asc, index asc) ranking of the claims;
-        when the caller already sorted a fused super-pool it passes each
-        tenant's slice of that one global sort instead of re-sorting.
         """
         infinity = float("inf")
-        if order is None:
-            order = np.lexsort((np.arange(len(weights)), weights))
+        order = np.lexsort((np.arange(len(weights)), weights))
         best = np.full(batch + 1, infinity)
         best[0] = 0.0
         members_by_section: list[np.ndarray] = []
@@ -634,60 +474,8 @@ class PlannerEngine:
         return sorted(chosen), float(best[batch])
 
     # ------------------------------------------------------------------ #
-    # MILP with aggregated linking, sparse skeleton and incumbent bound
+    # sparse MILP with aggregated linking and an incumbent bound
     # ------------------------------------------------------------------ #
-    def _skeleton(self, claim_sections: np.ndarray, section_count: int) -> _Skeleton:
-        key = hashlib.blake2b(
-            claim_sections.tobytes() + section_count.to_bytes(4, "little"),
-            digest_size=16,
-        ).digest()
-        with self._lock:
-            cached = self._skeletons.get(key)
-            if cached is not None:
-                self._skeletons.move_to_end(key)
-                self.stats.skeleton_hits += 1
-                return cached
-            self.stats.skeleton_misses += 1
-        claim_count = len(claim_sections)
-        variable_count = claim_count + section_count
-        counts = np.bincount(claim_sections, minlength=section_count)
-        # Row 0: batch size over the claim variables.  Rows 1..S: aggregated
-        # linking, sum_{i in s} cs_i - n_s * sr_s <= 0 (same integer
-        # solutions as the per-claim rows, section-many instead of
-        # claim-many).
-        rows = np.concatenate(
-            [
-                np.zeros(claim_count, dtype=np.int64),
-                1 + claim_sections,
-                1 + np.arange(section_count),
-            ]
-        )
-        columns = np.concatenate(
-            [
-                np.arange(claim_count),
-                np.arange(claim_count),
-                claim_count + np.arange(section_count),
-            ]
-        )
-        values = np.concatenate(
-            [
-                np.ones(claim_count),
-                np.ones(claim_count),
-                -counts.astype(float),
-            ]
-        )
-        matrix = sparse.csr_matrix(
-            (values, (rows, columns)), shape=(1 + section_count, variable_count)
-        )
-        skeleton = _Skeleton(
-            matrix=matrix, claim_count=claim_count, section_count=section_count
-        )
-        with self._lock:
-            self._skeletons[key] = skeleton
-            while len(self._skeletons) > self._skeleton_cache_size:
-                self._skeletons.popitem(last=False)
-        return skeleton
-
     def _solve_milp(
         self,
         utilities: np.ndarray,
@@ -711,8 +499,33 @@ class PlannerEngine:
             objective[:claim_count] = verification_costs - utility_weight * utilities
             objective[claim_count:] = section_read_costs
 
-        skeleton = self._skeleton(claim_sections, section_count)
-        blocks = [skeleton.matrix]
+        counts = np.bincount(claim_sections, minlength=section_count)
+        # Row 0: batch size over the claim variables.  Rows 1..S: aggregated
+        # linking, sum_{i in s} cs_i - n_s * sr_s <= 0 (same integer
+        # solutions as the per-claim rows, section-many instead of
+        # claim-many).
+        rows = np.concatenate(
+            [
+                np.zeros(claim_count, dtype=np.int64),
+                1 + claim_sections,
+                1 + np.arange(section_count),
+            ]
+        )
+        columns = np.concatenate(
+            [
+                np.arange(claim_count),
+                np.arange(claim_count),
+                claim_count + np.arange(section_count),
+            ]
+        )
+        values = np.concatenate(
+            [np.ones(claim_count), np.ones(claim_count), -counts.astype(float)]
+        )
+        blocks = [
+            sparse.csr_matrix(
+                (values, (rows, columns)), shape=(1 + section_count, variable_count)
+            )
+        ]
         lower = [float(min_batch_size)] + [-np.inf] * section_count
         upper = [float(max_batch_size)] + [0.0] * section_count
 

@@ -9,10 +9,11 @@ per tenant — against a shared corpus and a shared
   keyed by tenant id, an :class:`~repro.serving.server.AdmissionPolicy`
   (registry bound, per-tenant pending-claim quotas, bounded submission
   queue with backpressure), a work-stealing deadline-bounded scheduler
-  multiplexing ``run_batch`` calls across sessions with cross-tenant
-  planner fusion, and queue-pressure-driven passivation of idle sessions
-  to :class:`~repro.runtime.snapshot.ServiceSnapshot` checkpoints
-  (rehydrated transparently on the tenant's next request).
+  multiplexing ``run_batch`` calls across sessions (each tenant plans its
+  own batches through the server's one planner engine), and
+  queue-pressure-driven passivation of idle sessions to
+  :class:`~repro.runtime.snapshot.ServiceSnapshot` checkpoints (rehydrated
+  transparently on the tenant's next request).
 * :mod:`repro.serving.scheduler` — the scheduling policy itself:
   weighted-deficit fairness with a hard anti-starvation deadline,
   decoupled from server bookkeeping so it is independently testable.

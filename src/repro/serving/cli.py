@@ -7,8 +7,7 @@ Two verbs over the deterministic synthetic workload:
     tenants (bursty / steady / resume-after-crash scenarios — or
     Zipf-skewed bursts with ``--zipf``), and serve it with admission
     control.  The summary reports p50/p95/p99 batch latency and the
-    work-stealing scheduler's counters (steals, deadline boosts, fused
-    rounds)::
+    work-stealing scheduler's counters (steals, deadline boosts)::
 
         python -m repro.serving run --claims 120 --tenants 8 \\
             --max-resident 4 --snapshot-dir ./tenants --report summary.json
@@ -130,11 +129,8 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
         f"p99 {percentile(latencies, 99) * 1000.0:.1f}ms",
         file=out,
     )
-    fusion_rate = stats.fused_batches / stats.batches if stats.batches else 0.0
     print(
-        f"scheduler: {stats.steals} steals, {stats.deadline_boosts} deadline "
-        f"boosts, {stats.fused_rounds} fused rounds "
-        f"({stats.fused_batches} batches, {fusion_rate:.0%} fusion hit rate)",
+        f"scheduler: {stats.steals} steals, {stats.deadline_boosts} deadline boosts",
         file=out,
     )
     for scenario in workload.scenarios:
@@ -163,9 +159,6 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
             "scheduler": {
                 "steals": stats.steals,
                 "deadline_boosts": stats.deadline_boosts,
-                "fused_rounds": stats.fused_rounds,
-                "fused_batches": stats.fused_batches,
-                "fusion_hit_rate": fusion_rate,
             },
             "by_tenant": {
                 scenario.tenant_id: {

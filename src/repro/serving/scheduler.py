@@ -71,20 +71,12 @@ class SchedulerConfig:
     #: Hard anti-starvation bound: a runnable tenant unscheduled for this
     #: many consecutive rounds jumps the queue in the next round.
     deadline_rounds: int = 8
-    #: The scheduled tenants' batch selections are fused into one shared
-    #: :meth:`repro.planning.engine.PlannerEngine.plan_fused` solve per
-    #: round (exact; split back per tenant after selection).  Tenants whose
-    #: candidate pool exceeds this many claims solve solo; ``None`` fuses
-    #: every eligible tenant.
-    max_fused_pool: int | None = None
 
     def __post_init__(self) -> None:
         if self.pressure_exponent < 0:
             raise ConfigurationError("pressure_exponent must be non-negative")
         if self.deadline_rounds < 1:
             raise ConfigurationError("deadline_rounds must be at least 1")
-        if self.max_fused_pool is not None and self.max_fused_pool < 1:
-            raise ConfigurationError("max_fused_pool must be at least 1 (or None)")
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,10 @@ work-stealing, deadline-aware scheduler
 (:class:`~repro.serving.scheduler.TenantScheduler`) multiplexes
 ``run_batch`` calls across the resident sessions over one shared
 :class:`~repro.runtime.pool.WorkerPool`: runnable tenants accrue
-weighted-deficit credit, a freed worker immediately takes the round's
-next tenant instead of idling behind a barrier, and the scheduled
-tenants' batch selections are fused into a single
-:meth:`~repro.planning.engine.PlannerEngine.plan_fused` solve (exact —
-each tenant gets the same batch an independent solve would pick).
+weighted-deficit credit, and a freed worker immediately takes the round's
+next tenant instead of idling behind a barrier.  Each tenant selects its
+own batches inside ``run_batch``, through the server's one
+:class:`~repro.planning.engine.PlannerEngine`.
 
 Admission control (:class:`AdmissionPolicy`) bounds every resource the
 server holds:
@@ -59,7 +58,6 @@ from repro.errors import (
     ServingError,
     UnknownTenantError,
 )
-from repro.planning.batching import ClaimSelection
 from repro.planning.engine import PlannerEngine
 from repro.runtime.pool import WorkerPool
 from repro.runtime.snapshot import ServiceSnapshot, SnapshotStore
@@ -165,8 +163,6 @@ class _TenantRecord:
     wait_rounds_max: int = 0
     #: Times the deadline bound forced this tenant to the front.
     deadline_boosts: int = 0
-    #: Batches whose selection came out of a fused cross-tenant solve.
-    fused_batches: int = 0
 
     @property
     def resident(self) -> bool:
@@ -193,9 +189,8 @@ class ServerStats:
     steals: int = 0
     #: Times a tenant hit the deadline bound and jumped the queue.
     deadline_boosts: int = 0
-    #: Rounds that ran a fused cross-tenant planner solve, and how many
-    #: tenant batches those fused solves selected.
-    fused_rounds: int = 0
+    #: Always 0: every tenant plans its own batches.  Kept only because the
+    #: repository benchmark reads it.
     fused_batches: int = 0
     #: Passivations that dropped an out-of-core feature backend's resident
     #: memmap pages (instead of pickling feature bytes into the snapshot).
@@ -220,20 +215,12 @@ class TenantStatus:
     wait_rounds_total: int = 0
     wait_rounds_max: int = 0
     deadline_boosts: int = 0
-    fused_batches: int = 0
 
     @property
     def is_complete(self) -> bool:
         return self.submitted_claims > 0 and self.pending_claims == 0 and (
             self.queued_claims == 0
         )
-
-    @property
-    def fusion_hit_rate(self) -> float:
-        """Share of this tenant's batches selected by a fused solve."""
-        if self.batches_run == 0:
-            return 0.0
-        return self.fused_batches / self.batches_run
 
 
 @dataclass(frozen=True)
@@ -262,8 +249,6 @@ class TenantBatchOutcome:
     #: Whether a freed worker picked this batch up mid-round (a steal)
     #: rather than the round's initial dispatch wave.
     stolen: bool = False
-    #: Whether the batch's selection came from a fused cross-tenant solve.
-    fused: bool = False
 
 
 # ---------------------------------------------------------------------- #
@@ -294,8 +279,8 @@ class VerificationServer:
         crash durability.
     scheduler:
         The :class:`~repro.serving.scheduler.SchedulerConfig` of the
-        work-stealing tenant scheduler (fairness pressure, starvation
-        deadline, planner-fusion knobs).
+        work-stealing tenant scheduler (fairness pressure and starvation
+        deadline).
     feature_backend_factory:
         Opt-in out-of-core feature storage: a callable mapping a tenant id
         to the :class:`~repro.store.backend.FeatureBackend` its session's
@@ -647,8 +632,8 @@ class VerificationServer:
             self.stats.sessions_started += 1
             self._attach_store_backend(service, record)
         self._apply_feature_cap(service)
-        # Every tenant plans on the server's one engine — the one that solves
-        # each round's fused requests — sharing its skeleton cache and stats.
+        # Every tenant plans on the server's one engine, so its stats
+        # aggregate over tenants.
         service.planner.engine = self._planner_engine
         record.service = service
         record.parked_snapshot = None
@@ -728,51 +713,12 @@ class VerificationServer:
             record.queued_claims = max(0, record.queued_claims - len(submission.claim_ids))
             record.submitted_claims += len(submission.claim_ids)
 
-    def _fused_selections(
-        self, scheduled: Sequence[_TenantRecord]
-    ) -> dict[str, ClaimSelection]:
-        """One shared planner solve for the round's fusable tenants.
-
-        Collects each scheduled tenant's
-        :meth:`~repro.api.service.VerificationService.planning_inputs`
-        (``None`` means that tenant cannot be fused exactly — custom
-        selector, sequential baseline, nothing pending) and solves them
-        with a single
-        :meth:`~repro.planning.engine.PlannerEngine.plan_fused` call.
-        Returns ``tenant_id -> ClaimSelection`` for the fused tenants;
-        everyone else runs its own in-batch solve as before.  Fusion is
-        exact, so this only changes *where* selection happens, never what
-        is selected.
-        """
-        limit = self.scheduler_config.max_fused_pool
-        owners: list[str] = []
-        requests = []
-        for record in scheduled:
-            service = record.service
-            if service is None:  # pragma: no cover - residents ensured upstream
-                continue
-            if limit is not None and service.pending_count > limit:
-                continue
-            request = service.planning_inputs()
-            if request is None:
-                continue
-            owners.append(record.tenant_id)
-            requests.append(request)
-        if len(requests) < 2:
-            # Nothing cross-tenant to share; the tenant's own run_batch
-            # path solves it with identical results and fewer moving parts.
-            return {}
-        selections = self._planner_engine.plan_fused(requests)
-        self.stats.fused_rounds += 1
-        return dict(zip(owners, selections))
-
     def run_round(self) -> list[TenantBatchOutcome]:
         """Run one scheduling round without a barrier.
 
         Drains the queue, asks the :class:`~repro.serving.scheduler.
         TenantScheduler` for up to ``max_resident_sessions`` tenants
-        (weighted-deficit fair, deadline-bounded), fuses their batch
-        selections into one shared planner solve, then pumps the batches
+        (weighted-deficit fair, deadline-bounded), then pumps their batches
         through the pool with ``submit``/``wait_any``: every completion
         immediately hands the freed worker the round's next tenant (a
         *steal*) instead of waiting for the whole wave.
@@ -811,16 +757,13 @@ class VerificationServer:
             record.last_scheduled_round = self._round
         self._evict_over_capacity(protected=protected)
         self.stats.peak_resident = max(self.stats.peak_resident, self.resident_count)
-        selections = self._fused_selections(scheduled)
 
         def _run_one(
             record: _TenantRecord,
         ) -> tuple[str, BatchResult | None, float]:
             started = time.perf_counter()
             assert record.service is not None
-            result = record.service.run_batch(
-                selection=selections.get(record.tenant_id)
-            )
+            result = record.service.run_batch()
             return record.tenant_id, result, time.perf_counter() - started
 
         # The steal pump: fill the pool, then refill every freed slot from
@@ -848,10 +791,6 @@ class VerificationServer:
                 if result is None:
                     record.pending_claims = 0
                     continue
-                fused = result_tenant_id in selections
-                if fused:
-                    record.fused_batches += 1
-                    self.stats.fused_batches += 1
                 record.batches_run += 1
                 record.verified_claims += result.batch_size
                 record.pending_claims = result.pending_after
@@ -863,7 +802,6 @@ class VerificationServer:
                         result=result,
                         wall_seconds=wall,
                         stolen=stolen,
-                        fused=fused,
                     )
                 )
         self.stats.rounds += 1
@@ -934,7 +872,6 @@ class VerificationServer:
             wait_rounds_total=record.wait_rounds_total,
             wait_rounds_max=record.wait_rounds_max,
             deadline_boosts=record.deadline_boosts,
-            fused_batches=record.fused_batches,
         )
 
     def status(self) -> ServerStatus:

@@ -4,8 +4,8 @@ A sharded run partitions the claims into K shards by a *stable* key
 (CRC-32 of the claim id — identical across processes, machines and Python
 invocations, unlike ``hash()``) and submits shard ``i`` as tenant
 ``shard-i`` of one :class:`~repro.serving.server.VerificationServer`.  The
-server's scheduler, fused planning and passivation run the shards; this
-module adds only the partition, the per-round checkpoints and the merge:
+server's scheduler and passivation run the shards; this module adds only
+the partition, the per-round checkpoints and the merge:
 
 * **reports** merge into one global
   :class:`~repro.core.report.VerificationReport` — verifications ordered by

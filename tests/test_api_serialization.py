@@ -4,14 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import (
-    read_report,
-    report_from_json,
-    report_to_json,
-    verification_from_dict,
-    verification_to_dict,
-    write_report,
-)
+from repro.api import read_report, write_report
 from repro.core.report import (
     REPORT_FORMAT_VERSION,
     ClaimVerification,
@@ -73,7 +66,7 @@ class TestReportRoundTrip:
 
     def test_round_trip_preserves_derived_statistics(self):
         report = sample_report()
-        restored = report_from_json(report_to_json(report))
+        restored = VerificationReport.from_json(report.to_json())
         assert restored.total_seconds == pytest.approx(report.total_seconds)
         assert restored.decided_count == report.decided_count
         assert restored.average_classifier_accuracy() == pytest.approx(
@@ -116,7 +109,7 @@ class TestVerificationRoundTrip:
             suggested_value=1.5,
             batch_index=4,
         )
-        assert verification_from_dict(verification_to_dict(verification)) == verification
+        assert ClaimVerification.from_dict(verification.to_dict()) == verification
 
     def test_defaults_fill_missing_optional_fields(self):
         restored = ClaimVerification.from_dict(

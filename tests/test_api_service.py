@@ -16,7 +16,7 @@ from repro.config import BatchingConfig, ScrutinizerConfig
 from repro.core.scrutinizer import Scrutinizer
 from repro.crowd.oracle import GroundTruthOracle
 from repro.crowd.worker import CheckerResponse, SimulatedChecker
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, InfeasibleSelectionError
 from repro.planning.batching import ClaimSelection
 from repro.planning.planner import QuestionPlanner
 
@@ -288,6 +288,57 @@ class TestStreamingService:
         service.run_to_completion()
         assert [result.batch_index for result in seen] == [1, 2, 3]
         assert sum(result.batch_size for result in seen) == 10
+
+    def test_failed_selection_does_not_advance_the_batch_counter(self, small_corpus):
+        config = ScrutinizerConfig(
+            checker_count=1,
+            votes_per_claim=1,
+            batching=BatchingConfig(min_batch_size=0, max_batch_size=5, cost_threshold=1.0),
+            seed=5,
+        )
+        service = (
+            ScrutinizerBuilder(small_corpus)
+            .with_config(config)
+            .with_checkers([ScriptedChecker(small_corpus)])
+            .build_service()
+        )
+        service.submit(list(small_corpus.claim_ids)[:10])
+        for _ in range(2):
+            with pytest.raises(InfeasibleSelectionError) as outcome:
+                service.run_batch()
+            assert outcome.value.constraint == "cost_threshold"
+            assert service.batches_run == 0
+        assert service.session.batches == ()
+        assert service.report.claim_count == 0
+        assert service.pending_count == 10
+        assert service.snapshot().batch_index == 0
+
+    def test_batches_after_a_failed_selection_are_numbered_from_one(self, small_corpus):
+        class FailOnceSelector(TakeFirstSelector):
+            def plan_batch(self, candidates, section_read_costs, document_order=None):
+                if self.calls == 0:
+                    self.calls += 1
+                    raise InfeasibleSelectionError(
+                        "no batch fits yet", constraint="cost_threshold"
+                    )
+                return super().plan_batch(candidates, section_read_costs, document_order)
+
+        service = (
+            ScrutinizerBuilder(small_corpus)
+            .with_config(small_config())
+            .with_checkers([ScriptedChecker(small_corpus)])
+            .with_batch_selector(FailOnceSelector(4))
+            .build_service()
+        )
+        service.submit(list(small_corpus.claim_ids)[:8])
+        with pytest.raises(InfeasibleSelectionError):
+            service.run_batch()
+        result = service.run_batch()
+        assert result.batch_index == 1
+        assert {verification.batch_index for verification in result.verifications} == {1}
+        service.run_to_completion(max_batches=2)
+        assert service.batches_run == 2
+        assert service.is_complete
 
     def test_reset_starts_a_fresh_run_but_keeps_training(self, small_corpus):
         service = self._service(small_corpus, batch_size=6)

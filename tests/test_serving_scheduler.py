@@ -41,9 +41,7 @@ def test_config_validation():
         SchedulerConfig(pressure_exponent=-0.1)
     with pytest.raises(ConfigurationError):
         SchedulerConfig(deadline_rounds=0)
-    with pytest.raises(ConfigurationError):
-        SchedulerConfig(max_fused_pool=0)
-    SchedulerConfig(pressure_exponent=0.0, deadline_rounds=1, max_fused_pool=1)
+    SchedulerConfig(pressure_exponent=0.0, deadline_rounds=1)
 
 
 def test_empty_round_decisions():

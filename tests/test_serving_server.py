@@ -436,7 +436,6 @@ def test_serving_cli_run_and_status(tmp_path):
     assert payload["claims_per_second"] > 0
     assert payload["p50_batch_latency_seconds"] <= payload["p99_batch_latency_seconds"]
     assert payload["scheduler"]["steals"] >= 0
-    assert 0.0 <= payload["scheduler"]["fusion_hit_rate"] <= 1.0
     assert set(payload["by_tenant"]) == {"tenant-00", "tenant-01", "tenant-02"}
 
     status_out = io.StringIO()
@@ -509,80 +508,8 @@ def test_serving_cli_rerun_resumes_a_staged_run(tmp_path):
 
 
 # ---------------------------------------------------------------------- #
-# work-stealing scheduler and planner fusion
+# work-stealing scheduler
 # ---------------------------------------------------------------------- #
-def _drain_server(serving_corpus, tenants, *, scheduler):
-    """Run every tenant's claims to completion and collect the verdicts."""
-    server = VerificationServer(
-        serving_corpus,
-        _config(),
-        policy=AdmissionPolicy(max_resident_sessions=2),
-        executor="serial",
-        scheduler=scheduler,
-    )
-    for tenant_id, claims in tenants.items():
-        server.submit(tenant_id, claims)
-    outcomes = server.run_until_idle()
-    verdicts = {
-        tenant_id: {
-            verification.claim_id: verification.verdict
-            for verification in server.report(tenant_id).verifications
-        }
-        for tenant_id in tenants
-    }
-    stats = server.stats
-    statuses = {tenant_id: server.tenant_status(tenant_id) for tenant_id in tenants}
-    server.close()
-    return outcomes, verdicts, stats, statuses
-
-
-def test_fused_rounds_match_unfused_rounds(serving_corpus):
-    """Fusion changes where selection happens, never what gets verified.
-
-    Both servers plan through their ``PlannerEngine``; the only difference
-    is whether the round's scheduled tenants are solved in one fused pass
-    or one at a time (``max_fused_pool=1`` keeps every tenant pool solo) —
-    so claim sets AND verdicts must be identical.
-    """
-    from repro.serving.scheduler import SchedulerConfig
-
-    tenants = _split(serving_corpus, 4)
-    fused_outcomes, fused_verdicts, fused_stats, fused_statuses = _drain_server(
-        serving_corpus, tenants, scheduler=SchedulerConfig()
-    )
-    solo_outcomes, solo_verdicts, solo_stats, _ = _drain_server(
-        serving_corpus, tenants, scheduler=SchedulerConfig(max_fused_pool=1)
-    )
-    assert fused_verdicts == solo_verdicts
-    # Per-batch composition matched too, not just the final union.
-    fused_batches = [(o.tenant_id, o.result.claim_ids) for o in fused_outcomes]
-    solo_batches = [(o.tenant_id, o.result.claim_ids) for o in solo_outcomes]
-    assert fused_batches == solo_batches
-    assert fused_stats.fused_rounds > 0
-    assert fused_stats.fused_batches > 0
-    assert solo_stats.fused_rounds == 0
-    assert any(outcome.fused for outcome in fused_outcomes)
-    assert not any(outcome.fused for outcome in solo_outcomes)
-    # Fusion visibility: per-tenant hit rate reflects the fused batches.
-    assert any(
-        status.fused_batches > 0 and 0.0 < status.fusion_hit_rate <= 1.0
-        for status in fused_statuses.values()
-    )
-
-
-def test_max_fused_pool_keeps_large_tenants_solo(serving_corpus):
-    from repro.serving.scheduler import SchedulerConfig
-
-    tenants = _split(serving_corpus, 4)
-    _, verdicts, stats, _ = _drain_server(
-        serving_corpus, tenants, scheduler=SchedulerConfig(max_fused_pool=1)
-    )
-    # Every tenant pool exceeds one claim, so nothing ever fuses — and the
-    # run still drains every claim through the ordinary path.
-    assert stats.fused_rounds == 0
-    assert sum(len(v) for v in verdicts.values()) == serving_corpus.claim_count
-
-
 def test_scheduler_stats_surface_in_status(serving_corpus):
     """Steals, waits and deadline boosts are visible per tenant."""
     tenants = _split(serving_corpus, 4)
