@@ -24,7 +24,7 @@ import numpy as np
 from repro.errors import NotFittedError
 from repro.ml.base import Prediction, as_single_row
 from repro.ml.encoding import LabelEncoder
-from repro.ml.state import register_model_kind
+from repro.ml.state import decode_array, encode_array, register_model_kind
 
 
 @register_model_kind("knn")
@@ -42,7 +42,10 @@ class KNearestNeighborsClassifier:
         self._target_one_hot: np.ndarray | None = None
 
     def fit(self, features: np.ndarray, labels: Sequence[str]) -> "KNearestNeighborsClassifier":
-        features = np.asarray(features, dtype=float)
+        # Keep the training matrix in C order, the layout a restored model
+        # decodes to: row norms and similarities of a strided copy can
+        # differ in the last bits.
+        features = np.ascontiguousarray(features, dtype=float)
         if features.ndim != 2:
             raise ValueError("features must be a 2-D matrix")
         if features.shape[0] != len(labels):
@@ -143,8 +146,8 @@ class KNearestNeighborsClassifier:
             "kind": "knn",
             "k": self.k,
             "encoder": self._encoder.to_state(),
-            "features": None if self._features is None else self._features.tolist(),
-            "targets": None if self._targets is None else self._targets.tolist(),
+            "features": None if self._features is None else encode_array(self._features),
+            "targets": None if self._targets is None else encode_array(self._targets),
         }
 
     @classmethod
@@ -160,9 +163,9 @@ class KNearestNeighborsClassifier:
         features = state.get("features")
         targets = state.get("targets")
         if features is not None and targets is not None:
-            model._features = np.asarray(features, dtype=float)
+            model._features = decode_array(features, "knn.features")
             model._norms = np.linalg.norm(model._features, axis=1)
-            model._targets = np.asarray(targets, dtype=np.int64)
+            model._targets = decode_array(targets, "knn.targets")
             one_hot = np.zeros((model._features.shape[0], model._encoder.class_count))
             one_hot[np.arange(model._features.shape[0]), model._targets] = 1.0
             model._target_one_hot = one_hot

@@ -16,7 +16,7 @@ import numpy as np
 from repro.errors import NotFittedError
 from repro.ml.base import Prediction, as_single_row
 from repro.ml.encoding import LabelEncoder
-from repro.ml.state import register_model_kind
+from repro.ml.state import decode_array, encode_array, register_model_kind
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -180,8 +180,8 @@ class SoftmaxRegressionClassifier:
             "seed": self.seed,
             "warm_start": self.warm_start,
             "encoder": self._encoder.to_state(),
-            "weights": None if self._weights is None else self._weights.tolist(),
-            "bias": None if self._bias is None else self._bias.tolist(),
+            "weights": None if self._weights is None else encode_array(self._weights),
+            "bias": None if self._bias is None else encode_array(self._bias),
         }
 
     @classmethod
@@ -198,6 +198,6 @@ class SoftmaxRegressionClassifier:
         weights = state.get("weights")
         bias = state.get("bias")
         if weights is not None and bias is not None:
-            model._weights = np.asarray(weights, dtype=float)
-            model._bias = np.asarray(bias, dtype=float)
+            model._weights = decode_array(weights, "softmax.weights")
+            model._bias = decode_array(bias, "softmax.bias")
         return model

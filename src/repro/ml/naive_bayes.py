@@ -16,7 +16,7 @@ import numpy as np
 from repro.errors import NotFittedError
 from repro.ml.base import Prediction, as_single_row
 from repro.ml.encoding import LabelEncoder
-from repro.ml.state import register_model_kind
+from repro.ml.state import decode_array, encode_array, register_model_kind
 
 
 @register_model_kind("naive_bayes")
@@ -104,9 +104,11 @@ class MultinomialNaiveBayesClassifier:
             "kind": "naive_bayes",
             "alpha": self.alpha,
             "encoder": self._encoder.to_state(),
-            "log_prior": None if self._log_prior is None else self._log_prior.tolist(),
+            "log_prior": None if self._log_prior is None else encode_array(self._log_prior),
             "log_likelihood": (
-                None if self._log_likelihood is None else self._log_likelihood.tolist()
+                None
+                if self._log_likelihood is None
+                else encode_array(self._log_likelihood)
             ),
         }
 
@@ -118,6 +120,8 @@ class MultinomialNaiveBayesClassifier:
         log_prior = state.get("log_prior")
         log_likelihood = state.get("log_likelihood")
         if log_prior is not None and log_likelihood is not None:
-            model._log_prior = np.asarray(log_prior, dtype=float)
-            model._log_likelihood = np.asarray(log_likelihood, dtype=float)
+            model._log_prior = decode_array(log_prior, "naive_bayes.log_prior")
+            model._log_likelihood = decode_array(
+                log_likelihood, "naive_bayes.log_likelihood"
+            )
         return model

@@ -15,10 +15,12 @@ after a crash or restart, as plain JSON:
 * every random stream: the service's accuracy-sampling generator, the
   shared timing model and each simulated checker's behavioural RNG.
 
-Because the model hooks round-trip float64 exactly and the RNG streams are
-restored bit for bit, a resumed run selects the same batches and produces
-the same predictions and verdicts as the uninterrupted run — asserted by
-the snapshot tests.
+Fitted model arrays travel as base64 of their little-endian bytes, in
+the format only :mod:`repro.ml.state` knows; the rest of a snapshot is
+plain JSON.  Because those bytes round-trip float64 exactly and the RNG
+streams are restored bit for bit, a resumed run selects the same batches
+and produces the same predictions and verdicts as the uninterrupted run —
+asserted by the snapshot tests.
 
 Schema versioning: ``schema_version`` is stamped into every payload and
 checked on load; loading a payload from a different schema raises
@@ -56,7 +58,11 @@ __all__ = [
 ]
 
 #: Version stamp of the snapshot JSON layout; bump on breaking changes.
-SNAPSHOT_SCHEMA_VERSION = 1
+SNAPSHOT_SCHEMA_VERSION = 2
+
+
+class _SchemaVersionError(SerializationError):
+    """A snapshot payload stamped with a schema version other than ours."""
 
 
 # ---------------------------------------------------------------------- #
@@ -125,7 +131,7 @@ class ServiceSnapshot:
     #: lives in the store's memmap files, not in the checkpoint.  ``None``
     #: for the default all-in-RAM backend (features re-derive from the
     #: translator state), and omitted from the JSON payload in that case,
-    #: so pre-existing snapshots round-trip unchanged at schema version 1.
+    #: so only snapshots of out-of-core tenants carry the key.
     store_manifest: dict[str, object] | None = None
 
     # ------------------------------------------------------------------ #
@@ -281,8 +287,10 @@ class ServiceSnapshot:
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "ServiceSnapshot":
         version = payload.get("schema_version")
+        if version is None:
+            raise SerializationError("snapshot payload has no schema_version")
         if version != SNAPSHOT_SCHEMA_VERSION:
-            raise SerializationError(
+            raise _SchemaVersionError(
                 f"unsupported snapshot schema version {version!r} "
                 f"(expected {SNAPSHOT_SCHEMA_VERSION})"
             )
@@ -385,7 +393,10 @@ class SnapshotStore:
         use this instead of :meth:`keys` followed by per-key loads.  Keys
         come from each file's recorded metadata, falling back to the file
         stem for snapshots that predate key stamping; unreadable files are
-        skipped.
+        skipped.  A snapshot stamped with another schema version raises
+        :class:`~repro.errors.SerializationError` naming the file: skipping
+        it would let a restart replay the journal into cold sessions and
+        overwrite the file at the next passivation.
         """
         if not self.directory.is_dir():
             return ()
@@ -393,6 +404,8 @@ class SnapshotStore:
         for entry in sorted(self.directory.glob(f"*{self._SUFFIX}")):
             try:
                 snapshot = ServiceSnapshot.load(entry)
+            except _SchemaVersionError as error:
+                raise SerializationError(f"snapshot {entry}: {error}") from error
             except SerializationError:
                 continue
             pairs.append((str(snapshot.metadata.get("store_key", entry.stem)), snapshot))

@@ -557,8 +557,10 @@ class VerificationServer:
                 fit_features_only=True,
             )
             self._translator_template = template
-        # The read-only database is shared across copies; everything
-        # mutable (classifiers, feature store, fit corpus) is per tenant.
+        # The read-only database is shared across copies, and so are the
+        # featurizer's fitted tables until a tenant refits (see
+        # ClaimFeaturizer); everything mutable (classifiers, feature
+        # store, fit corpus) is per tenant.
         return copy.deepcopy(
             self._translator_template,
             memo={id(self.corpus.database): self.corpus.database},

@@ -8,6 +8,7 @@ vector is fed to the four property classifiers.
 
 from __future__ import annotations
 
+import copy
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 
@@ -63,6 +64,14 @@ class ClaimFeaturizer:
     :class:`~repro.pipeline.feature_store.ClaimFeatureStore`) compare
     generations to discard stale rows, and the incremental classifiers
     restart from scratch rather than warm-starting across generations.
+
+    Fitted tables are replaced, never mutated: ``fit`` assigns fresh
+    vocabulary, IDF, seen-term and context-mean objects, and nothing
+    writes into them afterwards.  A deep copy therefore wraps the same
+    tables in fresh vectorizers and embeddings, and copies only the
+    embeddings' base-vector cache, which grows as tokens are seen.  Copies
+    share the tables until one of them refits, which leaves the others
+    untouched.  The serving layer copies one fitted featurizer per tenant.
     """
 
     def __init__(self, config: FeaturizerConfig | None = None) -> None:
@@ -83,6 +92,17 @@ class ClaimFeaturizer:
         )
         self._fitted = False
         self._generation = 0
+
+    def __deepcopy__(self, memo: dict[int, object]) -> "ClaimFeaturizer":
+        clone = copy.copy(self)
+        memo[id(self)] = clone
+        clone._embeddings = copy.copy(self._embeddings)
+        clone._embeddings._cache = dict(self._embeddings._cache)
+        clone._word_tfidf = copy.copy(self._word_tfidf)
+        clone._word_tfidf.analyzer = clone._word_analyzer
+        clone._char_tfidf = copy.copy(self._char_tfidf)
+        clone._char_tfidf.analyzer = clone._char_analyzer
+        return clone
 
     # ------------------------------------------------------------------ #
     # analyzers

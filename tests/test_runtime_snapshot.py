@@ -25,6 +25,7 @@ from repro.ml import (
     SoftmaxRegressionClassifier,
     model_from_state,
 )
+from repro.ml.state import decode_array, encode_array
 from repro.runtime.snapshot import (
     SNAPSHOT_SCHEMA_VERSION,
     ServiceSnapshot,
@@ -90,22 +91,120 @@ def _make_service(corpus, backend: str):
 # ---------------------------------------------------------------------- #
 # model state hooks
 # ---------------------------------------------------------------------- #
-@pytest.mark.parametrize(
-    "model_cls",
-    [SoftmaxRegressionClassifier, KNearestNeighborsClassifier, MultinomialNaiveBayesClassifier],
+#: Training matrices of shape (60, 15) in three memory layouts.
+TRAINING_LAYOUTS = (
+    lambda rng: rng.random((60, 15)),
+    lambda rng: rng.random((15, 60)).T,
+    lambda rng: rng.random((120, 30))[::2, ::2],
 )
-def test_model_state_round_trip_is_byte_identical(model_cls):
+
+
+@pytest.mark.parametrize(
+    "make_model",
+    [
+        pytest.param(
+            lambda: SoftmaxRegressionClassifier(warm_start=True),
+            id="SoftmaxRegressionClassifier",
+        ),
+        pytest.param(KNearestNeighborsClassifier, id="KNearestNeighborsClassifier"),
+        pytest.param(MultinomialNaiveBayesClassifier, id="MultinomialNaiveBayesClassifier"),
+    ],
+)
+def test_model_state_round_trip_is_byte_identical(make_model):
     rng = np.random.default_rng(3)
-    features = rng.random((60, 15))
     labels = [f"label-{index % 5}" for index in range(60)]
-    model = model_cls().fit(features.copy(), labels)
-    restored = model_from_state(json.loads(json.dumps(model.to_state())))
-    queries = rng.random((20, 15))
-    assert restored.classes == model.classes
-    assert (
-        restored.predict_proba_batch(queries.copy()).tobytes()
-        == model.predict_proba_batch(queries.copy()).tobytes()
-    )
+    for layout in TRAINING_LAYOUTS:
+        model = make_model().fit(layout(rng), labels)
+        restored = model_from_state(json.loads(json.dumps(model.to_state())))
+        queries = rng.random((20, 15))
+        assert restored.classes == model.classes
+        assert (
+            restored.predict_proba_batch(queries.copy()).tobytes()
+            == model.predict_proba_batch(queries.copy()).tobytes()
+        )
+        # The restored arrays are writeable: a warm-started softmax fit on
+        # the same classes updates them in place, landing on the original's
+        # bytes.
+        more_features = rng.random((30, 15))
+        model.fit(more_features, labels[:30])
+        restored.fit(more_features, labels[:30])
+        assert (
+            restored.predict_proba_batch(queries).tobytes()
+            == model.predict_proba_batch(queries).tobytes()
+        )
+
+
+#: Arrays whose every bit must survive the state encoding.
+ENCODED_ARRAYS = {
+    "non-finite": np.array([[np.nan, np.inf], [-np.inf, 1.5]]),
+    "signed-zeros": np.array([-0.0, 0.0, -0.0]),
+    "subnormals": np.array([5e-324, -2.5e-310, np.finfo(float).tiny / 3]),
+    "zero-rows": np.zeros((0, 15)),
+    "transposed": np.arange(12.0).reshape(3, 4).T,
+    "sliced": np.arange(40.0).reshape(5, 8)[::2, 1::3],
+    "int64-targets": np.array([3, 0, 2**40, -1], dtype=np.int64),
+}
+
+
+@pytest.mark.parametrize("array", ENCODED_ARRAYS.values(), ids=ENCODED_ARRAYS)
+def test_encoded_array_round_trip_is_bit_exact(array):
+    decoded = decode_array(json.loads(json.dumps(encode_array(array))), "field")
+    assert decoded.dtype == array.dtype and decoded.shape == array.shape
+    assert decoded.tobytes() == array.tobytes()
+    assert decoded.flags.writeable and decoded.flags.owndata
+
+
+_ENCODED = encode_array(np.arange(3.0))
+#: Payloads the decoder must reject, each with a typed error.
+MALFORMED_ARRAYS = {
+    "float-list": [0.0, 1.0, 2.0],
+    "invalid-base64": {**_ENCODED, "data": "not base64!"},
+    "truncated-base64": {**_ENCODED, "data": _ENCODED["data"][:-1]},
+    "byte-count-mismatch": {**_ENCODED, "shape": [4]},
+    "float32": {**_ENCODED, "dtype": "<f4"},
+    "big-endian": {**_ENCODED, "dtype": ">f8"},
+    "unhashable-dtype": {**_ENCODED, "dtype": ["<f8"]},
+    "negative-shape": {**_ENCODED, "shape": [-3]},
+}
+
+
+@pytest.mark.parametrize("payload", MALFORMED_ARRAYS.values(), ids=MALFORMED_ARRAYS)
+def test_decode_array_rejects_malformed_payloads(payload):
+    with pytest.raises(SerializationError, match="softmax.weights"):
+        decode_array(payload, "softmax.weights")
+
+
+def _number_lists_over(limit: int, value: object, path: str) -> list[str]:
+    """Paths of the lists in ``value`` holding more than ``limit`` numbers
+    (counted through nested lists, so a matrix counts all its cells)."""
+
+    def numbers(item: object) -> int:
+        if isinstance(item, list):
+            return sum(numbers(element) for element in item)
+        return int(isinstance(item, (int, float)) and not isinstance(item, bool))
+
+    if isinstance(value, dict):
+        return [
+            found
+            for key, item in value.items()
+            for found in _number_lists_over(limit, item, f"{path}.{key}")
+        ]
+    if isinstance(value, list) and numbers(value) > limit:
+        return [path]
+    return []
+
+
+def test_snapshot_model_arrays_are_not_float_lists(small_corpus, runtime_corpus):
+    """Fitted arrays reach a snapshot binary-encoded, never as number lists.
+
+    Bootstrapped on 90 claims the suite is past the softmax threshold (40
+    examples); on 30 claims it is still on k-NN.
+    """
+    for corpus, kind in ((small_corpus, "softmax"), (runtime_corpus, "knn")):
+        payload = _make_service(corpus, "auto").snapshot().to_dict()
+        models = payload["translator"]["suite"]["models"]
+        assert kind in {state["kind"] for state in models.values()}
+        assert _number_lists_over(64, models, "models") == []
 
 
 def test_model_state_unfitted_round_trip():

@@ -13,10 +13,11 @@ from repro.errors import (
     BackpressureError,
     ClaimError,
     ConfigurationError,
+    SerializationError,
     ServingError,
     UnknownTenantError,
 )
-from repro.runtime.snapshot import SnapshotStore
+from repro.runtime.snapshot import SNAPSHOT_SCHEMA_VERSION, SnapshotStore
 from repro.serving.cli import main as serving_main
 from repro.serving.cli import workload_corpus
 from repro.serving.server import AdmissionPolicy, VerificationServer
@@ -404,6 +405,39 @@ def test_snapshot_store_round_trip_and_key_mangling(serving_corpus, tmp_path):
     assert store.delete(weird)
     assert not store.delete(weird)
     assert store.keys() == ()
+
+
+def test_snapshot_from_another_schema_version_fails_restart(
+    serving_corpus, tmp_path, capsys
+):
+    """A restart must not skip a tenant snapshot it cannot read: replaying
+    the journal into a cold session would overwrite it at passivation."""
+    first = VerificationServer(
+        serving_corpus, _config(), executor="serial", snapshot_dir=tmp_path
+    )
+    first.submit("t0", serving_corpus.claim_ids[:4])
+    first.run_round()
+    first.close()
+    store = SnapshotStore(tmp_path)
+    path = store.path("t0")
+    payload = json.loads(path.read_text())
+    payload["schema_version"] = SNAPSHOT_SCHEMA_VERSION + 1
+    path.write_text(json.dumps(payload))
+    names_both = (
+        rf"{path.name}.*version {SNAPSHOT_SCHEMA_VERSION + 1} "
+        rf"\(expected {SNAPSHOT_SCHEMA_VERSION}\)"
+    )
+
+    with pytest.raises(SerializationError, match=names_both):
+        store.items()
+    second = VerificationServer(
+        serving_corpus, _config(), executor="serial", snapshot_dir=tmp_path
+    )
+    with pytest.raises(SerializationError, match=names_both):
+        second.adopt_tenants()
+    second.close()
+    assert serving_main(["status", "--snapshot-dir", str(tmp_path)], out=io.StringIO()) == 1
+    assert path.name in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------- #

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
 from repro.claims.model import Claim, ClaimProperty
@@ -46,6 +48,42 @@ class TestPreprocessor:
         claims = [_claim("c1", "demand grew"), _claim("c2", "supply fell")]
         preprocessor = ClaimPreprocessor().fit(claims)
         assert preprocessor.feature_matrix(claims).shape[0] == 2
+
+    def test_copies_share_fitted_tables_until_one_refits(self):
+        def fitted_tables(preprocessor):
+            featurizer = preprocessor.featurizer
+            return [featurizer._embeddings._context_means] + [
+                table
+                for vectorizer in (featurizer._word_tfidf, featurizer._char_tfidf)
+                for table in (vectorizer._vocabulary, vectorizer._idf, vectorizer._seen_terms)
+            ]
+
+        claims = [
+            _claim("c1", "electricity demand grew by 3% in 2017"),
+            _claim("c2", "coal supply fell by 2% in 2016"),
+            _claim("c3", "wind capacity additions doubled since 2010"),
+        ]
+        template = ClaimPreprocessor().fit(claims[:2])
+        refitting, sibling = copy.deepcopy(template), copy.deepcopy(template)
+        for clone in (refitting, sibling):
+            assert all(
+                mine is theirs
+                for mine, theirs in zip(fitted_tables(clone), fitted_tables(template))
+            )
+            assert clone.featurizer._embeddings._cache is not (
+                template.featurizer._embeddings._cache
+            )
+        before = template.feature_matrix(claims)
+
+        refitting.refit_with(claims[2:])
+        assert refitting.feature_generation == template.feature_generation + 1
+        assert not any(
+            mine is theirs
+            for mine, theirs in zip(fitted_tables(refitting), fitted_tables(template))
+        )
+        for untouched in (template, sibling):
+            assert untouched.feature_generation == 1
+            assert untouched.feature_matrix(claims).tobytes() == before.tobytes()
 
 
 class TestClassifierSuite:
