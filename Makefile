@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-quick bench-runtime bench-serving bench-planner bench-store bench-gateway bench-baseline coverage lint lint-invariants typecheck check-docs examples check
+.PHONY: test bench bench-quick bench-runtime bench-serving bench-planner bench-gateway bench-baseline coverage lint lint-invariants typecheck check-docs examples check
 
 # Tier-1 verification: the full unit + benchmark suite, fail-fast.
 test:
@@ -38,12 +38,6 @@ bench-serving:
 # uploads it).
 bench-planner:
 	REPRO_BENCH_QUICK=1 $(PYTHON) -m pytest benchmarks/test_bench_planner_scaling.py -q
-
-# Out-of-core store benchmark (100k-claim pool through SQLite + memmap
-# with SQL pushdown planning) in its reduced configuration; merges the
-# "store_100k" row into bench-out/BENCH_planner_scaling.json (CI uploads it).
-bench-store:
-	REPRO_BENCH_QUICK=1 $(PYTHON) -m pytest benchmarks/test_bench_store_scaling.py -q
 
 # Gateway end-to-end throughput benchmark (NDJSON wire + journal fsync in
 # the ack path) in its reduced configuration; writes

@@ -22,12 +22,3 @@ def write_result(name: str, payload: dict) -> Path:
     path = OUT_DIR / name
     path.write_text(json.dumps(payload, indent=2) + "\n")
     return path
-
-
-def latest_result(name: str) -> dict:
-    """The newest result for ``name``: this checkout's last run, else the
-    committed baseline, else an empty payload."""
-    for path in (OUT_DIR / name, ROOT / name):
-        if path.exists():
-            return json.loads(path.read_text())
-    return {}

@@ -27,7 +27,7 @@ from repro.config import BatchingConfig
 from repro.planning.batching import BatchCandidate, select_claim_batch
 from repro.planning.engine import PlannerEngine
 
-from bench_results import latest_result, write_result
+from bench_results import write_result
 
 
 _POOL_SIZE = 2000
@@ -114,12 +114,6 @@ def test_bench_planner_scaling():
         },
         "engine_over_resolve_speedup": speedup,
     }
-    # The out-of-core store benchmark owns the "store_100k" row of this
-    # file; carry it over so re-running one benchmark never erases the
-    # other's committed baseline.
-    previous = latest_result("BENCH_planner_scaling.json")
-    if "store_100k" in previous:
-        payload["store_100k"] = previous["store_100k"]
     write_result("BENCH_planner_scaling.json", payload)
     print(
         f"\nplanner scaling over a {_POOL_SIZE}-claim pool ({rounds} rounds): "

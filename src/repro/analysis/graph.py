@@ -11,8 +11,8 @@ every function and method in the index:
   project-defined bases, and ``self.attr.method()`` through the inferred
   type of ``self.attr`` (assignments like ``self._journal =
   JournalWriter(...)`` record the attribute's class);
-* annotated receivers — ``def f(store: OutOfCoreClaimStore)`` lets
-  ``store.method()`` resolve, including string annotations under
+* annotated receivers — ``def f(journal: JournalWriter)`` lets
+  ``journal.method()`` resolve, including string annotations under
   ``TYPE_CHECKING`` imports;
 * closures — a nested ``def`` is its own node, and a bare-name call to it
   resolves through the lexical scope chain;

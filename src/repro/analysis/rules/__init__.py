@@ -8,7 +8,7 @@ map) and hand them straight to :func:`repro.analysis.core.run_rules`.
 
 Module-local rules (rng, locks, layering, ...) inspect one file at a
 time; the whole-program rules (lock-order, async-blocking,
-snapshot-reachability, sql-schema) run over the project call graph built
+snapshot-reachability) run over the project call graph built
 by :mod:`repro.analysis.graph`.
 """
 
@@ -24,7 +24,6 @@ from repro.analysis.rules.locks import LockDisciplineRule
 from repro.analysis.rules.rng import RngDisciplineRule
 from repro.analysis.rules.snapshot_reach import SnapshotReachabilityRule
 from repro.analysis.rules.snapshots import SnapshotCoverageRule
-from repro.analysis.rules.sql_schema import SqlSchemaRule
 
 __all__ = [
     "AsyncBlockingRule",
@@ -37,7 +36,6 @@ __all__ = [
     "RngDisciplineRule",
     "SnapshotCoverageRule",
     "SnapshotReachabilityRule",
-    "SqlSchemaRule",
     "WallClockRule",
     "default_rules",
 ]
@@ -56,5 +54,4 @@ def default_rules() -> list[Rule]:
         LockOrderRule(),
         AsyncBlockingRule(),
         SnapshotReachabilityRule(),
-        SqlSchemaRule(),
     ]

@@ -44,7 +44,6 @@ DEFAULT_LAYERS: Mapping[str, int] = {
     "sqlengine": 3,
     "formulas": 4,
     "claims": 5,
-    "store": 6,
     "translation": 6,
     "pipeline": 7,
     "planning": 7,

@@ -8,8 +8,8 @@ together with the database.
 
 Layering contract: layer 5 of the enforced import DAG — may import
 ``formulas``, ``sqlengine``, ``dataset``/``ml``/``text``/``analysis``,
-``config`` and ``errors``; never ``store``/``translation`` or anything
-above. Enforced by reprolint; see ``docs/architecture.md``.
+``config`` and ``errors``; never ``translation`` or anything above.
+Enforced by reprolint; see ``docs/architecture.md``.
 """
 
 from repro.claims.annotations import CheckerAnnotation, build_annotation

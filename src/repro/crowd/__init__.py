@@ -7,7 +7,7 @@ timing model converts screen interactions and manual checks into seconds,
 and simulated checkers add skip/error behaviour plus majority voting.
 
 Layering contract: layer 8 of the enforced import DAG — may import
-``pipeline``/``planning``, ``store``/``translation``, ``claims`` and
+``pipeline``/``planning``, ``translation``, ``claims`` and
 everything below; never ``core``/``synth``, ``api`` or anything above.
 Enforced by reprolint; see ``docs/architecture.md``.
 """

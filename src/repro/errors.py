@@ -144,19 +144,6 @@ class BackpressureError(AdmissionError):
     """The submission queue is full; the caller should retry later."""
 
 
-class StorageError(ReproError):
-    """Problems in the out-of-core claim/feature store (:mod:`repro.store`)."""
-
-
-class StoreManifestError(StorageError):
-    """A store manifest does not describe the on-disk files it points at.
-
-    Raised when a snapshot's recorded manifest is malformed, names a
-    directory that no longer exists, or disagrees with the SQLite catalog
-    found there (e.g. a feature generation whose memmap file is missing).
-    """
-
-
 class GatewayError(ReproError):
     """Problems in the network gateway in front of the serving layer."""
 

@@ -18,7 +18,7 @@ The single-claim entry points (``ClaimTranslator.predict``,
 ``Classifier.predict``) remain as thin wrappers over the batch path.
 
 Layering contract: layer 7 of the enforced import DAG (peer of
-``planning``) — may import ``store``/``translation``, ``claims`` and
+``planning``) — may import ``translation``, ``claims`` and
 everything below, plus its peer; never ``crowd``, ``api``, ``runtime``,
 ``serving`` or ``gateway``. Enforced by reprolint; see
 ``docs/architecture.md``.

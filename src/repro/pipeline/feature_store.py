@@ -13,14 +13,8 @@ generation, and the store discards all cached rows the moment its recorded
 generation no longer matches the preprocessor's — the bug class where a
 refit silently kept serving vectors from the old vocabulary cannot occur.
 
-Row *storage* is pluggable (:class:`~repro.store.backend.FeatureBackend`):
-the default :class:`~repro.store.backend.InMemoryFeatureBackend` keeps
-rows in a capacity-bounded dict exactly as before, while
-:class:`~repro.store.outofcore.OutOfCoreFeatureBackend` memory-maps one
-dense file per generation so pools of 10^5+ claims need not be resident.
-The store owns the policy either way — generation sync, batch
-featurization of misses, read-only rows — so swapping backends never
-changes what callers observe apart from residency.
+Rows live in one capacity-bounded dict in RAM: the paper's largest
+document, the 1,539-claim IEA report, needs about 30 MB of float64 rows.
 """
 
 from __future__ import annotations
@@ -31,7 +25,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.claims.model import Claim
-from repro.store.backend import FeatureBackend, InMemoryFeatureBackend
 
 if TYPE_CHECKING:  # pragma: no cover - cycle broken at runtime: the
     # preprocessor package imports the pipeline for its classifier suite.
@@ -48,51 +41,22 @@ class ClaimFeatureStore:
     :meth:`~repro.translation.preprocess.ClaimPreprocessor.feature_matrix`
     call.  Rows are returned read-only so a cached vector can be handed to
     many consumers without defensive copies.  The cache is
-    capacity-bounded (``max_rows``) with insertion-order eviction under
-    the default in-RAM backend; an out-of-core backend keeps rows in a
-    memory-mapped file instead, where capacity is the OS page cache's
-    problem.
+    capacity-bounded (``max_rows``) with insertion-order eviction.
     """
 
     def __init__(
-        self,
-        preprocessor: ClaimPreprocessor,
-        max_rows: int | None = None,
-        backend: FeatureBackend | None = None,
+        self, preprocessor: ClaimPreprocessor, max_rows: int | None = None
     ) -> None:
         if max_rows is not None and max_rows < 1:
             raise ValueError("max_rows must be at least 1 (or None for unbounded)")
         self._preprocessor = preprocessor
-        self._backend: FeatureBackend = (
-            backend if backend is not None else InMemoryFeatureBackend()
-        )
+        self._rows: dict[str, np.ndarray] = {}
         self._generation = preprocessor.feature_generation
         self._max_rows = max_rows
-        if backend is None or max_rows is not None:
-            self._backend.set_capacity(max_rows)
-        self._backend.reset(self._generation)
 
     @property
     def preprocessor(self) -> ClaimPreprocessor:
         return self._preprocessor
-
-    @property
-    def backend(self) -> FeatureBackend:
-        """Where the rows live (in-RAM dict by default, memmap out-of-core)."""
-        return self._backend
-
-    def attach_backend(self, backend: FeatureBackend) -> None:
-        """Swap the row storage (e.g. to go out-of-core for a big corpus).
-
-        The new backend adopts the store's current generation and capacity
-        bound; rows cached in the old backend are simply left behind —
-        they re-featurize on demand, or are already present when the new
-        backend reattaches to existing on-disk state.
-        """
-        self._sync_generation()
-        self._backend = backend
-        self._backend.set_capacity(self._max_rows)
-        self._backend.reset(self._generation)
 
     @property
     def max_rows(self) -> int | None:
@@ -102,8 +66,7 @@ class ClaimFeatureStore:
         tenants cannot together hold every feature row of a large corpus in
         memory: each tenant's cache holds its own working set only — the
         stores are per-suite instances, so tenants are isolated from each
-        other's invalidations and evictions by construction.  Out-of-core
-        backends treat the bound as advisory (their rows are not resident).
+        other's invalidations and evictions by construction.
         """
         return self._max_rows
 
@@ -112,7 +75,7 @@ class ClaimFeatureStore:
         if value is not None and value < 1:
             raise ValueError("max_rows must be at least 1 (or None for unbounded)")
         self._max_rows = value
-        self._backend.set_capacity(value)
+        self._evict_over_capacity()
 
     def forget(self, claim_ids: Sequence[str]) -> int:
         """Drop the cached rows of specific claims (e.g. verified ones).
@@ -120,7 +83,24 @@ class ClaimFeatureStore:
         Returns how many rows were actually dropped.  Claims that were
         never cached are ignored, so a caller can pass a whole batch.
         """
-        return self._backend.forget(claim_ids)
+        dropped = 0
+        for claim_id in claim_ids:
+            if self._rows.pop(claim_id, None) is not None:
+                dropped += 1
+        return dropped
+
+    def _evict_over_capacity(self) -> None:
+        if self._max_rows is None:
+            return
+        # Insertion order approximates recency on the verification hot
+        # path: each batch re-requests the pending pool, and rows it still
+        # needs are re-inserted right after an eviction makes room.
+        while len(self._rows) > self._max_rows:
+            self._rows.pop(next(iter(self._rows)))
+
+    def _insert(self, claim_id: str, row: np.ndarray) -> None:
+        self._rows[claim_id] = row
+        self._evict_over_capacity()
 
     @property
     def generation(self) -> int:
@@ -131,18 +111,12 @@ class ClaimFeatureStore:
     @property
     def cached_count(self) -> int:
         self._sync_generation()
-        return len(self._backend)
+        return len(self._rows)
 
     def invalidate(self) -> None:
-        """Adopt the preprocessor's generation, dropping stale rows.
-
-        Under the in-RAM backend every row is discarded.  An out-of-core
-        backend keys rows by generation, so re-adopting an unchanged
-        generation keeps serving its (still valid) rows — rows are a pure
-        function of the claim text and the generation's vocabulary.
-        """
+        """Drop every cached row (also happens automatically on refits)."""
+        self._rows.clear()
         self._generation = self._preprocessor.feature_generation
-        self._backend.reset(self._generation)
 
     def _sync_generation(self) -> None:
         if self._generation != self._preprocessor.feature_generation:
@@ -154,23 +128,28 @@ class ClaimFeatureStore:
     def vector(self, claim: Claim) -> np.ndarray:
         """The feature row of one claim (cached, read-only)."""
         self._sync_generation()
-        row = self._backend.get(claim.claim_id)
+        row = self._rows.get(claim.claim_id)
         if row is None:
             row = np.asarray(self._preprocessor.preprocess(claim).features, dtype=float)
             row.setflags(write=False)
-            self._backend.put(claim.claim_id, row, claim.section_id)
+            self._insert(claim.claim_id, row)
         return row
 
     def matrix(self, claims: Sequence[Claim]) -> np.ndarray:
         """Feature matrix with one row per claim, in claim order.
 
         Missing claims are featurized together in one call; cached claims
-        are served from the backend.  The returned matrix is assembled from
+        are served from the cache.  The returned matrix is assembled from
         local references, so a capacity bound smaller than the request is
         still served correctly (the overflow just is not cached).
         """
         self._sync_generation()
-        by_id = self._backend.get_many([claim.claim_id for claim in claims])
+        rows = self._rows
+        by_id = {
+            claim.claim_id: rows[claim.claim_id]
+            for claim in claims
+            if claim.claim_id in rows
+        }
         missing = [claim for claim in claims if claim.claim_id not in by_id]
         if missing:
             computed = np.ascontiguousarray(
@@ -179,11 +158,7 @@ class ClaimFeatureStore:
             computed.setflags(write=False)
             for index, claim in enumerate(missing):
                 by_id[claim.claim_id] = computed[index]
-            self._backend.put_many(
-                [claim.claim_id for claim in missing],
-                computed,
-                [claim.section_id for claim in missing],
-            )
+                self._insert(claim.claim_id, computed[index])
         if not claims:
             return np.zeros((0, self._preprocessor.featurizer.dimension))
         return np.vstack([by_id[claim.claim_id] for claim in claims])

@@ -13,18 +13,11 @@ at a time.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from repro.config import CostModelConfig
-from repro.errors import ConfigurationError
 from repro.pipeline.batch import ClaimBatchPredictions
 from repro.planning.costmodel import VerificationCostModel
-
-if TYPE_CHECKING:  # pragma: no cover - the store is duck-typed at runtime
-    from repro.store.outofcore import OutOfCoreClaimStore
 
 __all__ = ["estimate_costs", "estimate_scores", "estimate_utilities"]
 
@@ -45,24 +38,12 @@ def estimate_scores(
     screen_count: int | None = None,
     cost_model: VerificationCostModel | None = None,
     query_option_count: int | None = None,
-    *,
-    store: "OutOfCoreClaimStore | None" = None,
-    generation: int | None = None,
-    claim_ids: Sequence[str] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(v(c), u(c))`` for every claim of the batch in one pass.
 
     Cost and utility scoring both consume the batch's cached entropy
     matrix, so computing them together is what the planning hot path
     wants: one call per round over the pending pool.
-
-    Pushdown-aware variant: pass ``store``/``generation``/``claim_ids`` to
-    also upsert the scores into an
-    :class:`~repro.store.outofcore.OutOfCoreClaimStore`'s per-generation
-    score columns, so subsequent rounds can run the planner's per-section
-    aggregates and dominance pre-filter *inside* SQLite
-    (:meth:`~repro.planning.engine.PlannerEngine.plan_pushdown`) instead
-    of re-materializing the pool in Python.
     """
     costs = estimate_costs(
         batch,
@@ -71,19 +52,7 @@ def estimate_scores(
         cost_model=cost_model,
         query_option_count=query_option_count,
     )
-    utilities = estimate_utilities(batch)
-    if store is not None:
-        if generation is None or claim_ids is None:
-            raise ConfigurationError(
-                "writing scores to a store requires generation and claim_ids"
-            )
-        if len(claim_ids) != len(batch):
-            raise ConfigurationError(
-                f"claim_ids has {len(claim_ids)} entries for a batch of "
-                f"{len(batch)} claims"
-            )
-        store.write_scores(generation, claim_ids, costs, utilities)
-    return costs, utilities
+    return costs, estimate_utilities(batch)
 
 
 def estimate_costs(

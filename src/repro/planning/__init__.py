@@ -11,7 +11,7 @@ Two optimisation problems live here:
   Theorems 7–8).
 
 Layering contract: layer 7 of the enforced import DAG (peer of
-``pipeline``) — may import ``store``/``translation``, ``claims`` and
+``pipeline``) — may import ``translation``, ``claims`` and
 everything below, plus its peer; never ``crowd``, ``api``, ``runtime``,
 ``serving`` or ``gateway``. Enforced by reprolint; see
 ``docs/architecture.md``.

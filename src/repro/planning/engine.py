@@ -42,12 +42,11 @@ import threading
 from bisect import bisect_right, insort
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.config import BatchingConfig
-from repro.errors import InfeasibleSelectionError, StorageError
+from repro.errors import InfeasibleSelectionError
 from repro.planning.batching import (
     BatchCandidate,
     ClaimSelection,
@@ -62,9 +61,6 @@ try:  # scipy >= 1.9
 except ImportError:  # pragma: no cover - scipy is a hard dependency
     milp = None
     sparse = None
-
-if TYPE_CHECKING:  # pragma: no cover - the store stays duck-typed at runtime
-    from repro.store.outofcore import OutOfCoreClaimStore
 
 __all__ = [
     "EngineStats",
@@ -171,12 +167,6 @@ class EngineStats:
     #: ``scores_reused`` always reads 0.
     scores_computed: int = 0
     scores_reused: int = 0
-    #: Relational pushdown: :meth:`PlannerEngine.plan_pushdown` calls made
-    #: and claims the SQL dominance pre-filter removed before the pool ever
-    #: reached Python (they are *not* double-counted in ``claims_pruned``,
-    #: which only sees the already-filtered pool).
-    pushdown_plans: int = 0
-    pushdown_prefiltered: int = 0
 
 
 class PlannerEngine:
@@ -343,67 +333,6 @@ class PlannerEngine:
         # budget.
         chosen = sorted(int(kept[index]) for index in solution.selected_indices)
         return self._selection(candidates, chosen, section_read_costs, solver)
-
-    def plan_pushdown(
-        self,
-        store: "OutOfCoreClaimStore",
-        section_read_costs: Mapping[str, float],
-        config: BatchingConfig | None = None,
-        *,
-        generation: int,
-        use_milp: bool = True,
-    ) -> ClaimSelection:
-        """Select the next batch over an out-of-core pool, exactly.
-
-        The dominance pre-filter runs *inside* SQLite
-        (:meth:`~repro.store.outofcore.OutOfCoreClaimStore.pruned_candidates`):
-        the store's window queries hand back only the claims
-        :func:`dominance_prune` would keep, in arrival order, and
-        :meth:`plan` solves over that pool.  Because the SQL filter keeps
-        exactly the Python keep-set (same weights, same lowest-index
-        tie-breaks) and dominance pruning is idempotent, the selection is
-        claim-for-claim identical to :meth:`plan` over the full
-        materialized pool — without ever holding 10^5 candidate objects in
-        Python.
-
-        Every pending claim must carry a score for ``generation`` (write
-        them via
-        :meth:`~repro.store.outofcore.OutOfCoreClaimStore.write_scores` or
-        the store-aware :func:`repro.pipeline.scoring.estimate_scores`);
-        missing scores raise :class:`~repro.errors.StorageError` rather
-        than silently planning over a partial pool.
-        """
-        config = config if config is not None else BatchingConfig()
-        pool_size = store.pending_count
-        check_batch_feasibility(pool_size, config)
-        unscored = store.unscored_claim_ids(generation)
-        if unscored:
-            raise StorageError(
-                f"{len(unscored)} pending claim(s) have no score for "
-                f"generation {generation} (first: {unscored[0]!r})"
-            )
-        weight = config.utility_weight if config.utility_weight > 0 else None
-        rows = store.pruned_candidates(
-            generation,
-            config.max_batch_size,
-            cost_constrained=config.cost_threshold is not None,
-            utility_weight=weight,
-        )
-        candidates = [
-            BatchCandidate(
-                claim_id=claim_id,
-                section_id=section_id,
-                verification_cost=cost,
-                training_utility=utility,
-            )
-            for claim_id, section_id, cost, utility in rows
-        ]
-        self.record(
-            pushdown_plans=1, pushdown_prefiltered=pool_size - len(candidates)
-        )
-        return self.plan(
-            candidates, section_read_costs, config=config, use_milp=use_milp
-        )
 
     def plan_fused(self, requests: Sequence[FusionRequest]) -> list[ClaimSelection]:
         """:meth:`plan` each request in turn; selections in request order.

@@ -23,7 +23,8 @@ and produces the same predictions and verdicts as the uninterrupted run —
 asserted by the snapshot tests.
 
 Schema versioning: ``schema_version`` is stamped into every payload and
-checked on load; loading a payload from a different schema raises
+checked on load; loading a payload from a different schema, or one
+carrying a field this version cannot restore, raises
 :class:`~repro.errors.SerializationError` instead of guessing.
 """
 
@@ -62,7 +63,8 @@ SNAPSHOT_SCHEMA_VERSION = 2
 
 
 class _SchemaVersionError(SerializationError):
-    """A snapshot payload stamped with a schema version other than ours."""
+    """A snapshot payload stamped with a schema version other than ours,
+    or carrying a field this version can no longer restore."""
 
 
 # ---------------------------------------------------------------------- #
@@ -123,16 +125,6 @@ class ServiceSnapshot:
     #: Free-form caller annotations (the CLI stores its workload recipe
     #: here so ``resume`` can regenerate the corpus deterministically).
     metadata: dict[str, object] = field(default_factory=dict)
-    #: When the service's feature store runs on an out-of-core backend,
-    #: the backend's manifest (see
-    #: :meth:`repro.store.outofcore.OutOfCoreClaimStore.manifest`) — the
-    #: on-disk layout description a rehydrator reattaches from.  The
-    #: snapshot records *this* instead of any feature bytes: the matrix
-    #: lives in the store's memmap files, not in the checkpoint.  ``None``
-    #: for the default all-in-RAM backend (features re-derive from the
-    #: translator state), and omitted from the JSON payload in that case,
-    #: so only snapshots of out-of-core tenants carry the key.
-    store_manifest: dict[str, object] | None = None
 
     # ------------------------------------------------------------------ #
     # capture
@@ -159,11 +151,6 @@ class ServiceSnapshot:
                 "batches": [record.to_dict() for record in service.session.batches],
             }
         translator_to_state = getattr(service.translator, "to_state", None)
-        suite = getattr(service.translator, "suite", None)
-        feature_store = getattr(suite, "feature_store", None)
-        store_backend = getattr(feature_store, "backend", None)
-        manifest_hook = getattr(store_backend, "manifest", None)
-        store_manifest = manifest_hook() if callable(manifest_hook) else None
         checker_states: list[dict | None] = []
         for checker in service.checkers:
             checker_to_state = getattr(checker, "to_state", None)
@@ -181,7 +168,6 @@ class ServiceSnapshot:
             report=service.report.to_dict(),
             translator=translator_to_state() if translator_to_state else None,
             metadata=dict(metadata) if metadata is not None else {},
-            store_manifest=store_manifest,
         )
 
     # ------------------------------------------------------------------ #
@@ -265,7 +251,7 @@ class ServiceSnapshot:
     # (de)serialization
     # ------------------------------------------------------------------ #
     def to_dict(self) -> dict[str, object]:
-        payload: dict[str, object] = {
+        return {
             "schema_version": self.schema_version,
             "config": self.config,
             "system_name": self.system_name,
@@ -280,9 +266,6 @@ class ServiceSnapshot:
             "translator": self.translator,
             "metadata": self.metadata,
         }
-        if self.store_manifest is not None:
-            payload["store_manifest"] = self.store_manifest
-        return payload
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "ServiceSnapshot":
@@ -293,6 +276,13 @@ class ServiceSnapshot:
             raise _SchemaVersionError(
                 f"unsupported snapshot schema version {version!r} "
                 f"(expected {SNAPSHOT_SCHEMA_VERSION})"
+            )
+        if "store_manifest" in payload:
+            # Feature rows of such a tenant lived in an out-of-core store
+            # that no longer exists; dropping the key would resume it cold.
+            raise _SchemaVersionError(
+                "snapshot payload carries 'store_manifest', which this "
+                "version cannot restore"
             )
         try:
             return cls(
@@ -308,7 +298,6 @@ class ServiceSnapshot:
                 report=payload.get("report"),  # type: ignore[arg-type]
                 translator=payload.get("translator"),  # type: ignore[arg-type]
                 metadata=dict(payload.get("metadata", {})),  # type: ignore[arg-type]
-                store_manifest=payload.get("store_manifest"),  # type: ignore[arg-type]
             )
         except (KeyError, TypeError, ValueError) as error:
             raise SerializationError(f"invalid snapshot payload: {error}") from error
@@ -393,7 +382,8 @@ class SnapshotStore:
         use this instead of :meth:`keys` followed by per-key loads.  Keys
         come from each file's recorded metadata, falling back to the file
         stem for snapshots that predate key stamping; unreadable files are
-        skipped.  A snapshot stamped with another schema version raises
+        skipped.  A snapshot stamped with another schema version, or
+        carrying a field this version cannot restore, raises
         :class:`~repro.errors.SerializationError` naming the file: skipping
         it would let a restart replay the journal into cold sessions and
         overwrite the file at the next passivation.

@@ -41,10 +41,9 @@ import copy
 import time
 import zlib
 from collections import deque
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from repro.api.service import BatchResult, VerificationService
 from repro.claims.corpus import ClaimCorpus
@@ -62,9 +61,6 @@ from repro.planning.engine import PlannerEngine
 from repro.runtime.pool import WorkerPool
 from repro.runtime.snapshot import ServiceSnapshot, SnapshotStore
 from repro.serving.scheduler import SchedulerConfig, TenantScheduler
-
-if TYPE_CHECKING:  # pragma: no cover - typing-only import
-    from repro.store.backend import FeatureBackend
 
 __all__ = [
     "AdmissionPolicy",
@@ -192,9 +188,6 @@ class ServerStats:
     #: Always 0: every tenant plans its own batches.  Kept only because the
     #: repository benchmark reads it.
     fused_batches: int = 0
-    #: Passivations that dropped an out-of-core feature backend's resident
-    #: memmap pages (instead of pickling feature bytes into the snapshot).
-    store_releases: int = 0
 
 
 @dataclass(frozen=True)
@@ -281,20 +274,6 @@ class VerificationServer:
         The :class:`~repro.serving.scheduler.SchedulerConfig` of the
         work-stealing tenant scheduler (fairness pressure and starvation
         deadline).
-    feature_backend_factory:
-        Opt-in out-of-core feature storage: a callable mapping a tenant id
-        to the :class:`~repro.store.backend.FeatureBackend` its session's
-        :class:`~repro.pipeline.feature_store.ClaimFeatureStore` should
-        use (typically an
-        :class:`~repro.store.outofcore.OutOfCoreFeatureBackend` over a
-        per-tenant directory).  The factory is called every time the
-        tenant's session becomes resident, so it should reattach to the
-        same on-disk state rather than create fresh stores.  Passivation
-        then *releases* the backend's mapped pages instead of carrying
-        feature bytes in the snapshot, and the snapshot records the
-        backend's manifest — which is also how a server **without** a
-        factory rehydrates such a snapshot (the manifest alone is enough
-        to reattach).
     """
 
     def __init__(
@@ -308,7 +287,6 @@ class VerificationServer:
         snapshot_dir: str | Path | None = None,
         system_name: str = "Serving",
         scheduler: SchedulerConfig | None = None,
-        feature_backend_factory: "Callable[[str], FeatureBackend] | None" = None,
     ) -> None:
         self.corpus = corpus
         self.config = config if config is not None else ScrutinizerConfig()
@@ -325,7 +303,6 @@ class VerificationServer:
         self.scheduler_config = scheduler if scheduler is not None else SchedulerConfig()
         self._scheduler = TenantScheduler(self.scheduler_config)
         self._planner_engine = PlannerEngine()
-        self._feature_backend_factory = feature_backend_factory
         self._tenants: dict[str, _TenantRecord] = {}
         self._queue: deque[_Submission] = deque()
         self._round = 0
@@ -499,52 +476,6 @@ class VerificationServer:
         if store is not None:
             store.max_rows = cap
 
-    @staticmethod
-    def _feature_store_of(service: VerificationService):
-        suite = getattr(service.translator, "suite", None)
-        return getattr(suite, "feature_store", None)
-
-    def _attach_store_backend(
-        self,
-        service: VerificationService,
-        record: _TenantRecord,
-        snapshot: ServiceSnapshot | None = None,
-    ) -> None:
-        """Put the tenant's feature rows out-of-core when so configured.
-
-        The factory wins when one is set; otherwise a snapshot carrying a
-        store manifest is enough to reattach (a restarted server without
-        the factory still finds the tenant's rows on disk).  With neither,
-        the session keeps its default in-RAM backend.
-        """
-        feature_store = self._feature_store_of(service)
-        if feature_store is None:
-            return
-        backend: "FeatureBackend | None" = None
-        if self._feature_backend_factory is not None:
-            backend = self._feature_backend_factory(record.tenant_id)
-        elif snapshot is not None and snapshot.store_manifest is not None:
-            from repro.store.outofcore import (
-                OutOfCoreClaimStore,
-                OutOfCoreFeatureBackend,
-            )
-
-            backend = OutOfCoreFeatureBackend(
-                OutOfCoreClaimStore.from_manifest(snapshot.store_manifest)
-            )
-        if backend is not None:
-            feature_store.attach_backend(backend)
-
-    def _release_store_pages(self, service: VerificationService) -> bool:
-        """Drop an out-of-core backend's resident memmap pages, if any."""
-        backend = getattr(self._feature_store_of(service), "backend", None)
-        release = getattr(backend, "release", None)
-        if not callable(release):
-            return False
-        release()
-        self.stats.store_releases += 1
-        return True
-
     def _fresh_translator(self):
         from repro.translation.translator import ClaimTranslator
 
@@ -623,7 +554,6 @@ class VerificationServer:
             ).build_service()
             record.rehydrations += 1
             self.stats.rehydrations += 1
-            self._attach_store_backend(service, record, snapshot)
         else:
             service = VerificationService(
                 self.corpus,
@@ -632,7 +562,6 @@ class VerificationServer:
                 system_name=f"{self._system_name}/{record.tenant_id}",
             )
             self.stats.sessions_started += 1
-            self._attach_store_backend(service, record)
         self._apply_feature_cap(service)
         # Every tenant plans on the server's one engine, so its stats
         # aggregate over tenants.
@@ -651,10 +580,6 @@ class VerificationServer:
         if service is None:
             return
         snapshot = service.snapshot(metadata={"tenant_id": record.tenant_id})
-        # Out-of-core sessions park their matrix as mapped files, not as
-        # snapshot bytes: flush and drop the resident pages instead.  (The
-        # snapshot already recorded the backend's manifest.)
-        self._release_store_pages(service)
         if self.store is not None:
             self.store.save(record.tenant_id, snapshot)
             record.parked_snapshot = None

@@ -7,11 +7,10 @@ The pipeline has three stages: claim preprocessing into feature vectors
 :class:`~repro.translation.translator.ClaimTranslator` facade glues them
 together and is the component Algorithm 1 calls for every claim.
 
-Layering contract: layer 6 of the enforced import DAG (peer of ``store``) —
-may import ``claims``, ``formulas``, ``sqlengine``,
-``dataset``/``ml``/``text``, ``config`` and ``errors``, plus its peer;
-never ``pipeline``/``planning`` or anything above. Enforced by reprolint;
-see ``docs/architecture.md``.
+Layering contract: layer 6 of the enforced import DAG — may import
+``claims``, ``formulas``, ``sqlengine``, ``dataset``/``ml``/``text``,
+``config`` and ``errors``; never ``pipeline``/``planning`` or anything
+above. Enforced by reprolint; see ``docs/architecture.md``.
 """
 
 from repro.translation.classifiers import PropertyClassifierSuite, TrainingExample

@@ -19,7 +19,6 @@ from repro.analysis.rules import (
     AsyncBlockingRule,
     LockOrderRule,
     SnapshotReachabilityRule,
-    SqlSchemaRule,
 )
 
 
@@ -338,110 +337,6 @@ class TestSnapshotReachability:
                             pass
                 """,
             },
-        )
-        assert violations == []
-
-
-# --------------------------------------------------------------------- #
-# sql-schema
-# --------------------------------------------------------------------- #
-_SQL_FIXTURE_DDL = '''
-    _SCHEMA = """
-    CREATE TABLE IF NOT EXISTS claims (
-        ord        INTEGER PRIMARY KEY,
-        claim_id   TEXT NOT NULL UNIQUE,
-        section_id TEXT NOT NULL
-    );
-    CREATE INDEX IF NOT EXISTS claims_by_section ON claims(section_id);
-    """
-'''
-
-
-def sql_fixture(body: str) -> str:
-    """DDL header + test body, dedented consistently for ``check``."""
-    return textwrap.dedent(_SQL_FIXTURE_DDL) + textwrap.dedent(body)
-
-
-class TestSqlSchema:
-    def test_flags_unknown_table_and_column(self, tmp_path):
-        violations = check(
-            tmp_path,
-            SqlSchemaRule(),
-            {"store/db.py": sql_fixture("""
-                class Store:
-                    def broken(self, conn):
-                        conn.execute("SELECT claim_id FROM missing_table")
-                        conn.execute(
-                            "SELECT c.no_such_column FROM claims c"
-                        )
-            """)},
-        )
-        keys = sorted(v_key(v) for v in violations)
-        assert keys == [
-            "sql-schema:unknown-column:claims.no_such_column",
-            "sql-schema:unknown-table:missing_table",
-        ]
-
-    def test_flags_select_star(self, tmp_path):
-        violations = check(
-            tmp_path,
-            SqlSchemaRule(),
-            {"store/db.py": sql_fixture("""
-                class Store:
-                    def rows(self, conn):
-                        return conn.execute("SELECT * FROM claims").fetchall()
-            """)},
-        )
-        assert [v_key(v) for v in violations] == ["sql-schema:select-star:Store.rows"]
-
-    def test_flags_param_count_mismatch(self, tmp_path):
-        violations = check(
-            tmp_path,
-            SqlSchemaRule(),
-            {"store/db.py": sql_fixture("""
-                class Store:
-                    def one(self, conn, claim_id):
-                        conn.execute(
-                            "SELECT ord FROM claims "
-                            "WHERE claim_id = ? AND section_id = ?",
-                            (claim_id,),
-                        )
-            """)},
-        )
-        assert [v_key(v) for v in violations] == ["sql-schema:param-count:Store.one"]
-
-    def test_valid_statements_pass(self, tmp_path):
-        violations = check(
-            tmp_path,
-            SqlSchemaRule(),
-            {"store/db.py": sql_fixture("""
-                class Store:
-                    def ok(self, conn, claim_id, section_id):
-                        conn.execute(
-                            "INSERT INTO claims(claim_id, section_id) VALUES (?, ?)",
-                            (claim_id, section_id),
-                        )
-                        marks = ",".join("?" * 3)
-                        conn.execute(
-                            f"SELECT claim_id, ord FROM claims WHERE claim_id IN ({marks})",
-                            ["a", "b", "c"],
-                        )
-                        return conn.execute(
-                            "SELECT c.claim_id FROM claims c WHERE c.section_id = ?",
-                            (section_id,),
-                        ).fetchall()
-            """)},
-        )
-        assert violations == []
-
-    def test_outside_store_package_is_ignored(self, tmp_path):
-        violations = check(
-            tmp_path,
-            SqlSchemaRule(),
-            {"other.py": sql_fixture("""
-                def rows(conn):
-                    return conn.execute("SELECT * FROM wrong").fetchall()
-            """)},
         )
         assert violations == []
 

@@ -138,15 +138,18 @@ class TestClaimFeatureStore:
     def test_capacity_bound_evicts_oldest_rows(self):
         _, claims, preprocessor = self._store()
         store = ClaimFeatureStore(preprocessor, max_rows=3)
-        for claim in claims[:5]:
-            store.vector(claim)
+        rows = [store.vector(claim) for claim in claims[:5]]
         assert store.cached_count == 3
-        # The oldest rows left; the newest are still cached.
+        # The oldest rows left; exactly the three newest are still cached,
+        # served as the very arrays inserted rather than re-featurized.
+        for index in (2, 3, 4):
+            assert store.vector(claims[index]) is rows[index]
+        assert store.cached_count == 3
         np.testing.assert_array_equal(
             store.vector(claims[4]), preprocessor.preprocess(claims[4]).features
         )
 
-    def test_matrix_larger_than_capacity_is_still_correct(self):
+    def test_matrix_larger_than_capacity_is_still_correct(self, monkeypatch):
         _, claims, preprocessor = self._store()
         store = ClaimFeatureStore(preprocessor, max_rows=2)
         matrix = store.matrix(claims)
@@ -154,6 +157,22 @@ class TestClaimFeatureStore:
         assert store.cached_count == 2
         unbounded = ClaimFeatureStore(preprocessor).matrix(claims)
         np.testing.assert_array_equal(matrix, unbounded)
+        # Exactly the two newest claims stay cached: serving them featurizes
+        # nothing.
+        featurized: list[str] = []
+        preprocess = preprocessor.preprocess
+
+        def counting_preprocess(claim):
+            featurized.append(claim.claim_id)
+            return preprocess(claim)
+
+        monkeypatch.setattr(preprocessor, "preprocess", counting_preprocess)
+        for index in (-2, -1):
+            np.testing.assert_array_equal(
+                store.vector(claims[index]), unbounded[index]
+            )
+        assert featurized == []
+        assert store.cached_count == 2
 
     def test_capacity_can_be_tightened_later(self):
         store, claims, _ = self._store()

@@ -440,6 +440,25 @@ def test_snapshot_from_another_schema_version_fails_restart(
     assert path.name in capsys.readouterr().err
 
 
+def test_snapshot_carrying_store_manifest_fails_restart(serving_corpus, tmp_path):
+    """A snapshot whose feature rows lived in the retired out-of-core store
+    must not be resumed as if the key were absent."""
+    first = VerificationServer(
+        serving_corpus, _config(), executor="serial", snapshot_dir=tmp_path
+    )
+    first.submit("t0", serving_corpus.claim_ids[:4])
+    first.run_round()
+    first.close()
+    store = SnapshotStore(tmp_path)
+    path = store.path("t0")
+    payload = json.loads(path.read_text())
+    payload["store_manifest"] = {"directory": str(tmp_path / "rows")}
+    path.write_text(json.dumps(payload))
+
+    with pytest.raises(SerializationError, match=rf"{path.name}.*'store_manifest'"):
+        store.items()
+
+
 # ---------------------------------------------------------------------- #
 # CLI
 # ---------------------------------------------------------------------- #
