@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-quick bench-runtime bench-serving bench-planner bench-gateway bench-baseline coverage lint lint-invariants typecheck check-docs examples check
+.PHONY: test bench bench-quick bench-serving bench-planner bench-gateway bench-baseline coverage lint lint-invariants typecheck check-docs examples check
 
 # Tier-1 verification: the full unit + benchmark suite, fail-fast.
 test:
@@ -22,11 +22,6 @@ bench:
 # bench-out/BENCH_pipeline_throughput.json (CI uploads it).
 bench-quick:
 	REPRO_BENCH_QUICK=1 $(PYTHON) -m pytest benchmarks/test_bench_pipeline_throughput.py -q
-
-# Shard-count scaling benchmark in its reduced configuration; writes
-# bench-out/BENCH_runtime_scaling.json (CI uploads it).
-bench-runtime:
-	REPRO_BENCH_QUICK=1 $(PYTHON) -m pytest benchmarks/test_bench_runtime_scaling.py -q
 
 # Multi-tenant serving benchmark in its reduced configuration; writes
 # bench-out/BENCH_serving_throughput.json (CI uploads it).
@@ -102,7 +97,7 @@ check-docs:
 # Run the maintained examples end to end (about 20s together); each
 # writes only to a temporary directory.  The first failure stops the run.
 EXAMPLES = quickstart question_planning_demo active_learning_cold_start \
-	multi_tenant_serving sharded_runtime
+	multi_tenant_serving
 examples:
 	@set -e; for example in $(EXAMPLES); do \
 		echo "== examples/$$example.py"; \

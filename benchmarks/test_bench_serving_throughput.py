@@ -2,11 +2,11 @@
 
 One verification session over N claims re-predicts an O(N) pending pool
 and retrains on an O(N) example set every batch; T tenant sessions over
-N/T claims each do superlinearly less per-batch work — the same
-structural effect that drives the sharded runner, now realized at the
-serving layer where every session is an independent tenant behind
-admission control.  This benchmark drives a fixed claim population
-through the :class:`~repro.serving.server.VerificationServer` two ways:
+N/T claims each do superlinearly less per-batch work.  They also learn
+from fewer verified claims, so their translators suggest worse queries
+and the simulated checkers spend longer per claim.  This benchmark
+drives a fixed claim population through the
+:class:`~repro.serving.server.VerificationServer` two ways:
 
 * **uniform partition** at 1, 4 and 16 tenants — every claim goes to
   exactly one tenant, so claims/sec across tenant counts is directly
@@ -21,6 +21,10 @@ through the :class:`~repro.serving.server.VerificationServer` two ways:
 
 Sustained claims/sec plus p50/p95/p99 per-batch serving latency and the
 scheduler's own counters land in ``bench-out/BENCH_serving_throughput.json``.
+Each row also records what its throughput costs in the paper's metrics,
+ungated: ``checker_seconds_per_claim`` (simulated checker time over the
+tenant reports) and ``verdict_accuracy`` (decided verdicts that match the
+corpus ground truth).
 
 ``REPRO_BENCH_QUICK=1`` (the ``make bench-serving`` configuration) drops
 the repeat count so the benchmark finishes in seconds on CI runners.
@@ -31,6 +35,7 @@ from __future__ import annotations
 import os
 import time
 
+from repro.core.report import VerificationReport
 from repro.serving.server import AdmissionPolicy, ServerStats, VerificationServer
 from repro.serving.workloads import build_zipf_workload, drive_workload, percentile
 
@@ -62,6 +67,22 @@ def _scheduler_metrics(stats: ServerStats) -> dict[str, int]:
     }
 
 
+def _quality_metrics(corpus, server: VerificationServer) -> dict[str, float]:
+    """Checker cost and verdict accuracy over every tenant's verdicts."""
+    pooled = VerificationReport(
+        system_name="tenants",
+        verifications=[
+            verification
+            for tenant_id in server.tenant_ids
+            for verification in server.report(tenant_id).verifications
+        ],
+    )
+    return {
+        "checker_seconds_per_claim": pooled.total_seconds / pooled.claim_count,
+        "verdict_accuracy": pooled.verdict_accuracy(corpus),
+    }
+
+
 def _serve_uniform(corpus, config, tenant_count: int):
     """Serve the whole corpus split evenly across ``tenant_count`` tenants."""
     server = VerificationServer(
@@ -85,9 +106,10 @@ def _serve_uniform(corpus, config, tenant_count: int):
         len(server.verified_claim_ids(tenant_id)) for tenant_id in server.tenant_ids
     )
     assert verified == corpus.claim_count
+    quality = _quality_metrics(corpus, server)
     stats = server.stats
     server.close()
-    return latencies, stats
+    return latencies, stats, quality
 
 
 def _serve_zipf(corpus, config, tenant_count: int, seed: int):
@@ -111,9 +133,10 @@ def _serve_zipf(corpus, config, tenant_count: int, seed: int):
     )
     result = drive_workload(server, workload)
     assert result.verified_count == workload.claim_count
+    quality = _quality_metrics(corpus, server)
     stats = server.stats
     server.close()
-    return workload, result, stats
+    return workload, result, stats, quality
 
 
 def test_bench_serving_throughput(corpus, scenario):
@@ -126,17 +149,22 @@ def test_bench_serving_throughput(corpus, scenario):
         best_wall = None
         best_latencies: list[float] = []
         best_stats: ServerStats | None = None
+        best_quality: dict[str, float] = {}
         for _ in range(repeats):
             started = time.perf_counter()
-            latencies, stats = _serve_uniform(corpus, scenario.system, tenant_count)
+            latencies, stats, quality = _serve_uniform(
+                corpus, scenario.system, tenant_count
+            )
             wall = time.perf_counter() - started
             if best_wall is None or wall < best_wall:
                 best_wall = wall
                 best_latencies = latencies
                 best_stats = stats
+                best_quality = quality
         results[tenant_count] = {
             "wall_seconds": best_wall,
             "claims_per_second": claim_count / best_wall,
+            **best_quality,
             **_latency_metrics(best_latencies),
             "scheduler": _scheduler_metrics(best_stats),
         }
@@ -144,7 +172,7 @@ def test_bench_serving_throughput(corpus, scenario):
     zipf_results: dict[int, dict[str, object]] = {}
     for tenant_count in _ZIPF_TENANT_COUNTS:
         started = time.perf_counter()
-        workload, run, stats = _serve_zipf(
+        workload, run, stats, quality = _serve_zipf(
             corpus, scenario.system, tenant_count, seed=scenario.system.seed
         )
         wall = time.perf_counter() - started
@@ -152,6 +180,7 @@ def test_bench_serving_throughput(corpus, scenario):
             "wall_seconds": wall,
             "submitted_claims": workload.claim_count,
             "claims_per_second": workload.claim_count / wall,
+            **quality,
             "resident_sessions": min(tenant_count, _ZIPF_RESIDENT_SESSIONS),
             "zipf_exponent": _ZIPF_EXPONENT,
             "deferred_submissions": run.deferred_submissions,
@@ -178,13 +207,21 @@ def test_bench_serving_throughput(corpus, scenario):
         "speedup_256_over_1": speedup_256,
     }
     write_result("BENCH_serving_throughput.json", payload)
+
+    def cost(metrics: dict[str, object]) -> str:
+        return (
+            f"{float(metrics['checker_seconds_per_claim']):.1f} checker-s/claim, "
+            f"verdict accuracy {float(metrics['verdict_accuracy']):.3f}"
+        )
+
     summary = ", ".join(
         f"{count} tenant(s) {cps(metrics):,.0f} claims/s "
-        f"(p95 {float(metrics['p95_batch_latency_seconds']) * 1000.0:.0f}ms)"
+        f"(p95 {float(metrics['p95_batch_latency_seconds']) * 1000.0:.0f}ms, "
+        f"{cost(metrics)})"
         for count, metrics in results.items()
     )
     zipf_summary = ", ".join(
-        f"{count} tenants {cps(metrics):,.0f} claims/s"
+        f"{count} tenants {cps(metrics):,.0f} claims/s ({cost(metrics)})"
         for count, metrics in zipf_results.items()
     )
     print(

@@ -46,9 +46,7 @@ The substrates, mirroring the paper's structure:
 * :mod:`repro.serving` — the multi-tenant serving layer: one
   :class:`~repro.serving.server.VerificationServer` multiplexes many tenant
   sessions behind admission control, passivating idle sessions to
-  snapshots and rehydrating them on demand (``python -m repro.serving``);
-  a sharded run is one tenant per claim partition
-  (:func:`~repro.serving.sharding.run_sharded`).
+  snapshots and rehydrating them on demand (``python -m repro.serving``).
 * :mod:`repro.synth` — a synthetic substitute for the proprietary IEA corpus.
 * :mod:`repro.experiments` — one entry point per table/figure of the paper.
 """
@@ -65,7 +63,6 @@ from repro.pipeline.batch import ClaimBatchPredictions
 from repro.pipeline.feature_store import ClaimFeatureStore
 from repro.runtime.snapshot import ServiceSnapshot
 from repro.serving.server import AdmissionPolicy, VerificationServer
-from repro.serving.sharding import run_sharded
 from repro.synth.report_generator import SyntheticCorpusConfig, generate_corpus
 from repro.translation.translator import ClaimTranslator
 
@@ -95,6 +92,5 @@ __all__ = [
     "VerificationServer",
     "VerificationService",
     "generate_corpus",
-    "run_sharded",
     "__version__",
 ]

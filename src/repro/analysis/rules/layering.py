@@ -4,9 +4,8 @@ The architecture layers the system as ``text``/``claims`` →
 ``ml``/``translation`` → ``pipeline``/``planning`` → ``api`` →
 ``runtime`` → ``serving``: lower layers must not import upper ones at
 module level, or the dependency graph rots into a ball that cannot be
-tested, sharded or reused in isolation (the multi-core runtime on the
-ROADMAP depends on the data plane staying importable without the serving
-stack).
+tested or reused in isolation (the data plane must stay importable
+without the serving stack).
 
 Only *module-level* imports count: ``if TYPE_CHECKING:`` imports are
 type-only, and function-local imports are the sanctioned lazy escape for

@@ -73,20 +73,6 @@ class _OrderEdge:
     chain: tuple[str, ...]  #: qualnames of the call path, outer fn first
 
 
-def _region_nodes(region: ast.With | ast.AsyncWith) -> Iterator[ast.AST]:
-    """Nodes lexically inside ``region``, not descending into nested defs."""
-    stack: list[ast.AST] = list(reversed(region.body))
-    while stack:
-        node = stack.pop()
-        yield node
-        for child in ast.iter_child_nodes(node):
-            if isinstance(
-                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
-            ):
-                continue
-            stack.append(child)
-
-
 def _lock_attr_of(item: ast.withitem) -> str | None:
     """``attr`` when the context manager is ``self.attr`` or ``self.attr()``."""
     expr = item.context_expr

@@ -224,7 +224,7 @@ class LockDisciplineRule(Rule):
 
 #: Pool methods whose first argument is a function that will run on an
 #: executor thread.  ``map`` is the barrier style; ``submit`` is the
-#: steal-pump style the serving scheduler and sharded runner dispatch with.
+#: steal-pump style the serving scheduler dispatches with.
 _DISPATCH_METHODS = {"map", "submit"}
 
 

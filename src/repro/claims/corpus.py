@@ -52,10 +52,6 @@ class PropertyFrequencyProfile:
     def distinct_values(self) -> int:
         return len(self.counts)
 
-    @property
-    def total_occurrences(self) -> int:
-        return sum(self.counts.values())
-
     def percentile(self, percent: float) -> float:
         """The ``percent``-th percentile of value frequencies (Table 1)."""
         if not self.counts:
@@ -138,23 +134,10 @@ class ClaimCorpus:
             counts.update(annotated.ground_truth.property_labels(claim_property))
         return PropertyFrequencyProfile(claim_property=claim_property, counts=dict(counts))
 
-    def property_profiles(self) -> dict[ClaimProperty, PropertyFrequencyProfile]:
-        return {
-            claim_property: self.property_profile(claim_property)
-            for claim_property in ClaimProperty.ordered()
-        }
-
     def incorrect_claim_ids(self) -> tuple[str, ...]:
         return tuple(
             annotated.claim_id for annotated in self if not annotated.ground_truth.is_correct
         )
-
-    def complexity_histogram(self) -> dict[int, int]:
-        """How many claims have each complexity value (Figure 6 x-axis)."""
-        histogram: Counter[int] = Counter()
-        for annotated in self:
-            histogram[annotated.ground_truth.complexity] += 1
-        return dict(histogram)
 
     # ------------------------------------------------------------------ #
     # splits

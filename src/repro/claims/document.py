@@ -7,7 +7,7 @@ claims to sections explicit.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.errors import ClaimError
@@ -111,14 +111,6 @@ class Document:
     @property
     def claim_count(self) -> int:
         return len(self._claim_to_section)
-
-    def iter_sentences(self) -> Iterator[tuple[Section, Sentence]]:
-        for section in self.sections:
-            for sentence in section.sentences:
-                yield section, sentence
-
-    def claims_by_section(self) -> dict[str, tuple[str, ...]]:
-        return {section.section_id: section.claim_ids for section in self.sections}
 
 
 def build_document(title: str, sections: Iterable[Section]) -> Document:

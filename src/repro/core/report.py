@@ -10,7 +10,7 @@ accuracy of the aggregated verdicts).
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from repro.claims.corpus import ClaimCorpus
@@ -118,15 +118,6 @@ class VerificationReport:
     # ------------------------------------------------------------------ #
     def add(self, verification: ClaimVerification) -> None:
         self.verifications.append(verification)
-
-    def extend(self, verifications: Iterable[ClaimVerification]) -> None:
-        self.verifications.extend(verifications)
-
-    def verification_for(self, claim_id: str) -> ClaimVerification | None:
-        for verification in self.verifications:
-            if verification.claim_id == claim_id:
-                return verification
-        return None
 
     # ------------------------------------------------------------------ #
     # effort statistics

@@ -115,12 +115,6 @@ class VerificationSession:
     def record_batch(self, record: BatchRecord) -> None:
         self._batches.append(record)
 
-    def verification_of(self, claim_id: str) -> ClaimVerification:
-        try:
-            return self._verified[claim_id]
-        except KeyError:
-            raise SimulationError(f"claim {claim_id!r} has not been verified yet") from None
-
     # ------------------------------------------------------------------ #
     # checkpoint state
     # ------------------------------------------------------------------ #

@@ -90,14 +90,6 @@ class Catalog:
         """Relations whose primary key contains ``key``."""
         return set(self._key_index.get(key, set()))
 
-    def relations_for_attribute(self, attribute: str) -> set[str]:
-        """Relations exposing the value attribute ``attribute``."""
-        return set(self._attribute_index.get(attribute, set()))
-
-    def key_vocabulary(self) -> list[str]:
-        """Every primary-key value seen anywhere in the corpus, sorted."""
-        return sorted(self._key_index)
-
     def attribute_vocabulary(self) -> list[str]:
         """Every value-attribute name seen anywhere in the corpus, sorted."""
         return sorted(self._attribute_index)

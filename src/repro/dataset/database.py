@@ -103,13 +103,6 @@ class Database:
             keys.update(table.keys)
         return keys
 
-    def all_attributes(self) -> set[str]:
-        """The union of value-attribute names across the corpus."""
-        attributes: set[str] = set()
-        for table in self._relations.values():
-            attributes.update(table.attributes)
-        return attributes
-
     def total_cells(self) -> int:
         """Total number of cells in the corpus (rows times attributes)."""
         return sum(table.row_count * table.column_count for table in self._relations.values())

@@ -35,19 +35,6 @@ def run(
     }
 
 
-def speedup_by_complexity(outcome: dict[str, object]) -> dict[int, float]:
-    """Manual / System time ratio for complexities present in both series."""
-    series = outcome["series"]
-    manual = series.get("Manual", {})
-    system = series.get("System", {})
-    ratios: dict[int, float] = {}
-    for complexity, manual_time in manual.items():
-        system_time = system.get(complexity)
-        if system_time and system_time > 0:
-            ratios[complexity] = manual_time / system_time
-    return ratios
-
-
 def format_rows(outcome: dict[str, object]) -> str:
     lines = ["Figure 6 — average verification time (s) by claim complexity"]
     lines.append(f"{'process':<10}{'complexity':>11}{'avg seconds':>13}")

@@ -36,18 +36,6 @@ def _accuracy_series(run_result: SystemRunResult) -> list[float]:
     return [round(value, 3) for value in run_result.accuracy_series("average")]
 
 
-def dominance_fraction(outcome: dict[str, object]) -> float:
-    """Fraction of batches where Scrutinizer's accuracy >= Sequential's."""
-    series = outcome["series"]
-    scrutinizer = series.get("Scrutinizer", [])
-    sequential = series.get("Sequential", [])
-    paired = list(zip(scrutinizer, sequential))
-    if not paired:
-        return 0.0
-    wins = sum(1 for ours, theirs in paired if ours >= theirs)
-    return wins / len(paired)
-
-
 def format_rows(outcome: dict[str, object]) -> str:
     lines = ["Figure 8 — average classifier accuracy per batch"]
     for name, values in outcome["series"].items():

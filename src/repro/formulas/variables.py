@@ -68,8 +68,3 @@ class VariableBinding:
         merged = dict(self.values)
         merged.update(values)
         return VariableBinding(values=merged, attributes=dict(self.attributes))
-
-    def with_attributes(self, **attributes: str) -> "VariableBinding":
-        merged = dict(self.attributes)
-        merged.update(attributes)
-        return VariableBinding(values=dict(self.values), attributes=merged)

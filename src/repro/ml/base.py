@@ -24,10 +24,6 @@ class Prediction:
     def top_label(self) -> str | None:
         return self.labels[0] if self.labels else None
 
-    @property
-    def top_probability(self) -> float:
-        return self.probabilities[0] if self.probabilities else 0.0
-
     def top_k(self, k: int) -> list[tuple[str, float]]:
         """The ``k`` most probable labels with their probabilities."""
         return list(zip(self.labels[:k], self.probabilities[:k]))

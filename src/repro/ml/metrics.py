@@ -53,15 +53,3 @@ def top_k_curve(
 ) -> list[tuple[int, float]]:
     """Top-k accuracy for every ``k`` in ``1..max_k`` (Figure 10 series)."""
     return [(k, top_k_accuracy(predictions, truths, k)) for k in range(1, max_k + 1)]
-
-
-def confusion_counts(
-    predictions: Sequence[Prediction], truths: Sequence[str]
-) -> dict[tuple[str, str], int]:
-    """Sparse confusion matrix as ``(truth, predicted) -> count``."""
-    counts: dict[tuple[str, str], int] = {}
-    for prediction, truth in zip(predictions, truths):
-        predicted = prediction.top_label if prediction.top_label is not None else ""
-        pair = (truth, predicted)
-        counts[pair] = counts.get(pair, 0) + 1
-    return counts

@@ -87,13 +87,6 @@ class VerificationCostModel:
         miss_probability = max(0.0, 1.0 - min(1.0, sum(option_probabilities)))
         return reading + miss_probability * self.query_suggest_cost
 
-    def worst_case_claim_cost(self, option_count: int, screen_count: int) -> float:
-        """Absolute worst-case cost of verifying one claim with Scrutinizer."""
-        return (
-            option_count * self.query_verify_cost
-            + screen_count * (self.property_verify_cost + self.property_suggest_cost)
-        )
-
 
 def expected_reading_cost(option_probabilities: Sequence[float], per_option_cost: float) -> float:
     """Expected reading cost of an ordered option list (Theorem 2).

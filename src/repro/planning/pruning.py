@@ -113,11 +113,3 @@ class PruningPowerCalculator:
     @property
     def candidate_count(self) -> int:
         return len(self._candidates)
-
-    def property_values(self, claim_property: ClaimProperty) -> set[str]:
-        """Distinct candidate values for one property."""
-        return {
-            candidate[claim_property]
-            for candidate in self._candidates
-            if claim_property in candidate
-        }

@@ -27,10 +27,6 @@ class Screen:
     def option_count(self) -> int:
         return len(self.options)
 
-    @property
-    def option_labels(self) -> tuple[str, ...]:
-        return tuple(option.label for option in self.options)
-
 
 @dataclass(frozen=True)
 class QueryOption:
@@ -55,13 +51,3 @@ class QuestionPlan:
     @property
     def screen_count(self) -> int:
         return len(self.screens)
-
-    @property
-    def properties_questioned(self) -> tuple[ClaimProperty, ...]:
-        return tuple(screen.claim_property for screen in self.screens)
-
-    def screen_for(self, claim_property: ClaimProperty) -> Screen | None:
-        for screen in self.screens:
-            if screen.claim_property is claim_property:
-                return screen
-        return None

@@ -59,9 +59,3 @@ def expected_claim_cost(
         final_probabilities = []
     total += model.expected_final_screen_cost(final_probabilities)
     return total
-
-
-def manual_claim_cost(cost_model: VerificationCostModel | None = None) -> float:
-    """Cost of verifying one claim without Scrutinizer (``sf``)."""
-    model = cost_model if cost_model is not None else VerificationCostModel(CostModelConfig())
-    return model.manual_cost

@@ -15,9 +15,6 @@ across every batch.  This package makes that loop operable:
   executor facade the multi-tenant :mod:`repro.serving` layer schedules
   tenant batches on.
 
-Sharded runs are tenants of a :mod:`repro.serving` server
-(:func:`repro.serving.sharding.run_sharded`).
-
 Layering contract: layer 11 of the enforced import DAG (peer of
 ``simulation``) — may import ``api`` and everything below it; never
 ``serving`` or ``gateway``. Enforced by reprolint; see

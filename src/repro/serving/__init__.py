@@ -17,9 +17,6 @@ per tenant — against a shared corpus and a shared
 * :mod:`repro.serving.scheduler` — the scheduling policy itself:
   weighted-deficit fairness with a hard anti-starvation deadline,
   decoupled from server bookkeeping so it is independently testable.
-* :mod:`repro.serving.sharding` — sharded runs: a stable claim partition
-  submitted as one tenant per shard, checkpointed per round, resumed by
-  rerunning, merged into one report and one reconciled translator.
 * :mod:`repro.serving.workloads` — scenario-driven mixed tenant traffic:
   bursty submitters, steady streamers and resume-after-crash tenants,
   generated deterministically and drivable against any server.
@@ -44,12 +41,6 @@ from repro.serving.server import (
     TenantBatchOutcome,
     TenantStatus,
     VerificationServer,
-)
-from repro.serving.sharding import (
-    merge_shard_reports,
-    reconcile_translator,
-    run_sharded,
-    shard_claims,
 )
 from repro.serving.workloads import (
     SCENARIO_KINDS,
@@ -80,8 +71,4 @@ __all__ = [
     "WorkloadRunResult",
     "build_workload",
     "drive_workload",
-    "merge_shard_reports",
-    "reconcile_translator",
-    "run_sharded",
-    "shard_claims",
 ]

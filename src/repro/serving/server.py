@@ -347,12 +347,10 @@ class VerificationServer:
         except KeyError:
             raise UnknownTenantError(tenant_id) from None
 
-    def _admit(
+    def _new_record(
         self, tenant_id: str, snapshot: ServiceSnapshot | None = None
     ) -> _TenantRecord:
-        record = self._tenants.get(tenant_id)
-        if record is not None:
-            return record
+        """A record for an unregistered tenant; the caller registers it."""
         if len(self._tenants) >= self.policy.max_tenants:
             self.stats.rejected_submissions += 1
             raise AdmissionError(
@@ -384,7 +382,6 @@ class VerificationServer:
                     str(entry["claim_id"])
                     for entry in snapshot.session["verifications"]
                 )
-        self._tenants[tenant_id] = record
         return record
 
     def adopt_tenants(self) -> tuple[str, ...]:
@@ -397,10 +394,12 @@ class VerificationServer:
         """
         if self.store is None:
             return ()
-        return tuple(
-            self._admit(key, snapshot=snapshot).tenant_id
-            for key, snapshot in self.store.items()
-        )
+        adopted = []
+        for key, snapshot in self.store.items():
+            if key not in self._tenants:
+                self._tenants[key] = self._new_record(key, snapshot)
+            adopted.append(key)
+        return tuple(adopted)
 
     def submit(self, tenant_id: str, claim_ids: Sequence[str]) -> int:
         """Queue claims for a tenant; returns how many were queued.
@@ -425,11 +424,14 @@ class VerificationServer:
         unknown = [claim_id for claim_id in ids if claim_id not in self.corpus]
         if unknown:
             raise ClaimError(f"unknown claims submitted: {unknown[:5]!r}")
-        record = self._admit(tenant_id)
+        record = self._tenants.get(tenant_id)
+        if record is None:
+            record = self._new_record(tenant_id)
         fresh = tuple(
             claim_id for claim_id in ids if claim_id not in record.known_claims
         )
         if not fresh:
+            self._tenants[tenant_id] = record
             return 0
         quota = self.policy.max_pending_claims_per_tenant
         if quota is not None:
@@ -446,6 +448,9 @@ class VerificationServer:
                 f"submission queue is full "
                 f"({self.policy.max_queued_submissions} requests); retry later"
             )
+        # A new tenant is registered only once a submission is accepted, so
+        # a refused first submission holds no registry slot.
+        self._tenants[tenant_id] = record
         self._queue.append(_Submission(tenant_id=tenant_id, claim_ids=fresh))
         record.known_claims.update(fresh)
         record.queued_claims += len(fresh)
@@ -596,22 +601,6 @@ class VerificationServer:
         if record.service is None:
             return False
         self._passivate(record)
-        return True
-
-    def checkpoint(self, tenant_id: str) -> bool:
-        """Save a resident tenant's session to the store without evicting it.
-
-        Returns ``True`` when a snapshot was written.  A passivated tenant
-        was saved when it was evicted, so nothing is written for it; a
-        server without a snapshot directory has nowhere to write and
-        raises :class:`~repro.errors.ServingError`.
-        """
-        record = self._record(tenant_id)
-        if self.store is None:
-            raise ServingError("checkpoint needs a server with a snapshot directory")
-        if record.service is None:
-            return False
-        self.store.save(tenant_id, record.service.snapshot(metadata={"tenant_id": tenant_id}))
         return True
 
     def _evict_over_capacity(self, protected: Sequence[str] = ()) -> None:

@@ -111,12 +111,6 @@ class ServingWorkload:
     def claim_count(self) -> int:
         return sum(scenario.claim_count for scenario in self.scenarios)
 
-    @property
-    def last_event_round(self) -> int:
-        rounds = [event.round_index for event in self.submissions]
-        rounds.extend(event.round_index for event in self.crashes)
-        return max(rounds, default=0)
-
 
 def build_workload(
     claim_ids: Sequence[str],
@@ -322,7 +316,10 @@ def drive_workload(
     rounds_run = 0
     while rounds_run < max_rounds:
         for crash in [c for c in crash_events if c.round_index <= round_index]:
-            server.evict(crash.tenant_id)
+            # A tenant whose first submission is still being refused has
+            # no session to lose.
+            if crash.tenant_id in server.tenant_ids:
+                server.evict(crash.tenant_id)
             crash_events.remove(crash)
         still_waiting: list[SubmissionEvent] = []
         for event in pending_events:

@@ -24,20 +24,6 @@ def zipf_weights(count: int, exponent: float = 1.1) -> np.ndarray:
     return weights / weights.sum()
 
 
-def sample_zipf(
-    rng: np.random.Generator,
-    items: Sequence[str],
-    size: int,
-    exponent: float = 1.1,
-) -> list[str]:
-    """Sample ``size`` items with Zipf weights over their given order."""
-    if not items:
-        raise ValueError("cannot sample from an empty item list")
-    weights = zipf_weights(len(items), exponent)
-    indices = rng.choice(len(items), size=size, p=weights)
-    return [items[int(index)] for index in indices]
-
-
 def frequency_percentiles(
     frequencies: Sequence[int], percents: Sequence[float] = (10, 25, 50, 95, 99)
 ) -> dict[float, float]:

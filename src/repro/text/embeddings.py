@@ -121,10 +121,6 @@ class HashingWordEmbeddings:
         vectors = [self.vector(token) for token in tokens]
         return np.mean(vectors, axis=0)
 
-    def embed_text(self, text: str, tokenizer) -> np.ndarray:
-        """Tokenise ``text`` with ``tokenizer`` and average its embeddings."""
-        return self.embed_tokens(tokenizer(text))
-
     def similarity(self, first: str, second: str) -> float:
         """Cosine similarity between two token embeddings."""
         a = self.vector(first)

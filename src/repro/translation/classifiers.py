@@ -294,13 +294,6 @@ class PropertyClassifierSuite:
             raise NotFittedError("the classifier suite has not been trained yet")
         return self._models[claim_property].predict(self._features_of(claim))
 
-    def known_labels(self, claim_property: ClaimProperty) -> tuple[str, ...]:
-        """Labels the classifier for ``claim_property`` can currently emit."""
-        model = self._models.get(claim_property)
-        if model is None:
-            return ()
-        return model.classes
-
     # ------------------------------------------------------------------ #
     # evaluation helpers (Figures 8-10)
     # ------------------------------------------------------------------ #

@@ -108,9 +108,6 @@ class ClaimPreprocessor:
             numeric_mention_count=len(mentions),
         )
 
-    def preprocess_many(self, claims: Sequence[Claim]) -> list[PreprocessedClaim]:
-        return [self.preprocess(claim) for claim in claims]
-
     def feature_matrix(self, claims: Sequence[Claim]) -> np.ndarray:
         """Feature matrix for a batch of claims (one row per claim)."""
         return self._featurizer.transform_matrix(

@@ -42,11 +42,6 @@ class TranslationResult:
         best = self.generation.best
         return best.sql if best is not None else None
 
-    @property
-    def best_value(self) -> float | None:
-        best = self.generation.best
-        return best.value if best is not None else None
-
 
 class ClaimTranslator:
     """The automated translation component of Scrutinizer."""

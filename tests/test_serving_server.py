@@ -53,6 +53,10 @@ def _split(corpus, tenant_count):
     return {f"t{index}": tuple(ids) for index, ids in enumerate(allotments)}
 
 
+def _verdicts(report):
+    return {v.claim_id: v.verdict for v in report.verifications}
+
+
 # ---------------------------------------------------------------------- #
 # admission policy
 # ---------------------------------------------------------------------- #
@@ -126,6 +130,32 @@ def test_backpressure_when_queue_full(serving_corpus):
     # A round drains the queue; the retry then succeeds.
     server.run_round()
     server.submit("c", [ids[2]])
+    server.close()
+
+
+def test_refused_first_submission_holds_no_registry_slot(serving_corpus):
+    """A new tenant is registered only once a submission is accepted."""
+    server = VerificationServer(
+        serving_corpus,
+        _config(),
+        policy=AdmissionPolicy(
+            max_tenants=2, max_queued_submissions=1, max_pending_claims_per_tenant=2
+        ),
+        executor="serial",
+    )
+    ids = list(serving_corpus.claim_ids)
+    server.submit("a", [ids[0]])
+    with pytest.raises(BackpressureError):
+        server.submit("b", [ids[1]])
+    assert server.tenant_ids == ("a",)
+    server.run_round()
+    with pytest.raises(AdmissionError):
+        server.submit("c", ids[2:5])  # over the pending-claim quota
+    assert server.tenant_ids == ("a",)
+    assert server.stats.rejected_submissions == 2
+    # Neither refusal took a slot, so the registry still has room.
+    server.submit("d", [ids[5]])
+    assert server.tenant_ids == ("a", "d")
     server.close()
 
 
@@ -284,6 +314,64 @@ def test_restart_over_snapshot_dir_resumes_tenants(serving_corpus, tmp_path):
     second.close()
 
 
+def test_restart_of_finished_tenant_runs_nothing(serving_corpus, tmp_path):
+    """A finished tenant is answered from its snapshot after a restart."""
+    claims = _split(serving_corpus, 2)["t0"]
+    first = VerificationServer(
+        serving_corpus, _config(), executor="serial", snapshot_dir=tmp_path
+    )
+    first.submit("t0", claims)
+    first.run_until_idle()
+    verdicts = _verdicts(first.report("t0"))
+    first.close()
+    snapshot = first.store.path("t0")
+    mtime = snapshot.stat().st_mtime_ns
+
+    with VerificationServer(
+        serving_corpus, _config(), executor="serial", snapshot_dir=tmp_path
+    ) as second:
+        assert second.adopt_tenants() == ("t0",)
+        assert second.submit("t0", claims) == 0
+        assert second.queued_submissions == 0 and second.is_idle
+        second.run_until_idle()
+        assert second.stats.sessions_started == 0
+        assert second.stats.rehydrations == 0
+        assert second.stats.batches == 0
+        assert _verdicts(second.report("t0")) == verdicts
+    # Nothing ran, so close() rewrote no snapshot.
+    assert snapshot.stat().st_mtime_ns == mtime
+
+
+def test_restart_after_lost_snapshot_reruns_only_that_tenant(serving_corpus, tmp_path):
+    """A tenant whose snapshot is gone starts afresh; the others resume."""
+    tenants = _split(serving_corpus, 2)
+    with VerificationServer(serving_corpus, _config(), executor="serial") as straight:
+        for tenant_id, claims in tenants.items():
+            straight.submit(tenant_id, claims)
+        straight.run_until_idle()
+        expected = {tenant_id: _verdicts(straight.report(tenant_id)) for tenant_id in tenants}
+
+    first = VerificationServer(
+        serving_corpus, _config(), executor="serial", snapshot_dir=tmp_path
+    )
+    for tenant_id, claims in tenants.items():
+        first.submit(tenant_id, claims)
+    first.run_round()
+    first.close()
+    # As if t1 crashed before its snapshot ever reached the disk.
+    first.store.path("t1").unlink()
+
+    with VerificationServer(
+        serving_corpus, _config(), executor="serial", snapshot_dir=tmp_path
+    ) as second:
+        for tenant_id, claims in tenants.items():
+            second.submit(tenant_id, claims)
+        second.run_until_idle()
+        assert second.stats.sessions_started == 1
+        for tenant_id in tenants:
+            assert _verdicts(second.report(tenant_id)) == expected[tenant_id]
+
+
 def test_claims_submitted_while_passivated_survive_restart(serving_corpus, tmp_path):
     """Claims parked on an evicted tenant reach its snapshot on close."""
     ids = list(serving_corpus.claim_ids)
@@ -309,33 +397,6 @@ def test_claims_submitted_while_passivated_survive_restart(serving_corpus, tmp_p
     second.run_until_idle()
     assert second.verified_claim_ids("a") == tuple(sorted(ids[:12]))
     second.close()
-
-
-def test_checkpoint_saves_without_evicting(serving_corpus, tmp_path):
-    ids = list(serving_corpus.claim_ids)
-    server = VerificationServer(
-        serving_corpus, _config(), executor="serial", snapshot_dir=tmp_path
-    )
-    server.submit("a", ids[:12])
-    server.run_round()
-    assert server.checkpoint("a")
-    status = server.tenant_status("a")
-    assert status.resident and status.evictions == 0
-    snapshot = server.store.load("a")
-    assert snapshot.verified_count == status.verified_claims
-    assert snapshot.pending_count == status.pending_claims
-    # A passivated tenant's snapshot is already current: nothing to write.
-    server.evict("a")
-    assert not server.checkpoint("a")
-    with pytest.raises(UnknownTenantError):
-        server.checkpoint("ghost")
-    server.close()
-
-    memory_only = VerificationServer(serving_corpus, _config(), executor="serial")
-    memory_only.submit("a", ids[:4])
-    with pytest.raises(ServingError):
-        memory_only.checkpoint("a")
-    memory_only.close()
 
 
 def test_known_claims_cover_snapshots_and_submissions(serving_corpus, tmp_path):

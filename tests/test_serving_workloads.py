@@ -163,6 +163,23 @@ def test_drive_workload_retries_backpressured_submissions(workload_corpus):
     server.close()
 
 
+def test_drive_workload_crash_before_first_admission(workload_corpus):
+    """A crash scripted for a tenant still refused by backpressure is a no-op."""
+    workload = build_workload(
+        workload_corpus.claim_ids, tenant_count=4, seed=4, mix=("resume",)
+    )
+    server = VerificationServer(
+        workload_corpus,
+        _config(),
+        policy=AdmissionPolicy(max_queued_submissions=1),
+        executor="serial",
+    )
+    result = drive_workload(server, workload)
+    assert result.deferred_submissions > 0
+    assert result.verified_count == workload.claim_count
+    server.close()
+
+
 def test_drive_workload_stopped_before_an_arrival(workload_corpus):
     """A staged run reports nothing, rather than failing, for late tenants."""
     workload = build_workload(workload_corpus.claim_ids, tenant_count=3, seed=5)
