@@ -75,7 +75,8 @@ lint:
 # Project-specific invariant checks (reprolint): RNG discipline, snapshot
 # coverage, lock discipline, layering, error taxonomy and output/wall-clock
 # hygiene.  Pure stdlib — always runs.  Pre-existing violations are
-# grandfathered in reprolint.baseline.json; only new ones fail.
+# grandfathered in reprolint.baseline.json; new violations fail, and so
+# do stale entries (--strict-baseline), so the baseline can only shrink.
 lint-invariants:
 	$(PYTHON) -m repro.analysis src/repro --strict-baseline
 

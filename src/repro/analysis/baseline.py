@@ -3,11 +3,12 @@
 A baseline lets the analyzer land with a clean exit on a codebase that
 already violates some invariants: pre-existing violations are recorded
 once (``--write-baseline``) and matching ones are filtered from
-subsequent runs, so only *new* violations fail the build.  The debt stays
-visible — the report counts baselined violations, and the nightly drift
-check (``--strict-baseline``) fails when baseline entries stop matching
-anything, forcing stale entries to be pruned rather than silently
-outliving the code they grandfathered.
+subsequent runs, so pre-existing violations do not fail the build.  The
+debt stays visible — the report counts baselined violations, and the
+strict check (``--strict-baseline``, which ``make lint-invariants`` and CI
+run) fails when baseline entries stop matching anything, forcing stale
+entries to be pruned rather than silently outliving the code they
+grandfathered.
 
 Matching is by ``(path, key)`` multiset, never by line number: keys name
 the rule, symbol and offence (see :class:`repro.analysis.core.Violation`),

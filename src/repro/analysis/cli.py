@@ -69,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--strict-baseline",
         action="store_true",
         help="exit 3 if any baseline entry no longer matches a violation "
-        "(nightly drift check)",
+        "(stale-entry check; make lint-invariants uses it)",
     )
     parser.add_argument(
         "--format",

@@ -3,8 +3,8 @@
 This package is the front door for embedding the Scrutinizer loop:
 
 * :mod:`repro.api.protocols` — the structural extension points
-  (:class:`Checker`, :class:`AnswerSource`, :class:`TranslationBackend`
-  with its batch extension :class:`BatchTranslationBackend`,
+  (:class:`Checker`, :class:`AnswerSource`, :class:`TranslationBackend`,
+  whose ``predict_many`` is the planning hot path, and
   :class:`BatchSelector`).
 * :mod:`repro.api.builder` — :class:`ScrutinizerBuilder`, fluent
   construction with pluggable backends.
@@ -23,7 +23,6 @@ from repro.api.builder import ScrutinizerBuilder
 from repro.api.protocols import (
     AnswerSource,
     BatchSelector,
-    BatchTranslationBackend,
     Checker,
     TranslationBackend,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "AnswerSource",
     "BatchResult",
     "BatchSelector",
-    "BatchTranslationBackend",
     "Checker",
     "LIFECYCLE_EVENTS",
     "LifecycleCallback",

@@ -39,7 +39,6 @@ from repro.translation.translator import TranslationResult
 __all__ = [
     "AnswerSource",
     "BatchSelector",
-    "BatchTranslationBackend",
     "Checker",
     "TranslationBackend",
 ]
@@ -132,6 +131,14 @@ class TranslationBackend(Protocol):
         """Ranked property predictions for one claim."""
         ...
 
+    def predict_many(self, claims: Sequence[Claim]) -> ClaimBatchPredictions:
+        """Predictions for many claims in one pass (the planning hot path).
+
+        The service calls this once per batch over the whole pending pool,
+        and scores every claim from the returned probability matrices.
+        """
+        ...
+
     def translate(
         self,
         claim: Claim,
@@ -147,24 +154,6 @@ class TranslationBackend(Protocol):
         top_k: int = 1,
     ) -> Mapping[ClaimProperty, float]:
         """Per-property top-k accuracy on held-out claims (Figures 8-9)."""
-        ...
-
-
-@runtime_checkable
-class BatchTranslationBackend(TranslationBackend, Protocol):
-    """A translation backend with a native batch front door.
-
-    The verification service calls :meth:`predict_many` on its planning
-    hot path when available — one feature matrix, one matrix operation per
-    property — and falls back to adapting per-claim ``predict`` output
-    through
-    :meth:`~repro.pipeline.batch.ClaimBatchPredictions.from_prediction_dicts`
-    for plain :class:`TranslationBackend` implementations, which therefore
-    keep working (and keep conforming structurally) unchanged.
-    """
-
-    def predict_many(self, claims: Sequence[Claim]) -> ClaimBatchPredictions:
-        """Predictions for many claims in one pass (the planning hot path)."""
         ...
 
 

@@ -33,12 +33,12 @@ from repro.claims.corpus import ClaimCorpus
 from repro.claims.model import Claim, ClaimProperty
 from repro.config import ScrutinizerConfig
 from repro.core.report import ClaimVerification, VerificationReport
-from repro.core.session import BatchRecord, VerificationSession
+from repro.core.session import VerificationSession
 from repro.crowd.oracle import GroundTruthOracle
 from repro.crowd.timing import TimingModel
 from repro.crowd.voting import majority_vote
 from repro.crowd.worker import CheckerResponse, SimulatedChecker
-from repro.errors import ClaimError, InfeasibleSelectionError, SimulationError
+from repro.errors import ClaimError, ConfigurationError, InfeasibleSelectionError, SimulationError
 from repro.ml.base import Prediction
 from repro.pipeline.batch import ClaimBatchPredictions
 from repro.planning.batching import BatchCandidate
@@ -115,7 +115,8 @@ class VerificationService:
     translator:
         Any :class:`~repro.api.protocols.TranslationBackend`; defaults to a
         fresh :class:`~repro.translation.translator.ClaimTranslator` fitted
-        on the corpus texts.
+        on the corpus texts.  An object missing a protocol member is
+        refused with :class:`~repro.errors.ConfigurationError`.
     checkers:
         Any sequence of :class:`~repro.api.protocols.Checker`; defaults to
         ``config.checker_count`` simulated checkers with distinct seeds.
@@ -159,6 +160,16 @@ class VerificationService:
         self._accuracy_sample_size = accuracy_sample_size
         self._rng = np.random.default_rng(self.config.seed)
         if translator is not None:
+            if not isinstance(translator, TranslationBackend):
+                missing = [
+                    name
+                    for name in vars(TranslationBackend)
+                    if not name.startswith("_") and not hasattr(translator, name)
+                ]
+                raise ConfigurationError(
+                    f"translator {type(translator).__name__} is not a "
+                    f"TranslationBackend: it lacks {', '.join(missing)}"
+                )
             self.translator: TranslationBackend = translator
         else:
             self.translator = ClaimTranslator(corpus.database, config=self.config.translation)
@@ -411,7 +422,7 @@ class VerificationService:
             verification = self._verify_claim(
                 claim, predictions, position, self._batch_index
             )
-            session.mark_verified(verification)
+            session.mark_verified(claim_id)
             report.add(verification)
             verifications.append(verification)
             batch_seconds += verification.elapsed_seconds
@@ -429,19 +440,9 @@ class VerificationService:
         if self._track_accuracy and not session.is_complete:
             accuracy = self._evaluate_accuracy(session.pending_claim_ids)
             report.accuracy_history.append(accuracy)
-        # The record and result each get their own copy: the history entry
-        # appended to the report must not be reachable through a callback's
-        # BatchResult (or the session's record), where a consumer could
-        # mutate it.
-        session.record_batch(
-            BatchRecord(
-                batch_index=self._batch_index,
-                claim_ids=selection.claim_ids,
-                seconds_spent=batch_seconds,
-                accuracy_by_property=dict(accuracy),
-                solver=selection.solver,
-            )
-        )
+        # The result gets its own copy: the history entry appended to the
+        # report must not be reachable through a callback's BatchResult,
+        # where a consumer could mutate it.
         result = BatchResult(
             batch_index=self._batch_index,
             claim_ids=selection.claim_ids,
@@ -580,18 +581,11 @@ class VerificationService:
 
         One ``predict_many`` call — a single feature matrix and one matrix
         operation per property — instead of per-claim ``predict`` loops.
-        Backends that predate ``predict_many`` are adapted through the
-        per-claim path transparently.
         """
         if not self.translator.is_trained:
             return None
-        claims = [self.corpus.claim(claim_id) for claim_id in pending]
-        predict_many = getattr(self.translator, "predict_many", None)
-        if predict_many is not None:
-            return predict_many(claims)
-        return ClaimBatchPredictions.from_prediction_dicts(
-            [claim.claim_id for claim in claims],
-            [dict(self.translator.predict(claim)) for claim in claims],
+        return self.translator.predict_many(
+            [self.corpus.claim(claim_id) for claim_id in pending]
         )
 
     def _batch_candidates(

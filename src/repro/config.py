@@ -15,7 +15,6 @@ into the person-weeks reported in Table 2 of the paper.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
@@ -85,10 +84,8 @@ class BatchingConfig:
     #: Total cost threshold ``tm`` in seconds.  ``None`` disables the
     #: constraint and pins the batch size to ``max_batch_size`` instead, as
     #: in the paper's simulation which retrains after every 100 claims.
-    #: Passing ``0.0`` is deprecated: it historically meant "disabled" and
-    #: is still shimmed to ``None`` (with a :class:`DeprecationWarning`),
-    #: whereas the solver layer now treats an explicit ``0.0`` as a genuine
-    #: zero budget (see :func:`repro.planning.ilp.solve_claim_selection_ilp`).
+    #: Any float, ``0.0`` included, is a genuine budget (see
+    #: :func:`repro.planning.ilp.solve_claim_selection_ilp`).
     cost_threshold: float | None = None
     #: Weight ``wu`` of training utility in the combined objective.  Training
     #: utilities (summed prediction entropies) are an order of magnitude
@@ -105,19 +102,8 @@ class BatchingConfig:
             raise ConfigurationError(
                 "max_batch_size must be at least max(1, min_batch_size)"
             )
-        if self.cost_threshold is not None:
-            if self.cost_threshold < 0:
-                raise ConfigurationError("cost_threshold must be non-negative (or None)")
-            if self.cost_threshold == 0.0:
-                warnings.warn(
-                    "BatchingConfig(cost_threshold=0.0) is deprecated: pass None to "
-                    "disable the cost threshold (0.0 keeps the legacy 'disabled' "
-                    "meaning here, but the solver layer now reads 0.0 as a genuine "
-                    "zero budget)",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-                object.__setattr__(self, "cost_threshold", None)
+        if self.cost_threshold is not None and self.cost_threshold < 0:
+            raise ConfigurationError("cost_threshold must be non-negative (or None)")
         if self.utility_weight < 0:
             raise ConfigurationError("utility_weight must be non-negative")
         if self.section_read_cost < 0:
@@ -137,14 +123,6 @@ class TranslationConfig:
     admissible_error: float = 0.05
     #: Hard cap on variable-assignment permutations tried per formula.
     max_permutations: int = 5000
-    #: Whether retrains continue gradient descent from the previous softmax
-    #: weights (incremental retraining) instead of refitting from scratch.
-    warm_start: bool = True
-    #: Refit the TF-IDF vocabulary once this many distinct n-grams unseen at
-    #: featurizer-fit time have accumulated in the training examples; the
-    #: refit bumps the feature-store generation, discarding cached vectors
-    #: and warm-started weights.  0 disables vocabulary refits.
-    vocabulary_refit_threshold: int = 200
 
     def __post_init__(self) -> None:
         for name in ("top_k_relations", "top_k_keys", "top_k_attributes", "top_k_formulas"):
@@ -154,8 +132,6 @@ class TranslationConfig:
             raise ConfigurationError("admissible_error must be in (0, 1)")
         if self.max_permutations < 1:
             raise ConfigurationError("max_permutations must be at least 1")
-        if self.vocabulary_refit_threshold < 0:
-            raise ConfigurationError("vocabulary_refit_threshold must be non-negative")
 
 
 @dataclass(frozen=True)

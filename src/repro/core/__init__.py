@@ -9,10 +9,9 @@ see ``docs/architecture.md``.
 from repro.core.baselines import ManualBaseline, SYSTEM_PROFILES, SystemProfile
 from repro.core.report import ClaimVerification, VerificationReport, seconds_to_weeks
 from repro.core.scrutinizer import Scrutinizer
-from repro.core.session import BatchRecord, VerificationSession
+from repro.core.session import VerificationSession
 
 __all__ = [
-    "BatchRecord",
     "ClaimVerification",
     "ManualBaseline",
     "SYSTEM_PROFILES",

@@ -3,10 +3,11 @@
 The paper trains one classifier per query property (relations, primary-key
 values, attributes, formulas) over the Figure 4 features.  scikit-learn is
 not available offline, so the package implements the needed model classes on
-top of numpy: multinomial (softmax) logistic regression, multinomial naive
-Bayes and a k-nearest-neighbour fallback, together with label encoding,
-evaluation metrics (accuracy, top-k accuracy, distribution entropy) and the
-active-learning utilities of Section 5.2.
+top of numpy: multinomial (softmax) logistic regression and a
+k-nearest-neighbour fallback, together with label encoding and evaluation
+metrics (accuracy, top-k accuracy, distribution entropy).  The
+active-learning training utility of Section 5.2 lives with the planner, in
+:func:`repro.planning.utility.claim_training_utility`.
 
 Layering contract: layer 2 of the enforced import DAG (peer of
 ``analysis``/``dataset``/``text``) — may import only ``errors``, ``config``
@@ -14,27 +15,22 @@ and same-layer peers; never ``sqlengine`` or anything above. Enforced by
 reprolint; see ``docs/architecture.md``.
 """
 
-from repro.ml.active import UncertaintySampler, prediction_entropy
 from repro.ml.base import Classifier, Prediction
 from repro.ml.encoding import LabelEncoder
 from repro.ml.knn import KNearestNeighborsClassifier
 from repro.ml.logistic import SoftmaxRegressionClassifier
 from repro.ml.metrics import accuracy, entropy, top_k_accuracy
-from repro.ml.naive_bayes import MultinomialNaiveBayesClassifier
 from repro.ml.state import model_from_state, model_to_state
 
 __all__ = [
     "Classifier",
     "KNearestNeighborsClassifier",
     "LabelEncoder",
-    "MultinomialNaiveBayesClassifier",
     "Prediction",
     "SoftmaxRegressionClassifier",
-    "UncertaintySampler",
     "accuracy",
     "entropy",
     "model_from_state",
     "model_to_state",
-    "prediction_entropy",
     "top_k_accuracy",
 ]

@@ -39,14 +39,14 @@ class SoftmaxRegressionClassifier:
         L2 regularisation strength applied to the weights (not the bias).
     seed:
         Seed for the (small) random weight initialisation.
-    warm_start:
-        When ``True``, subsequent :meth:`fit` calls continue the gradient
-        descent from the previous weights instead of re-initialising —
-        the incremental-retraining mode of Algorithm 1, where each batch
-        adds a few dozen samples to an already-fitted model.  Label
-        indices stay stable; columns for newly seen labels are appended.
-        A change in feature dimension (a featurizer refit) falls back to
-        a cold fit automatically.
+
+    The first :meth:`fit` starts from small random weights; every later
+    one continues the gradient descent from the previous weights — the
+    incremental-retraining mode of Algorithm 1, where each batch adds a
+    few dozen samples to an already-fitted model.  Label indices stay
+    stable; columns for newly seen labels are appended.  A change in
+    feature dimension (a featurizer refit) falls back to a cold fit.  A
+    caller that wants a cold refit fits a new instance.
     """
 
     def __init__(
@@ -55,7 +55,6 @@ class SoftmaxRegressionClassifier:
         epochs: int = 150,
         l2: float = 1e-3,
         seed: int = 0,
-        warm_start: bool = False,
     ) -> None:
         if learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
@@ -67,7 +66,6 @@ class SoftmaxRegressionClassifier:
         self.epochs = epochs
         self.l2 = l2
         self.seed = seed
-        self.warm_start = warm_start
         self._encoder = LabelEncoder()
         self._weights: np.ndarray | None = None
         self._bias: np.ndarray | None = None
@@ -85,8 +83,7 @@ class SoftmaxRegressionClassifier:
             raise ValueError("cannot fit on an empty training set")
         sample_count, feature_count = features.shape
         if (
-            self.warm_start
-            and self._weights is not None
+            self._weights is not None
             and self._bias is not None
             and self._weights.shape[0] == feature_count
         ):
@@ -167,10 +164,10 @@ class SoftmaxRegressionClassifier:
     def to_state(self) -> dict[str, object]:
         """JSON-compatible state capturing the fitted weights exactly.
 
-        The weights are path-dependent under warm starts (each retrain
-        continues gradient descent from the last fit), so unlike the
-        non-parametric models this state cannot be reconstructed by
-        refitting — it must carry the matrices themselves.
+        The weights are path-dependent (each retrain continues gradient
+        descent from the last fit), so unlike the non-parametric k-NN
+        this state cannot be reconstructed by refitting — it must carry
+        the matrices themselves.
         """
         return {
             "kind": "softmax",
@@ -178,7 +175,6 @@ class SoftmaxRegressionClassifier:
             "epochs": self.epochs,
             "l2": self.l2,
             "seed": self.seed,
-            "warm_start": self.warm_start,
             "encoder": self._encoder.to_state(),
             "weights": None if self._weights is None else encode_array(self._weights),
             "bias": None if self._bias is None else encode_array(self._bias),
@@ -192,7 +188,6 @@ class SoftmaxRegressionClassifier:
             epochs=int(state["epochs"]),  # type: ignore[arg-type]
             l2=float(state["l2"]),  # type: ignore[arg-type]
             seed=int(state["seed"]),  # type: ignore[arg-type]
-            warm_start=bool(state["warm_start"]),
         )
         model._encoder = LabelEncoder.from_state(state["encoder"])  # type: ignore[arg-type]
         weights = state.get("weights")

@@ -129,7 +129,7 @@ def model_from_state(state: Mapping[str, object]) -> object:
         # Registration happens at import time of each model module; make the
         # dispatch self-sufficient for callers that deserialize before ever
         # constructing a model.
-        from repro.ml import knn, logistic, naive_bayes  # noqa: F401
+        from repro.ml import knn, logistic  # noqa: F401
 
         cls = _MODEL_KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:

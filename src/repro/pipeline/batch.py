@@ -69,19 +69,13 @@ class PropertyBatch:
 class ClaimBatchPredictions:
     """Predictions for a batch of claims across all four properties.
 
-    ``present`` (optional, claims x properties, aligned with
-    ``by_property`` order) marks which claims actually carry a prediction
-    for each property.  Native batch backends predict every property for
-    every claim, so the mask defaults to all-true; it only matters for
-    batches adapted from per-claim dictionaries where a backend omitted
-    properties for some claims.
+    Every property carries a prediction for every claim of the batch.
     """
 
     def __init__(
         self,
         claim_ids: Sequence[str],
         by_property: Mapping[ClaimProperty, PropertyBatch],
-        present: np.ndarray | None = None,
     ) -> None:
         self.claim_ids = tuple(claim_ids)
         self.by_property = dict(by_property)
@@ -92,12 +86,6 @@ class ClaimBatchPredictions:
                 raise ValueError(
                     f"{claim_property.value}: row count does not match claim_ids"
                 )
-        if present is not None and present.shape != (
-            len(self.claim_ids),
-            len(self.by_property),
-        ):
-            raise ValueError("present mask must be a (claims x properties) matrix")
-        self.present = present
 
     def __len__(self) -> int:
         return len(self.claim_ids)
@@ -131,16 +119,10 @@ class ClaimBatchPredictions:
     # per-claim materialization (selected claims only)
     # ------------------------------------------------------------------ #
     def predictions_at(self, index: int) -> dict[ClaimProperty, Prediction]:
-        """Ranked per-property predictions for the ``index``-th claim.
-
-        Properties the backend never predicted for this claim (possible
-        only in adapted batches) are omitted, exactly as the per-claim
-        ``predict`` would have.
-        """
+        """Ranked per-property predictions for the ``index``-th claim."""
         return {
             claim_property: batch.prediction(index)
-            for column, (claim_property, batch) in enumerate(self.by_property.items())
-            if self.present is None or self.present[index, column]
+            for claim_property, batch in self.by_property.items()
         }
 
     def predictions_for(self, claim_id: str) -> dict[ClaimProperty, Prediction]:
@@ -150,52 +132,3 @@ class ClaimBatchPredictions:
     def as_prediction_dicts(self) -> list[dict[ClaimProperty, Prediction]]:
         """Materialize every claim's ranked predictions, in batch order."""
         return [self.predictions_at(index) for index in range(len(self.claim_ids))]
-
-    @classmethod
-    def from_prediction_dicts(
-        cls,
-        claim_ids: Sequence[str],
-        predictions: Sequence[Mapping[ClaimProperty, Prediction]],
-    ) -> "ClaimBatchPredictions":
-        """Adapt per-claim prediction dicts into the batched representation.
-
-        Compatibility path for translation backends that only implement the
-        single-claim ``predict``: label spaces are unioned per property,
-        with absent labels at probability zero, and the ``present`` mask
-        records which claims actually carried each property so scoring and
-        materialization treat omissions like the per-claim path did.
-        """
-        if len(claim_ids) != len(predictions):
-            raise ValueError("claim_ids and predictions must be aligned")
-        by_property: dict[ClaimProperty, PropertyBatch] = {}
-        properties: list[ClaimProperty] = []
-        for per_claim in predictions:
-            for claim_property in per_claim:
-                if claim_property not in properties:
-                    properties.append(claim_property)
-        present = np.zeros((len(predictions), len(properties)), dtype=bool)
-        for column, claim_property in enumerate(properties):
-            for row, per_claim in enumerate(predictions):
-                present[row, column] = claim_property in per_claim
-        for claim_property in properties:
-            labels: list[str] = []
-            label_index: dict[str, int] = {}
-            for per_claim in predictions:
-                prediction = per_claim.get(claim_property)
-                if prediction is None:
-                    continue
-                for label in prediction.labels:
-                    if label not in label_index:
-                        label_index[label] = len(labels)
-                        labels.append(label)
-            matrix = np.zeros((len(predictions), len(labels)))
-            for row, per_claim in enumerate(predictions):
-                prediction = per_claim.get(claim_property)
-                if prediction is None:
-                    continue
-                for label, probability in zip(prediction.labels, prediction.probabilities):
-                    matrix[row, label_index[label]] = probability
-            by_property[claim_property] = PropertyBatch(
-                labels=tuple(labels), probabilities=matrix
-            )
-        return cls(claim_ids, by_property, present=present if properties else None)

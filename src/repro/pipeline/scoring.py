@@ -23,12 +23,7 @@ __all__ = ["estimate_costs", "estimate_scores", "estimate_utilities"]
 
 
 def estimate_utilities(batch: ClaimBatchPredictions) -> np.ndarray:
-    """Training utility ``u(c)`` for every claim: summed prediction entropy.
-
-    Properties absent for a claim (possible only in adapted batches) are
-    zero-probability rows with entropy 0, so they contribute nothing —
-    exactly like the scalar sum over a partial prediction dict.
-    """
+    """Training utility ``u(c)`` for every claim: summed prediction entropy."""
     return batch.entropy_matrix().sum(axis=1)
 
 
@@ -98,16 +93,6 @@ def estimate_costs(
         screen_costs[:, column] = reading + miss * model.property_suggest_cost
         hit_probabilities[:, column] = np.minimum(1.0, row_sums)
 
-    # Properties a claim has no prediction for (adapted batches only) never
-    # appear in the scalar path's dict: make selecting them a no-op (zero
-    # cost, hit 1) and push them behind every present property.
-    entropy_keys = batch.entropy_matrix()
-    if batch.present is not None:
-        absent = ~batch.present
-        screen_costs[absent] = 0.0
-        hit_probabilities[absent] = 1.0
-        entropy_keys = np.where(absent, -np.inf, entropy_keys)
-
     # Select up to screen_count properties per claim, most uncertain first
     # (stable sort keeps the property order on entropy ties, matching the
     # scalar path).
@@ -115,7 +100,7 @@ def estimate_costs(
     totals = np.zeros(claim_count)
     joint_hit = np.ones(claim_count)
     if width > 0:
-        order = np.argsort(-entropy_keys, axis=1, kind="stable")[:, :width]
+        order = np.argsort(-batch.entropy_matrix(), axis=1, kind="stable")[:, :width]
         totals += np.take_along_axis(screen_costs, order, axis=1).sum(axis=1)
         joint_hit = np.take_along_axis(hit_probabilities, order, axis=1).prod(axis=1)
 

@@ -14,13 +14,10 @@ heuristic when the MILP solver is unavailable or fails.
 constraint entirely.  Any float — including ``0.0`` — is a genuine budget:
 a zero budget with nonzero-cost claims and a positive minimum batch size is
 infeasible and raises :class:`~repro.errors.InfeasibleSelectionError`.
-Because ``0.0`` historically meant "no cap", passing it explicitly emits a
-:class:`DeprecationWarning` pointing callers at ``None``.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -63,8 +60,7 @@ def solve_claim_selection_ilp(
     ``utility_weight`` is ``None`` the objective is pure utility
     maximisation subject to the cost threshold; otherwise the combined
     objective ``t(B) - wu * sum u(c)`` is minimised.  ``cost_threshold=None``
-    disables the cost constraint; ``0.0`` is a genuine zero budget (and
-    deprecated as a way of saying "no cap").
+    disables the cost constraint; ``0.0`` is a genuine zero budget.
     """
     claim_count = len(utilities)
     if claim_count != len(verification_costs) or claim_count != len(claim_sections):
@@ -116,18 +112,11 @@ def solve_claim_selection_ilp(
 
 
 def _check_cost_threshold(cost_threshold: float | None) -> float | None:
-    """Validate the threshold and warn about the deprecated ``0.0`` spelling."""
+    """Validate the threshold (``None`` disables it, ``0.0`` is a zero budget)."""
     if cost_threshold is None:
         return None
     if cost_threshold < 0:
         raise ValueError("cost_threshold must be non-negative (or None)")
-    if cost_threshold == 0.0:
-        warnings.warn(
-            "cost_threshold=0.0 now means a genuine zero budget; pass None to "
-            "disable the cost constraint",
-            DeprecationWarning,
-            stacklevel=3,
-        )
     return float(cost_threshold)
 
 

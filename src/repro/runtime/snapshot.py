@@ -6,9 +6,9 @@ after a crash or restart, as plain JSON:
 
 * the system configuration (so a resume cannot silently run under
   different costs or batching),
-* the session (pending claim order, per-claim verifications, batch
-  records) and the report accumulated so far (including the machine-time
-  accounting of the planner and retrainer),
+* the session's pending claim order and the report accumulated so far
+  (every per-claim verification, and the machine-time accounting of the
+  planner and retrainer),
 * the translation backend via its ``to_state()`` hook — fitted featurizer
   corpus, classifier weights, training examples, vocabulary-refit
   accounting,
@@ -43,8 +43,8 @@ from repro.config import (
     ScrutinizerConfig,
     TranslationConfig,
 )
-from repro.core.report import ClaimVerification, VerificationReport
-from repro.core.session import BatchRecord, VerificationSession
+from repro.core.report import VerificationReport
+from repro.core.session import VerificationSession
 from repro.errors import SerializationError
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import (cycle at runtime)
@@ -59,7 +59,7 @@ __all__ = [
 ]
 
 #: Version stamp of the snapshot JSON layout; bump on breaking changes.
-SNAPSHOT_SCHEMA_VERSION = 2
+SNAPSHOT_SCHEMA_VERSION = 3
 
 
 class _SchemaVersionError(SerializationError):
@@ -116,8 +116,8 @@ class ServiceSnapshot:
     timing_rng_state: dict | None
     #: Per-checker behavioural state (``None`` for checkers without hooks).
     checkers: tuple[dict | None, ...]
-    #: ``{"pending": [...], "verifications": [...], "batches": [...]}`` or
-    #: ``None`` when nothing was ever submitted.
+    #: ``{"pending": [...]}`` or ``None`` when nothing was ever submitted;
+    #: the verified claims are the report's verifications.
     session: dict[str, object] | None
     report: dict[str, object] | None
     translator: dict[str, object] | None
@@ -142,14 +142,7 @@ class ServiceSnapshot:
         """
         session_state: dict[str, object] | None = None
         if service.session is not None:
-            session_state = {
-                "pending": list(service.session.pending_claim_ids),
-                "verifications": [
-                    verification.to_dict()
-                    for verification in service.session.verifications
-                ],
-                "batches": [record.to_dict() for record in service.session.batches],
-            }
+            session_state = {"pending": list(service.session.pending_claim_ids)}
         translator_to_state = getattr(service.translator, "to_state", None)
         checker_states: list[dict | None] = []
         for checker in service.checkers:
@@ -194,13 +187,7 @@ class ServiceSnapshot:
         if self.session is not None:
             session = VerificationSession.from_state(
                 pending=[str(claim_id) for claim_id in self.session["pending"]],
-                verifications=[
-                    ClaimVerification.from_dict(entry)
-                    for entry in self.session["verifications"]
-                ],
-                batches=[
-                    BatchRecord.from_dict(entry) for entry in self.session["batches"]
-                ],
+                verified=self.verdicts,
             )
         report = (
             VerificationReport.from_dict(self.report) if self.report is not None else None
@@ -226,7 +213,7 @@ class ServiceSnapshot:
 
     @property
     def verified_count(self) -> int:
-        return len(self.session["verifications"]) if self.session is not None else 0
+        return len(self.verdicts)
 
     @property
     def is_complete(self) -> bool:
@@ -234,17 +221,16 @@ class ServiceSnapshot:
 
     @property
     def verdicts(self) -> dict[str, bool | None]:
-        """``{claim_id: verdict}`` for every verification in the session.
+        """``{claim_id: verdict}`` for every verification in the report.
 
         The gateway's offline ``replay``/``status`` verbs use this to
         build verdict maps from passivated tenants without rehydrating a
         full service.
         """
-        if self.session is None:
-            return {}
+        entries = self.report["verifications"] if self.report is not None else ()
         return {
             str(entry["claim_id"]): entry.get("verdict")  # type: ignore[union-attr]
-            for entry in self.session["verifications"]  # type: ignore[index]
+            for entry in entries  # type: ignore[union-attr]
         }
 
     # ------------------------------------------------------------------ #

@@ -378,10 +378,7 @@ class VerificationServer:
                 record.known_claims.update(
                     str(claim_id) for claim_id in snapshot.session["pending"]
                 )
-                record.known_claims.update(
-                    str(entry["claim_id"])
-                    for entry in snapshot.session["verifications"]
-                )
+            record.known_claims.update(snapshot.verdicts)
         return record
 
     def adopt_tenants(self) -> tuple[str, ...]:

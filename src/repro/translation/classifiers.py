@@ -28,14 +28,10 @@ from repro.errors import ConfigurationError, NotFittedError, TranslationError
 from repro.ml.base import Prediction
 from repro.ml.knn import KNearestNeighborsClassifier
 from repro.ml.logistic import SoftmaxRegressionClassifier
-from repro.ml.naive_bayes import MultinomialNaiveBayesClassifier
 from repro.ml.state import model_from_state, model_to_state
 from repro.pipeline.batch import ClaimBatchPredictions, PropertyBatch
 from repro.pipeline.feature_store import ClaimFeatureStore
 from repro.translation.preprocess import ClaimPreprocessor
-
-#: Model backends selectable through :attr:`SuiteConfig.model_kind`.
-MODEL_KINDS = ("auto", "softmax", "knn", "naive_bayes")
 
 
 @dataclass(frozen=True)
@@ -58,15 +54,14 @@ class TrainingExample:
 
 @dataclass
 class SuiteConfig:
-    """Model-selection knobs of the classifier suite.
+    """Model-selection and retraining knobs of the classifier suite.
 
-    ``warm_start`` and ``vocabulary_refit_threshold`` mirror the
-    user-facing knobs on :class:`~repro.config.TranslationConfig`;
-    :class:`~repro.translation.translator.ClaimTranslator` copies them
-    from there when no explicit ``SuiteConfig`` is given.  An explicit
-    ``SuiteConfig`` takes full precedence — set these fields on it
-    directly rather than expecting the translation config to shine
-    through.
+    Each property uses k-NN below ``parametric_threshold`` training
+    samples (or with fewer than two labels) and softmax regression above
+    it — the paper's setup.  Softmax retrains continue from the previous
+    weights while the feature generation stays the same.  Pass a
+    ``SuiteConfig`` to :class:`~repro.translation.translator.ClaimTranslator`
+    (``suite_config=``) to change any of these.
     """
 
     #: Below this many training samples the k-NN fallback is used.
@@ -76,22 +71,15 @@ class SuiteConfig:
     epochs: int = 120
     l2: float = 1e-3
     seed: int = 0
-    #: Warm-start softmax retrains from the previous weights.
-    warm_start: bool = True
-    #: Refit the TF-IDF vocabulary after this many accumulated unseen
-    #: n-grams (0 disables; see ``TranslationConfig``).
+    #: Refit the TF-IDF vocabulary once this many distinct n-grams unseen
+    #: at featurizer-fit time have accumulated in the training examples;
+    #: the refit bumps the feature-store generation, discarding cached
+    #: vectors and the softmax weights.  0 disables vocabulary refits.
     vocabulary_refit_threshold: int = 200
-    #: Which model backend to use: ``"auto"`` picks softmax above the
-    #: parametric threshold and k-NN below it (the paper's setup), while
-    #: ``"softmax"``, ``"knn"`` and ``"naive_bayes"`` force one backend for
-    #: every property regardless of training-set size.
-    model_kind: str = "auto"
 
     def __post_init__(self) -> None:
-        if self.model_kind not in MODEL_KINDS:
-            raise ConfigurationError(
-                f"model_kind must be one of {MODEL_KINDS}, got {self.model_kind!r}"
-            )
+        if self.vocabulary_refit_threshold < 0:
+            raise ConfigurationError("vocabulary_refit_threshold must be non-negative")
 
 
 class PropertyClassifierSuite:
@@ -181,7 +169,7 @@ class PropertyClassifierSuite:
         self._maybe_refit_vocabulary()
         features = self._store.matrix([example.claim for example in self._examples])
         generation = self._store.generation
-        warm_eligible = self._config.warm_start and generation == self._models_generation
+        warm_eligible = generation == self._models_generation
         for claim_property in ClaimProperty.ordered():
             labels = [example.labels[claim_property] for example in self._examples]
             model = self._resolve_model(
@@ -219,34 +207,23 @@ class PropertyClassifierSuite:
         self._unseen_terms = set()
 
     def _resolve_model(self, previous: object | None, sample_count: int, class_count: int):
-        """Pick the model for one property, continuing a warm fit if possible."""
-        wants_softmax = self._config.model_kind == "softmax" or (
-            self._config.model_kind == "auto"
-            and sample_count >= self._config.parametric_threshold
-            and class_count >= 2
-        )
-        if wants_softmax and isinstance(previous, SoftmaxRegressionClassifier):
-            return previous
-        return self._make_model(sample_count, class_count)
+        """Pick the model for one property, continuing a warm fit if possible.
 
-    def _make_model(self, sample_count: int, class_count: int):
-        kind = self._config.model_kind
-        if kind == "auto":
-            kind = (
-                "knn"
-                if sample_count < self._config.parametric_threshold or class_count < 2
-                else "softmax"
-            )
-        if kind == "knn":
-            return KNearestNeighborsClassifier(k=min(self._config.knn_neighbors, sample_count))
-        if kind == "naive_bayes":
-            return MultinomialNaiveBayesClassifier()
+        k-NN below the parametric threshold or with fewer than two labels;
+        otherwise ``previous`` when it is a softmax on the current feature
+        generation (its next ``fit`` continues from its weights), else a
+        new softmax.
+        """
+        config = self._config
+        if sample_count < config.parametric_threshold or class_count < 2:
+            return KNearestNeighborsClassifier(k=min(config.knn_neighbors, sample_count))
+        if isinstance(previous, SoftmaxRegressionClassifier):
+            return previous
         return SoftmaxRegressionClassifier(
-            learning_rate=self._config.learning_rate,
-            epochs=self._config.epochs,
-            l2=self._config.l2,
-            seed=self._config.seed,
-            warm_start=self._config.warm_start,
+            learning_rate=config.learning_rate,
+            epochs=config.epochs,
+            l2=config.l2,
+            seed=config.seed,
         )
 
     # ------------------------------------------------------------------ #

@@ -57,11 +57,6 @@ class ClaimTranslator:
         self.config = config if config is not None else TranslationConfig()
         self._database = database
         self._preprocessor = preprocessor if preprocessor is not None else ClaimPreprocessor()
-        if suite_config is None:
-            suite_config = SuiteConfig(
-                warm_start=self.config.warm_start,
-                vocabulary_refit_threshold=self.config.vocabulary_refit_threshold,
-            )
         self._suite = PropertyClassifierSuite(self._preprocessor, suite_config)
         self._key_attribute = key_attribute
         self._generator = QueryGenerator(

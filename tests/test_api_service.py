@@ -308,7 +308,6 @@ class TestStreamingService:
                 service.run_batch()
             assert outcome.value.constraint == "cost_threshold"
             assert service.batches_run == 0
-        assert service.session.batches == ()
         assert service.report.claim_count == 0
         assert service.pending_count == 10
         assert service.snapshot().batch_index == 0

@@ -9,7 +9,7 @@ from repro.config import BatchingConfig, ScrutinizerConfig
 from repro.core.baselines import SYSTEM_PROFILES, ManualBaseline
 from repro.core.report import ClaimVerification, VerificationReport, seconds_to_weeks
 from repro.core.scrutinizer import Scrutinizer
-from repro.core.session import BatchRecord, VerificationSession
+from repro.core.session import VerificationSession
 from repro.errors import ConfigurationError, SimulationError
 from repro.formulas.parser import parse_formula
 from repro.sqlengine.executor import QueryExecutor
@@ -168,19 +168,18 @@ class TestVerificationSession:
     def test_lifecycle(self):
         session = VerificationSession(["c1", "c2"])
         assert session.pending_count == 2
-        session.mark_verified(ClaimVerification("c1", True, None, 1.0))
+        session.mark_verified("c1")
         assert session.pending_count == 1
         assert not session.is_complete
-        session.mark_verified(ClaimVerification("c2", True, None, 1.0))
+        session.mark_verified("c2")
         assert session.is_complete
-        session.record_batch(BatchRecord(1, ("c1", "c2"), 2.0))
-        assert session.batches[0].batch_size == 2
+        assert session.verified_count == 2
 
     def test_double_verification_rejected(self):
         session = VerificationSession(["c1"])
-        session.mark_verified(ClaimVerification("c1", True, None, 1.0))
+        session.mark_verified("c1")
         with pytest.raises(SimulationError):
-            session.mark_verified(ClaimVerification("c1", True, None, 1.0))
+            session.mark_verified("c1")
 
     def test_empty_session_rejected(self):
         with pytest.raises(SimulationError):
@@ -216,7 +215,7 @@ class TestScrutinizerSystem:
     def test_batches_recorded(self, small_run):
         system, _ = small_run
         assert system.last_session is not None
-        assert len(system.last_session.batches) >= 3
+        assert system.service.batches_run >= 3
 
     def test_verdicts_mostly_match_ground_truth(self, small_run, small_corpus):
         _, report = small_run

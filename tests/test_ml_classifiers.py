@@ -1,4 +1,4 @@
-"""Tests for the ML substrate: encoders, classifiers, metrics, active learning."""
+"""Tests for the ML substrate: encoders, classifiers and metrics."""
 
 from __future__ import annotations
 
@@ -7,13 +7,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import NotFittedError
-from repro.ml.active import UncertaintySampler, training_utility
 from repro.ml.base import Prediction
 from repro.ml.encoding import LabelEncoder
 from repro.ml.knn import KNearestNeighborsClassifier
 from repro.ml.logistic import SoftmaxRegressionClassifier
 from repro.ml.metrics import accuracy, entropy, top_k_accuracy, top_k_curve
-from repro.ml.naive_bayes import MultinomialNaiveBayesClassifier
 
 
 def _blobs(seed: int = 0, samples_per_class: int = 30, dimension: int = 10):
@@ -78,10 +76,9 @@ class TestPrediction:
     "model_factory",
     [
         lambda: SoftmaxRegressionClassifier(epochs=200, learning_rate=0.5),
-        lambda: MultinomialNaiveBayesClassifier(),
         lambda: KNearestNeighborsClassifier(k=3),
     ],
-    ids=["softmax", "naive-bayes", "knn"],
+    ids=["softmax", "knn"],
 )
 class TestClassifiersOnBlobs:
     def test_high_training_accuracy(self, model_factory):
@@ -166,24 +163,3 @@ class TestMetrics:
     def test_entropy_bounded_by_log_n(self, weights):
         assert entropy(weights) <= np.log(len(weights)) + 1e-9
 
-
-class TestActiveLearning:
-    def test_training_utility_sums_entropies(self):
-        predictions = {
-            "relation": Prediction.from_distribution(["a", "b"], [0.5, 0.5]),
-            "key": Prediction.from_distribution(["x"], [1.0]),
-        }
-        assert training_utility(predictions) == pytest.approx(np.log(2))
-
-    def test_sampler_ranks_by_utility(self):
-        sampler = UncertaintySampler()
-        ranked = sampler.rank([0.1, 0.9, 0.5], identifiers=["a", "b", "c"])
-        assert ranked == ["b", "c", "a"]
-
-    def test_sampler_select_count(self):
-        sampler = UncertaintySampler()
-        assert sampler.select([0.1, 0.9, 0.5], count=2) == [1, 2]
-
-    def test_mismatched_identifiers_rejected(self):
-        with pytest.raises(ValueError):
-            UncertaintySampler().rank([0.1], identifiers=["a", "b"])

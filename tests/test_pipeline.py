@@ -15,12 +15,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.api.builder import ScrutinizerBuilder
 from repro.claims.model import Claim, ClaimProperty
-from repro.config import BatchingConfig, ScrutinizerConfig, TranslationConfig
+from repro.config import BatchingConfig, ScrutinizerConfig
 from repro.crowd.worker import CheckerResponse
+from repro.errors import ConfigurationError
 from repro.ml.knn import KNearestNeighborsClassifier
 from repro.ml.logistic import SoftmaxRegressionClassifier
-from repro.ml.naive_bayes import MultinomialNaiveBayesClassifier
-from repro.pipeline.batch import ClaimBatchPredictions
 from repro.pipeline.feature_store import ClaimFeatureStore
 from repro.planning.planner import QuestionPlanner
 from repro.translation.classifiers import (
@@ -287,16 +286,6 @@ class TestBatchSingleEquivalence:
             np.testing.assert_array_equal(row, repeated[0])
         np.testing.assert_array_equal(repeated[0], model.predict_proba(query))
 
-    def test_naive_bayes_batch_matches_single(self):
-        features, labels = _blobs(seed=3, samples_per_class=10)
-        model = MultinomialNaiveBayesClassifier().fit(features, labels)
-        stacked = model.predict_proba_batch(features[:7])
-        for index in range(7):
-            prediction = model.predict(features[index])
-            np.testing.assert_allclose(
-                sorted(stacked[index]), sorted(prediction.probabilities), rtol=1e-12
-            )
-
     def _suite(self, parametric_threshold: int):
         examples = _examples(16)
         preprocessor = ClaimPreprocessor().fit([example.claim for example in examples])
@@ -339,7 +328,7 @@ class TestBatchSingleEquivalence:
 class TestWarmStart:
     def test_softmax_warm_start_keeps_label_indices_and_adds_classes(self):
         features, labels = _blobs(seed=1)
-        model = SoftmaxRegressionClassifier(epochs=30, warm_start=True)
+        model = SoftmaxRegressionClassifier(epochs=30)
         model.fit(features, labels)
         first_classes = model.classes
         rng = np.random.default_rng(5)
@@ -356,7 +345,7 @@ class TestWarmStart:
 
     def test_warm_start_converges_from_previous_weights(self):
         features, labels = _blobs(seed=2)
-        warm = SoftmaxRegressionClassifier(epochs=30, warm_start=True)
+        warm = SoftmaxRegressionClassifier(epochs=30)
         warm.fit(features, labels)
         first_weights = warm._weights.copy()
         warm.fit(features, labels)
@@ -367,7 +356,7 @@ class TestWarmStart:
 
     def test_cold_restart_on_feature_dimension_change(self):
         features, labels = _blobs(seed=3)
-        model = SoftmaxRegressionClassifier(epochs=10, warm_start=True)
+        model = SoftmaxRegressionClassifier(epochs=10)
         model.fit(features, labels)
         narrower = features[:, :5]
         model.fit(narrower, labels)
@@ -378,26 +367,13 @@ class TestWarmStart:
         preprocessor = ClaimPreprocessor().fit([example.claim for example in examples])
         suite = PropertyClassifierSuite(
             preprocessor,
-            SuiteConfig(parametric_threshold=1, warm_start=True, epochs=20),
+            SuiteConfig(parametric_threshold=1, epochs=20),
         )
         suite.fit(examples)
         first_models = dict(suite._models)
         suite.retrain(_examples(2, offset=100))
         for claim_property in ClaimProperty.ordered():
             assert suite._models[claim_property] is first_models[claim_property]
-
-    def test_suite_cold_starts_without_warm_start(self):
-        examples = _examples(16)
-        preprocessor = ClaimPreprocessor().fit([example.claim for example in examples])
-        suite = PropertyClassifierSuite(
-            preprocessor,
-            SuiteConfig(parametric_threshold=1, warm_start=False, epochs=20),
-        )
-        suite.fit(examples)
-        first_models = dict(suite._models)
-        suite.retrain(_examples(2, offset=100))
-        for claim_property in ClaimProperty.ordered():
-            assert suite._models[claim_property] is not first_models[claim_property]
 
 
 class TestVocabularyRefit:
@@ -465,18 +441,6 @@ class TestVocabularyRefit:
         suite.retrain(_examples(4, offset=200))
         assert suite.feature_generation == generation
 
-    def test_translation_config_knobs_flow_into_the_suite(self):
-        config = TranslationConfig(warm_start=False, vocabulary_refit_threshold=7)
-        from repro.dataset.database import Database
-        from repro.dataset.relation import Relation
-        from repro.translation.translator import ClaimTranslator
-
-        relation = Relation(name="R", key_attribute="Index", attributes=["2016"])
-        relation.insert({"Index": "k", "2016": 1})
-        translator = ClaimTranslator(Database([relation]), config=config)
-        assert translator.suite._config.warm_start is False
-        assert translator.suite._config.vocabulary_refit_threshold == 7
-
 
 # --------------------------------------------------------------------- #
 # vectorized batch scoring
@@ -505,47 +469,6 @@ class TestVectorizedScoring:
         vectorized = planner.estimate_utilities_batch(batch)
         scalar = [planner.estimate_utility(predictions) for predictions in dicts]
         np.testing.assert_allclose(vectorized, scalar, rtol=1e-9)
-
-    def test_from_prediction_dicts_round_trip(self):
-        _, dicts = self._batch_and_dicts()
-        adapted = ClaimBatchPredictions.from_prediction_dicts(
-            [f"q{index}" for index in range(len(dicts))], dicts
-        )
-        rebuilt = adapted.as_prediction_dicts()
-        for original, restored in zip(dicts, rebuilt):
-            for claim_property, prediction in original.items():
-                assert restored[claim_property].labels == prediction.labels
-                np.testing.assert_allclose(
-                    restored[claim_property].probabilities,
-                    prediction.probabilities,
-                    rtol=1e-12,
-                )
-
-    def test_partial_prediction_dicts_score_like_the_scalar_path(self):
-        # A legacy backend may omit properties for some claims; the adapted
-        # batch must omit them from materialization and score them exactly
-        # as the scalar path scores a partial dict.
-        _, dicts = self._batch_and_dicts()
-        partial = [dict(predictions) for predictions in dicts]
-        del partial[0][ClaimProperty.FORMULA]
-        del partial[1][ClaimProperty.FORMULA]
-        del partial[1][ClaimProperty.KEY]
-        partial[2] = {}
-        adapted = ClaimBatchPredictions.from_prediction_dicts(
-            [f"q{index}" for index in range(len(partial))], partial
-        )
-        assert set(adapted.predictions_at(0)) == set(partial[0])
-        assert set(adapted.predictions_at(1)) == set(partial[1])
-        assert adapted.predictions_at(2) == {}
-        planner = QuestionPlanner(ScrutinizerConfig())
-        vectorized = planner.estimate_costs_batch(adapted)
-        scalar = [planner.estimate_cost(predictions) for predictions in partial]
-        np.testing.assert_allclose(vectorized, scalar, rtol=1e-9)
-        utilities = planner.estimate_utilities_batch(adapted)
-        scalar_utilities = [
-            planner.estimate_utility(predictions) for predictions in partial
-        ]
-        np.testing.assert_allclose(utilities, scalar_utilities, rtol=1e-9)
 
     def test_refit_with_deduplicates_absorbed_texts(self):
         examples = _examples()
@@ -626,56 +549,37 @@ class TestServiceBatchFrontDoor:
         assert batch.claim_ids == tuple(pending)
         assert len(service._batch_candidates(pending, batch)) == len(pending)
 
-    def test_backend_without_predict_many_still_works(self, small_corpus):
+    def test_backend_without_predict_many_is_refused(self, small_corpus):
         class LegacyBackend:
-            """A TranslationBackend predating predict_many."""
-
-            def __init__(self, inner) -> None:
-                self._inner = inner
+            """Every TranslationBackend member except predict_many."""
 
             @property
             def is_trained(self):
-                return self._inner.is_trained
+                return False
 
             def bootstrap(self, claims, truths=None, fit_features_only=False):
-                return self._inner.bootstrap(claims, truths, fit_features_only)
+                return self
 
             def retrain(self, claims, truths):
-                return self._inner.retrain(claims, truths)
+                return None
 
             def predict(self, claim):
-                return self._inner.predict(claim)
+                return {}
 
             def translate(self, claim, validated_context=None):
-                return self._inner.translate(claim, validated_context)
+                raise AssertionError("never reached")
 
             def evaluate_accuracy(self, claims, truths, top_k=1):
-                return self._inner.evaluate_accuracy(claims, truths, top_k)
+                return {}
 
-        from repro.api.protocols import BatchTranslationBackend, TranslationBackend
-        from repro.translation.translator import ClaimTranslator
-
-        inner = ClaimTranslator(small_corpus.database)
-        claims = [annotated.claim for annotated in small_corpus]
-        truths = [annotated.ground_truth for annotated in small_corpus]
-        inner.bootstrap(claims, truths)
-        legacy = LegacyBackend(inner)
-        # A backend predating predict_many still conforms to the base
-        # protocol; the batch extension is what it lacks.
-        assert isinstance(legacy, TranslationBackend)
-        assert not isinstance(legacy, BatchTranslationBackend)
-        assert isinstance(inner, BatchTranslationBackend)
-        service = (
+        builder = (
             ScrutinizerBuilder(small_corpus)
             .with_config(_config())
-            .with_translator(legacy)
+            .with_translator(LegacyBackend())
             .with_checkers([_ConstantChecker(small_corpus)])
-            .build_service()
         )
-        service.submit(list(small_corpus.claim_ids)[:8])
-        result = service.run_batch()
-        assert result is not None
-        assert result.batch_size > 0
+        with pytest.raises(ConfigurationError, match="predict_many"):
+            builder.build_service()
 
     def test_retrain_seconds_counted_once(self, small_corpus):
         service = (

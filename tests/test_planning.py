@@ -279,31 +279,29 @@ class TestIlp:
             solve_claim_selection_ilp([1.0], [1.0, 2.0], [0], [1.0], 1, 1)
 
     def test_zero_budget_with_costly_claims_is_infeasible(self):
-        """A genuine zero budget is now expressible — and infeasible here."""
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(InfeasibleSelectionError) as outcome:
-                solve_claim_selection_ilp(
-                    utilities=[1.0, 2.0],
-                    verification_costs=[10.0, 10.0],
-                    claim_sections=[0, 1],
-                    section_read_costs=[5.0, 5.0],
-                    min_batch_size=1,
-                    max_batch_size=2,
-                    cost_threshold=0.0,
-                )
-        assert outcome.value.constraint == "cost_threshold"
-
-    def test_zero_budget_selects_free_claims(self):
-        with pytest.warns(DeprecationWarning):
-            solution = solve_claim_selection_ilp(
+        """A genuine zero budget is expressible — and infeasible here."""
+        with pytest.raises(InfeasibleSelectionError) as outcome:
+            solve_claim_selection_ilp(
                 utilities=[1.0, 2.0],
-                verification_costs=[0.0, 10.0],
+                verification_costs=[10.0, 10.0],
                 claim_sections=[0, 1],
-                section_read_costs=[0.0, 5.0],
+                section_read_costs=[5.0, 5.0],
                 min_batch_size=1,
                 max_batch_size=2,
                 cost_threshold=0.0,
             )
+        assert outcome.value.constraint == "cost_threshold"
+
+    def test_zero_budget_selects_free_claims(self):
+        solution = solve_claim_selection_ilp(
+            utilities=[1.0, 2.0],
+            verification_costs=[0.0, 10.0],
+            claim_sections=[0, 1],
+            section_read_costs=[0.0, 5.0],
+            min_batch_size=1,
+            max_batch_size=2,
+            cost_threshold=0.0,
+        )
         assert solution.selected_indices == (0,)
 
     def test_none_cost_threshold_disables_the_cap(self):
@@ -443,15 +441,14 @@ class TestBatchSelection:
         )
         assert selection.batch_size == 3
 
-    def test_config_zero_threshold_shim_warns_and_disables(self):
-        with pytest.warns(DeprecationWarning):
-            config = BatchingConfig(cost_threshold=0.0)
-        assert config.cost_threshold is None
-        selection = select_claim_batch(
-            self._candidates(), {"sec1": 30.0, "sec2": 30.0}, config=config
-        )
-        # Legacy semantics preserved: no cap, batch pinned to the pool size.
-        assert selection.batch_size == 3
+    def test_config_zero_threshold_is_a_zero_budget(self):
+        config = BatchingConfig(cost_threshold=0.0)
+        assert config.cost_threshold == 0.0
+        with pytest.raises(InfeasibleSelectionError) as outcome:
+            select_claim_batch(
+                self._candidates(), {"sec1": 30.0, "sec2": 30.0}, config=config
+            )
+        assert outcome.value.constraint == "cost_threshold"
 
 
 class TestQuestionPlanner:

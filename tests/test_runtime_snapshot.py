@@ -3,8 +3,8 @@
 The core guarantee under test: a run interrupted at any batch boundary and
 resumed from its snapshot behaves *byte-identically* to an uninterrupted
 run — same batch selections, same predictions, same verdicts, same
-simulated seconds.  The property test exercises that across all three
-classifier backends and several interruption points.
+simulated seconds.  The property test exercises that across both
+classifier backends (softmax and k-NN) and several interruption points.
 """
 
 from __future__ import annotations
@@ -17,11 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api.builder import ScrutinizerBuilder
-from repro.config import BatchingConfig, ScrutinizerConfig, TranslationConfig
+from repro.config import BatchingConfig, ScrutinizerConfig
 from repro.errors import SerializationError
 from repro.ml import (
     KNearestNeighborsClassifier,
-    MultinomialNaiveBayesClassifier,
     SoftmaxRegressionClassifier,
     model_from_state,
 )
@@ -39,7 +38,11 @@ from repro.translation.classifiers import SuiteConfig
 from repro.translation.preprocess import ClaimPreprocessor
 from repro.translation.translator import ClaimTranslator
 
-BACKENDS = ("softmax", "knn", "naive_bayes")
+BACKENDS = ("softmax", "knn")
+
+#: The ``parametric_threshold`` that pins each backend from the first fit:
+#: softmax at once, k-NN for good, or the default auto rule (40 examples).
+PARAMETRIC_THRESHOLDS = {"softmax": 1, "knn": 10**9, "auto": 40}
 
 
 @pytest.fixture(scope="module")
@@ -60,13 +63,12 @@ def runtime_corpus():
 def _service_config() -> ScrutinizerConfig:
     return ScrutinizerConfig(
         batching=BatchingConfig(min_batch_size=1, max_batch_size=10),
-        translation=TranslationConfig(vocabulary_refit_threshold=50),
         seed=19,
     )
 
 
 def _make_service(corpus, backend: str):
-    """A service whose translator is warm-started on a forced backend."""
+    """A service whose translator is warm-started on a pinned backend."""
     config = _service_config()
     translator = ClaimTranslator(
         corpus.database,
@@ -74,7 +76,10 @@ def _make_service(corpus, backend: str):
         preprocessor=ClaimPreprocessor(
             ClaimFeaturizer(FeaturizerConfig(word_max_features=150, char_max_features=150))
         ),
-        suite_config=SuiteConfig(model_kind=backend, vocabulary_refit_threshold=50),
+        suite_config=SuiteConfig(
+            parametric_threshold=PARAMETRIC_THRESHOLDS[backend],
+            vocabulary_refit_threshold=50,
+        ),
     )
     claims = [annotated.claim for annotated in corpus]
     truths = [annotated.ground_truth for annotated in corpus]
@@ -102,12 +107,8 @@ TRAINING_LAYOUTS = (
 @pytest.mark.parametrize(
     "make_model",
     [
-        pytest.param(
-            lambda: SoftmaxRegressionClassifier(warm_start=True),
-            id="SoftmaxRegressionClassifier",
-        ),
+        pytest.param(SoftmaxRegressionClassifier, id="SoftmaxRegressionClassifier"),
         pytest.param(KNearestNeighborsClassifier, id="KNearestNeighborsClassifier"),
-        pytest.param(MultinomialNaiveBayesClassifier, id="MultinomialNaiveBayesClassifier"),
     ],
 )
 def test_model_state_round_trip_is_byte_identical(make_model):

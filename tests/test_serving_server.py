@@ -472,7 +472,11 @@ def test_snapshot_from_another_schema_version_fails_restart(
     serving_corpus, tmp_path, capsys
 ):
     """A restart must not skip a tenant snapshot it cannot read: replaying
-    the journal into a cold session would overwrite it at passivation."""
+    the journal into a cold session would overwrite it at passivation.
+
+    Version 2 is the retired format whose session repeated the report's
+    verifications; the next version is one this build predates.
+    """
     first = VerificationServer(
         serving_corpus, _config(), executor="serial", snapshot_dir=tmp_path
     )
@@ -481,24 +485,24 @@ def test_snapshot_from_another_schema_version_fails_restart(
     first.close()
     store = SnapshotStore(tmp_path)
     path = store.path("t0")
-    payload = json.loads(path.read_text())
-    payload["schema_version"] = SNAPSHOT_SCHEMA_VERSION + 1
-    path.write_text(json.dumps(payload))
-    names_both = (
-        rf"{path.name}.*version {SNAPSHOT_SCHEMA_VERSION + 1} "
-        rf"\(expected {SNAPSHOT_SCHEMA_VERSION}\)"
-    )
+    written = path.read_text()
+    for version in (2, SNAPSHOT_SCHEMA_VERSION + 1):
+        payload = json.loads(written)
+        payload["schema_version"] = version
+        path.write_text(json.dumps(payload))
+        names_both = rf"{path.name}.*version {version} \(expected {SNAPSHOT_SCHEMA_VERSION}\)"
 
-    with pytest.raises(SerializationError, match=names_both):
-        store.items()
-    second = VerificationServer(
-        serving_corpus, _config(), executor="serial", snapshot_dir=tmp_path
-    )
-    with pytest.raises(SerializationError, match=names_both):
-        second.adopt_tenants()
-    second.close()
-    assert serving_main(["status", "--snapshot-dir", str(tmp_path)], out=io.StringIO()) == 1
-    assert path.name in capsys.readouterr().err
+        with pytest.raises(SerializationError, match=names_both):
+            store.items()
+        second = VerificationServer(
+            serving_corpus, _config(), executor="serial", snapshot_dir=tmp_path
+        )
+        with pytest.raises(SerializationError, match=names_both):
+            second.adopt_tenants()
+        second.close()
+        status = serving_main(["status", "--snapshot-dir", str(tmp_path)], out=io.StringIO())
+        assert status == 1
+        assert path.name in capsys.readouterr().err
 
 
 def test_snapshot_carrying_store_manifest_fails_restart(serving_corpus, tmp_path):
