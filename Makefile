@@ -74,11 +74,9 @@ lint:
 
 # Project-specific invariant checks (reprolint): RNG discipline, snapshot
 # coverage, lock discipline, layering, error taxonomy and output/wall-clock
-# hygiene.  Pure stdlib — always runs.  Pre-existing violations are
-# grandfathered in reprolint.baseline.json; new violations fail, and so
-# do stale entries (--strict-baseline), so the baseline can only shrink.
+# hygiene.  Pure stdlib — always runs.  Any violation fails.
 lint-invariants:
-	$(PYTHON) -m repro.analysis src/repro --strict-baseline
+	$(PYTHON) -m repro.analysis src/repro
 
 # Static types for the strict-checked foundations (see mypy.ini).  Skipped
 # with a notice when mypy is absent locally; CI installs it from

@@ -14,8 +14,9 @@ Run it with ``python -m repro.analysis [paths]`` (see
     index = build_index([Path("src/repro")])
     violations = run_rules(index, default_rules())
 
-Pre-existing violations are grandfathered in ``reprolint.baseline.json``
-(:mod:`repro.analysis.baseline`); only new violations fail the build.
+Every violation fails the build.  A justified exception is silenced in
+place by a suppression comment that says why; :mod:`repro.analysis.core`
+describes the syntax.
 
 Layering contract: layer 2 of the enforced import DAG (peer of
 ``dataset``/``ml``/``text``) — may import only ``errors``, ``config`` and
@@ -25,7 +26,6 @@ very package; see ``docs/architecture.md``.
 
 from __future__ import annotations
 
-from repro.analysis.baseline import Baseline, BaselineEntry, MatchResult
 from repro.analysis.core import (
     Module,
     ProjectIndex,
@@ -37,9 +37,6 @@ from repro.analysis.core import (
 from repro.analysis.rules import default_rules
 
 __all__ = [
-    "Baseline",
-    "BaselineEntry",
-    "MatchResult",
     "Module",
     "ProjectIndex",
     "Rule",

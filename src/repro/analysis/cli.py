@@ -2,12 +2,9 @@
 
 Exit codes:
 
-* ``0`` — no violations outside the baseline (stale baseline entries are
-  reported but tolerated unless ``--strict-baseline``);
-* ``1`` — new violations found;
-* ``2`` — usage or configuration error (bad path, unknown rule,
-  unreadable baseline);
-* ``3`` — ``--strict-baseline`` and the baseline contains stale entries.
+* ``0`` — no violations;
+* ``1`` — violations found;
+* ``2`` — usage or configuration error (bad path, unknown rule).
 
 ``main`` takes ``argv`` and an output stream so tests drive it
 in-process; only ``__main__`` touches ``sys.argv`` and ``sys.exit``.
@@ -22,7 +19,6 @@ from collections import Counter
 from pathlib import Path
 from typing import IO
 
-from repro.analysis.baseline import Baseline, MatchResult
 from repro.analysis.core import Rule, Violation, build_index, run_rules
 from repro.analysis.rules import default_rules
 from repro.errors import ConfigurationError
@@ -32,7 +28,6 @@ __all__ = ["main"]
 EXIT_CLEAN = 0
 EXIT_VIOLATIONS = 1
 EXIT_USAGE = 2
-EXIT_STALE_BASELINE = 3
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -48,28 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
         nargs="*",
         default=["src/repro"],
         help="files or directories to scan (default: src/repro)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default="reprolint.baseline.json",
-        help="baseline file of grandfathered violations "
-        "(default: reprolint.baseline.json)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the baseline file: report every violation as new",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write all current violations to the baseline file and exit 0",
-    )
-    parser.add_argument(
-        "--strict-baseline",
-        action="store_true",
-        help="exit 3 if any baseline entry no longer matches a violation "
-        "(stale-entry check; make lint-invariants uses it)",
     )
     parser.add_argument(
         "--format",
@@ -111,37 +84,20 @@ def _select_rules(spec: str | None) -> list[Rule]:
 
 
 def _render_text(
-    result: MatchResult, *, module_count: int, rules: list[Rule], out: IO[str]
+    violations: list[Violation], *, module_count: int, rules: list[Rule], out: IO[str]
 ) -> None:
-    for violation in result.new:
+    for violation in violations:
         out.write(violation.render() + "\n")
-    if result.stale:
-        out.write("\n")
-        for entry in result.stale:
-            out.write(
-                f"stale baseline entry: {entry.path} [{entry.rule}] "
-                f"{entry.key} no longer matches any violation — remove it "
-                "from the baseline\n"
-            )
-    new_by_rule = Counter(violation.rule for violation in result.new)
-    baselined_by_rule = Counter(violation.rule for violation in result.baselined)
+    by_rule = Counter(violation.rule for violation in violations)
     width = max((len(rule.rule_id) for rule in rules), default=0)
     out.write("\nper-rule violations:\n")
     for rule in rules:
-        out.write(
-            f"  {rule.rule_id:<{width}}  "
-            f"{new_by_rule.get(rule.rule_id, 0):>3} new  "
-            f"{baselined_by_rule.get(rule.rule_id, 0):>3} baselined\n"
-        )
-    summary = ", ".join(
-        f"{rule}: {count}" for rule, count in sorted(new_by_rule.items())
-    )
+        out.write(f"  {rule.rule_id:<{width}}  {by_rule.get(rule.rule_id, 0):>3}\n")
+    summary = ", ".join(f"{rule}: {count}" for rule, count in sorted(by_rule.items()))
     out.write(
-        f"\nreprolint: {len(result.new)} new violation(s)"
+        f"\nreprolint: {len(violations)} violation(s)"
         + (f" ({summary})" if summary else "")
-        + f", {len(result.baselined)} baselined, {len(result.stale)} stale "
-        f"baseline entr{'y' if len(result.stale) == 1 else 'ies'} — "
-        f"{module_count} modules, {len(rules)} rules\n"
+        + f" — {module_count} modules, {len(rules)} rules\n"
     )
 
 
@@ -156,23 +112,16 @@ def _violation_payload(violation: Violation) -> dict[str, object]:
 
 
 def _render_json(
-    result: MatchResult, *, module_count: int, rule_count: int, out: IO[str]
+    violations: list[Violation], *, module_count: int, rule_count: int, out: IO[str]
 ) -> None:
     payload = {
-        "schema_version": 1,
+        "schema_version": 2,
         "summary": {
-            "new": len(result.new),
-            "baselined": len(result.baselined),
-            "stale_baseline_entries": len(result.stale),
+            "violations": len(violations),
             "modules": module_count,
             "rules": rule_count,
         },
-        "violations": [_violation_payload(v) for v in result.new],
-        "baselined": [_violation_payload(v) for v in result.baselined],
-        "stale_baseline_entries": [
-            {"rule": entry.rule, "path": entry.path, "key": entry.key}
-            for entry in result.stale
-        ],
+        "violations": [_violation_payload(v) for v in violations],
     }
     json.dump(payload, out, indent=2)
     out.write("\n")
@@ -208,34 +157,11 @@ def main(argv: list[str] | None = None, out: IO[str] | None = None) -> int:
         out.write(f"error: {error}\n")
         return EXIT_USAGE
 
-    baseline_path = Path(args.baseline)
-    if args.write_baseline:
-        Baseline.from_violations(violations).save(baseline_path)
-        out.write(
-            f"wrote {len(violations)} entr"
-            f"{'y' if len(violations) == 1 else 'ies'} to {baseline_path}\n"
-        )
-        return EXIT_CLEAN
-
-    if not args.no_baseline and baseline_path.exists():
-        try:
-            baseline = Baseline.load(baseline_path)
-        except ConfigurationError as error:
-            out.write(f"error: {error}\n")
-            return EXIT_USAGE
-    else:
-        baseline = Baseline()
-    result = baseline.match(violations)
-
     if args.json or args.format == "json":
         _render_json(
-            result, module_count=len(index), rule_count=len(rules), out=out
+            violations, module_count=len(index), rule_count=len(rules), out=out
         )
     else:
-        _render_text(result, module_count=len(index), rules=rules, out=out)
+        _render_text(violations, module_count=len(index), rules=rules, out=out)
 
-    if result.new:
-        return EXIT_VIOLATIONS
-    if result.stale and args.strict_baseline:
-        return EXIT_STALE_BASELINE
-    return EXIT_CLEAN
+    return EXIT_VIOLATIONS if violations else EXIT_CLEAN

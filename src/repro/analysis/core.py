@@ -8,8 +8,7 @@ such as the import DAG or the snapshot-hook cross-check.
 
 Rules report :class:`Violation` values.  Every violation carries a stable
 ``key`` that survives line drift (it names the rule, the symbol and the
-offence, not the line number), which is what the baseline file matches
-against — see :mod:`repro.analysis.baseline`.
+offence, not the line number), so a report can be compared across edits.
 
 Suppression: a trailing ``# reprolint: ignore`` comment silences every
 rule on that line; ``# reprolint: ignore[rule-id, other-id]`` silences
@@ -49,9 +48,9 @@ class Violation:
     path: str
     line: int
     message: str
-    #: Line-drift-stable identity used for baseline matching: it names the
-    #: offending symbol and offence, never the line number.  Duplicate keys
-    #: within one file are disambiguated by the runner (``#2``, ``#3``...).
+    #: Line-drift-stable identity: it names the offending symbol and
+    #: offence, never the line number.  Duplicate keys within one file are
+    #: disambiguated by the runner (``#2``, ``#3``...).
     key: str
 
     def render(self) -> str:
@@ -157,9 +156,8 @@ def _module_name(file_path: Path, scan_root: Path) -> str:
 def build_index(paths: Sequence[Path], project_root: Path | None = None) -> ProjectIndex:
     """Parse every ``*.py`` file under ``paths`` into a :class:`ProjectIndex`.
 
-    ``project_root`` anchors the relative paths shown in reports (and
-    matched by the baseline); it defaults to the common parent of the
-    scanned paths' parents.
+    ``project_root`` anchors the relative paths shown in reports; it
+    defaults to the common parent of the scanned paths' parents.
     """
     modules: list[Module] = []
     seen: set[Path] = set()
@@ -218,7 +216,7 @@ def _apply_suppressions(
 
 
 def _disambiguate(violations: list[Violation]) -> list[Violation]:
-    """Suffix duplicate (path, key) pairs so baseline matching is a bijection."""
+    """Suffix duplicate (path, key) pairs so each key names one violation."""
     counts: Counter[tuple[str, str]] = Counter()
     unique: list[Violation] = []
     for violation in violations:

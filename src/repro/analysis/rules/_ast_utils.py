@@ -132,8 +132,8 @@ def qualname_of(stack: list[str], name: str) -> str:
 class QualnameIndex:
     """Maps AST nodes to the qualified name of their enclosing def/class.
 
-    Violation keys built on qualnames survive line drift, which is what
-    makes the baseline stable under ordinary edits.
+    Violation keys built on qualnames survive line drift, so they stay
+    stable under ordinary edits.
     """
 
     def __init__(self, tree: ast.Module) -> None:

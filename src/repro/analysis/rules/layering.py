@@ -1,7 +1,7 @@
 """Rule: the package import DAG is enforced, not folklore.
 
-The architecture layers the system as ``text``/``claims`` →
-``ml``/``translation`` → ``pipeline``/``planning`` → ``api`` →
+The architecture layers the system as ``text``/``ml`` →
+``claims``/``pipeline`` → ``translation`` → ``planning`` → ``api`` →
 ``runtime`` → ``serving``: lower layers must not import upper ones at
 module level, or the dependency graph rots into a ball that cannot be
 tested or reused in isolation (the data plane must stay importable
@@ -29,9 +29,10 @@ __all__ = ["DEFAULT_LAYERS", "LayeringRule"]
 
 #: Layer number of every top-level package under ``repro``; a module may
 #: import packages of strictly lower layers, plus its own package and
-#: same-layer peers (``pipeline``/``planning`` are one architectural
-#: node).  The ISSUE-6 chain text/claims < ml/translation <
-#: pipeline/planning < api < runtime < serving is embedded in the
+#: same-layer peers (``pipeline`` is a peer of ``claims``: it holds the
+#: feature rows and batch predictions that ``translation`` produces and
+#: ``planning`` scores).  The chain text/ml < claims/pipeline <
+#: translation < planning < api < runtime < serving is embedded in the
 #: ordering below.
 DEFAULT_LAYERS: Mapping[str, int] = {
     "errors": 0,
@@ -43,8 +44,8 @@ DEFAULT_LAYERS: Mapping[str, int] = {
     "sqlengine": 3,
     "formulas": 4,
     "claims": 5,
+    "pipeline": 5,
     "translation": 6,
-    "pipeline": 7,
     "planning": 7,
     "core": 9,
     "crowd": 8,
@@ -82,7 +83,7 @@ class LayeringRule(Rule):
     rule_id = "layering"
     description = (
         "module-level imports must follow the package layer DAG "
-        "(text/claims -> ml/translation -> pipeline/planning -> api -> "
+        "(text/ml -> claims/pipeline -> translation -> planning -> api -> "
         "runtime -> serving)"
     )
     invariant = (

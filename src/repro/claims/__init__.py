@@ -6,9 +6,10 @@ the paper): a text document divided into sections and sentences, claims
 who verified claims in the past, and the corpus object tying everything
 together with the database.
 
-Layering contract: layer 5 of the enforced import DAG — may import
-``formulas``, ``sqlengine``, ``dataset``/``ml``/``text``/``analysis``,
-``config`` and ``errors``; never ``translation`` or anything above.
+Layering contract: layer 5 of the enforced import DAG (peer of
+``pipeline``) — may import ``formulas``, ``sqlengine``,
+``dataset``/``ml``/``text``/``analysis``, ``config`` and ``errors``;
+never ``translation`` or anything above.
 Enforced by reprolint; see ``docs/architecture.md``.
 """
 

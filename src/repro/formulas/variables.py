@@ -6,7 +6,7 @@ import string
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from repro.errors import FormulaBindingError
+from repro.errors import ConfigurationError, FormulaBindingError
 
 #: Names used for value variables, in allocation order (``a``, ``b``, …).
 VALUE_VARIABLE_NAMES = tuple(string.ascii_lowercase)
@@ -15,7 +15,7 @@ VALUE_VARIABLE_NAMES = tuple(string.ascii_lowercase)
 def value_variable_name(index: int) -> str:
     """The ``index``-th value-variable name (``0 -> a``, ``25 -> z``, ``26 -> a1``)."""
     if index < 0:
-        raise ValueError("variable index must be non-negative")
+        raise ConfigurationError("variable index must be non-negative")
     letters = len(VALUE_VARIABLE_NAMES)
     if index < letters:
         return VALUE_VARIABLE_NAMES[index]
@@ -25,7 +25,7 @@ def value_variable_name(index: int) -> str:
 def attribute_variable_name(index: int) -> str:
     """The ``index``-th attribute-variable name (``0 -> A1``)."""
     if index < 0:
-        raise ValueError("variable index must be non-negative")
+        raise ConfigurationError("variable index must be non-negative")
     return f"A{index + 1}"
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 from collections import deque
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -88,6 +89,22 @@ class RecoveryReport:
         }
 
 
+def _submit_acked(
+    server: VerificationServer, tenant_id: str, claim_ids: Sequence[str]
+) -> int:
+    """Submit an acked record; returns how many claims were queued.
+
+    The live-traffic queue bound must never reject an acked record: on
+    backpressure the queue is drained onto tenant records and the record
+    resubmitted.  Other admission errors propagate to the caller.
+    """
+    try:
+        return server.submit(tenant_id, claim_ids)
+    except BackpressureError:
+        server.flush_submissions()
+        return server.submit(tenant_id, claim_ids)
+
+
 def recover_server(
     server: VerificationServer, journal_dir: str | Path, *, strict: bool = False
 ) -> RecoveryReport:
@@ -105,13 +122,7 @@ def recover_server(
     replayed_records = replayed_claims = duplicate_claims = rejected_records = 0
     for record in scan.records:
         try:
-            try:
-                accepted = server.submit(record.tenant_id, record.claim_ids)
-            except BackpressureError:
-                # The live-traffic queue bound must never reject an acked
-                # record: drain onto tenant records and retry.
-                server.flush_submissions()
-                accepted = server.submit(record.tenant_id, record.claim_ids)
+            accepted = _submit_acked(server, record.tenant_id, record.claim_ids)
         except ReproError:
             rejected_records += 1
             continue
@@ -446,11 +457,7 @@ class GatewayServer:
         for submission in batch:
             touched.add(submission.tenant_id)
             try:
-                try:
-                    self._server.submit(submission.tenant_id, submission.claim_ids)
-                except BackpressureError:
-                    self._server.flush_submissions()
-                    self._server.submit(submission.tenant_id, submission.claim_ids)
+                _submit_acked(self._server, submission.tenant_id, submission.claim_ids)
             except ReproError:
                 rejected += 1
         outcomes = self._server.run_round()
@@ -488,11 +495,7 @@ class GatewayServer:
     def _engine_shutdown(self, batch: list[_PendingSubmission]) -> None:
         for submission in batch:
             with contextlib.suppress(ReproError):
-                try:
-                    self._server.submit(submission.tenant_id, submission.claim_ids)
-                except BackpressureError:
-                    self._server.flush_submissions()
-                    self._server.submit(submission.tenant_id, submission.claim_ids)
+                _submit_acked(self._server, submission.tenant_id, submission.claim_ids)
         self._server.close()
 
     # ------------------------------------------------------------------ #

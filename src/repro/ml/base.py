@@ -8,6 +8,8 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
+from repro.errors import ConfigurationError
+
 
 @dataclass(frozen=True)
 class Prediction:
@@ -18,7 +20,7 @@ class Prediction:
 
     def __post_init__(self) -> None:
         if len(self.labels) != len(self.probabilities):
-            raise ValueError("labels and probabilities must be aligned")
+            raise ConfigurationError("labels and probabilities must be aligned")
 
     @property
     def top_label(self) -> str | None:
@@ -96,5 +98,5 @@ def as_single_row(features: np.ndarray) -> np.ndarray:
     if vector.ndim == 2 and vector.shape[0] == 1:
         vector = vector[0]
     if vector.ndim != 1:
-        raise ValueError("predict expects a single feature vector")
+        raise ConfigurationError("predict expects a single feature vector")
     return vector[None, :]

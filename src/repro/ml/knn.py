@@ -21,7 +21,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.errors import NotFittedError
+from repro.errors import ConfigurationError, NotFittedError
 from repro.ml.base import Prediction, as_single_row
 from repro.ml.encoding import LabelEncoder
 from repro.ml.state import decode_array, encode_array, register_model_kind
@@ -33,7 +33,7 @@ class KNearestNeighborsClassifier:
 
     def __init__(self, k: int = 5) -> None:
         if k < 1:
-            raise ValueError("k must be at least 1")
+            raise ConfigurationError("k must be at least 1")
         self.k = k
         self._encoder = LabelEncoder()
         self._features: np.ndarray | None = None
@@ -47,11 +47,11 @@ class KNearestNeighborsClassifier:
         # differ in the last bits.
         features = np.ascontiguousarray(features, dtype=float)
         if features.ndim != 2:
-            raise ValueError("features must be a 2-D matrix")
+            raise ConfigurationError("features must be a 2-D matrix")
         if features.shape[0] != len(labels):
-            raise ValueError("features and labels must have the same length")
+            raise ConfigurationError("features and labels must have the same length")
         if features.shape[0] == 0:
-            raise ValueError("cannot fit on an empty training set")
+            raise ConfigurationError("cannot fit on an empty training set")
         self._encoder = LabelEncoder().fit(labels)
         self._features = features
         self._norms = np.linalg.norm(features, axis=1)
@@ -89,9 +89,9 @@ class KNearestNeighborsClassifier:
             raise NotFittedError("KNearestNeighborsClassifier used before fit")
         queries = np.asarray(features, dtype=float)
         if queries.ndim != 2:
-            raise ValueError("predict_proba_batch expects a 2-D matrix")
+            raise ConfigurationError("predict_proba_batch expects a 2-D matrix")
         if queries.shape[1] != self._features.shape[1]:
-            raise ValueError(
+            raise ConfigurationError(
                 f"feature dimension mismatch: got {queries.shape[1]}, "
                 f"expected {self._features.shape[1]}"
             )

@@ -13,7 +13,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.errors import NotFittedError
+from repro.errors import ConfigurationError, NotFittedError
 from repro.ml.base import Prediction, as_single_row
 from repro.ml.encoding import LabelEncoder
 from repro.ml.state import decode_array, encode_array, register_model_kind
@@ -57,11 +57,11 @@ class SoftmaxRegressionClassifier:
         seed: int = 0,
     ) -> None:
         if learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+            raise ConfigurationError("learning_rate must be positive")
         if epochs < 1:
-            raise ValueError("epochs must be at least 1")
+            raise ConfigurationError("epochs must be at least 1")
         if l2 < 0:
-            raise ValueError("l2 must be non-negative")
+            raise ConfigurationError("l2 must be non-negative")
         self.learning_rate = learning_rate
         self.epochs = epochs
         self.l2 = l2
@@ -76,11 +76,11 @@ class SoftmaxRegressionClassifier:
     def fit(self, features: np.ndarray, labels: Sequence[str]) -> "SoftmaxRegressionClassifier":
         features = np.asarray(features, dtype=float)
         if features.ndim != 2:
-            raise ValueError("features must be a 2-D matrix")
+            raise ConfigurationError("features must be a 2-D matrix")
         if features.shape[0] != len(labels):
-            raise ValueError("features and labels must have the same length")
+            raise ConfigurationError("features and labels must have the same length")
         if features.shape[0] == 0:
-            raise ValueError("cannot fit on an empty training set")
+            raise ConfigurationError("cannot fit on an empty training set")
         sample_count, feature_count = features.shape
         if (
             self._weights is not None
@@ -139,9 +139,9 @@ class SoftmaxRegressionClassifier:
             raise NotFittedError("SoftmaxRegressionClassifier used before fit")
         matrix = np.asarray(features, dtype=float)
         if matrix.ndim != 2:
-            raise ValueError("predict_proba_batch expects a 2-D matrix")
+            raise ConfigurationError("predict_proba_batch expects a 2-D matrix")
         if matrix.shape[1] != self._weights.shape[0]:
-            raise ValueError(
+            raise ConfigurationError(
                 f"feature dimension mismatch: got {matrix.shape[1]}, "
                 f"expected {self._weights.shape[0]}"
             )

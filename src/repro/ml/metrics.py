@@ -11,6 +11,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from repro.errors import ConfigurationError
 from repro.ml.base import Prediction
 
 
@@ -22,9 +23,9 @@ def accuracy(predictions: Sequence[Prediction], truths: Sequence[str]) -> float:
 def top_k_accuracy(predictions: Sequence[Prediction], truths: Sequence[str], k: int) -> float:
     """Fraction of samples whose truth appears within the top-``k`` labels."""
     if k < 1:
-        raise ValueError("k must be at least 1")
+        raise ConfigurationError("k must be at least 1")
     if len(predictions) != len(truths):
-        raise ValueError("predictions and truths must be aligned")
+        raise ConfigurationError("predictions and truths must be aligned")
     if not predictions:
         return 0.0
     hits = 0

@@ -2,7 +2,7 @@
 
 Algorithm 1 re-scores every pending claim after every batch, so the
 prediction/planning hot path must not loop over claims in Python.  This
-package provides the three pieces that make the batch the native shape of
+package provides the two pieces that make the batch the native shape of
 the system:
 
 * :class:`~repro.pipeline.feature_store.ClaimFeatureStore` — featurize the
@@ -11,27 +11,23 @@ the system:
 * :class:`~repro.pipeline.batch.ClaimBatchPredictions` — per-property
   probability matrices for a batch of claims, with lazy materialization of
   ranked per-claim :class:`~repro.ml.base.Prediction` objects.
-* :mod:`~repro.pipeline.scoring` — vectorized expected verification cost
-  and training utility over whole batches, feeding claim ordering.
 
-The single-claim entry points (``ClaimTranslator.predict``,
+:mod:`repro.planning.scoring` turns the probability matrices into
+vectorized expected verification cost and training utility.  The
+single-claim entry points (``ClaimTranslator.predict``,
 ``Classifier.predict``) remain as thin wrappers over the batch path.
 
-Layering contract: layer 7 of the enforced import DAG (peer of
-``planning``) — may import ``translation``, ``claims`` and
-everything below, plus its peer; never ``crowd``, ``api``, ``runtime``,
-``serving`` or ``gateway``. Enforced by reprolint; see
-``docs/architecture.md``.
+Layering contract: layer 5 of the enforced import DAG (peer of
+``claims``) — may import ``claims``, ``ml`` and everything below; never
+``translation``, ``planning`` or anything above them. Enforced by
+reprolint; see ``docs/architecture.md``.
 """
 
 from repro.pipeline.batch import ClaimBatchPredictions, PropertyBatch
 from repro.pipeline.feature_store import ClaimFeatureStore
-from repro.pipeline.scoring import estimate_costs, estimate_utilities
 
 __all__ = [
     "ClaimBatchPredictions",
     "ClaimFeatureStore",
     "PropertyBatch",
-    "estimate_costs",
-    "estimate_utilities",
 ]

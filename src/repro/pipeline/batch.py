@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.claims.model import ClaimProperty
+from repro.errors import ConfigurationError
 from repro.ml.base import Prediction
 
 __all__ = ["ClaimBatchPredictions", "PropertyBatch"]
@@ -35,9 +36,9 @@ class PropertyBatch:
 
     def __post_init__(self) -> None:
         if self.probabilities.ndim != 2:
-            raise ValueError("probabilities must be a (claims x labels) matrix")
+            raise ConfigurationError("probabilities must be a (claims x labels) matrix")
         if self.probabilities.shape[1] != len(self.labels):
-            raise ValueError("probabilities and labels must be aligned")
+            raise ConfigurationError("probabilities and labels must be aligned")
 
     def prediction(self, index: int) -> Prediction:
         """The ranked distribution for one claim (same path as ``predict``)."""
@@ -83,7 +84,7 @@ class ClaimBatchPredictions:
         self._entropy_matrix: np.ndarray | None = None
         for claim_property, batch in self.by_property.items():
             if batch.probabilities.shape[0] != len(self.claim_ids):
-                raise ValueError(
+                raise ConfigurationError(
                     f"{claim_property.value}: row count does not match claim_ids"
                 )
 

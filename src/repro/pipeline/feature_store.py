@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.claims.model import Claim
+from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - cycle broken at runtime: the
     # preprocessor package imports the pipeline for its classifier suite.
@@ -48,7 +49,7 @@ class ClaimFeatureStore:
         self, preprocessor: ClaimPreprocessor, max_rows: int | None = None
     ) -> None:
         if max_rows is not None and max_rows < 1:
-            raise ValueError("max_rows must be at least 1 (or None for unbounded)")
+            raise ConfigurationError("max_rows must be at least 1 (or None for unbounded)")
         self._preprocessor = preprocessor
         self._rows: dict[str, np.ndarray] = {}
         self._generation = preprocessor.feature_generation
@@ -73,7 +74,7 @@ class ClaimFeatureStore:
     @max_rows.setter
     def max_rows(self, value: int | None) -> None:
         if value is not None and value < 1:
-            raise ValueError("max_rows must be at least 1 (or None for unbounded)")
+            raise ConfigurationError("max_rows must be at least 1 (or None for unbounded)")
         self._max_rows = value
         self._evict_over_capacity()
 

@@ -10,11 +10,10 @@ Two optimisation problems live here:
   training samples for the classifiers, via an ILP (Definitions 7–9,
   Theorems 7–8).
 
-Layering contract: layer 7 of the enforced import DAG (peer of
-``pipeline``) — may import ``translation``, ``claims`` and
-everything below, plus its peer; never ``crowd``, ``api``, ``runtime``,
-``serving`` or ``gateway``. Enforced by reprolint; see
-``docs/architecture.md``.
+Layering contract: layer 7 of the enforced import DAG — may import
+``translation``, ``pipeline``, ``claims`` and everything below; never
+``crowd``, ``api``, ``runtime``, ``serving`` or ``gateway``. Enforced by
+reprolint; see ``docs/architecture.md``.
 """
 
 from repro.planning.batching import BatchCandidate, ClaimSelection, select_claim_batch

@@ -13,7 +13,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.config import BatchingConfig
-from repro.errors import InfeasibleSelectionError
+from repro.errors import ConfigurationError, InfeasibleSelectionError
 from repro.planning.ilp import IlpSolution, solve_claim_selection_ilp
 
 
@@ -28,9 +28,9 @@ class BatchCandidate:
 
     def __post_init__(self) -> None:
         if self.verification_cost < 0:
-            raise ValueError("verification cost must be non-negative")
+            raise ConfigurationError("verification cost must be non-negative")
         if self.training_utility < 0:
-            raise ValueError("training utility must be non-negative")
+            raise ConfigurationError("training utility must be non-negative")
 
 
 @dataclass(frozen=True)

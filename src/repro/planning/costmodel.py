@@ -13,6 +13,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.config import CostModelConfig
+from repro.errors import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,7 @@ def expected_reading_cost(option_probabilities: Sequence[float], per_option_cost
     only if none of the previous options was the correct one.
     """
     if per_option_cost < 0:
-        raise ValueError("per-option cost must be non-negative")
+        raise ConfigurationError("per-option cost must be non-negative")
     total = 0.0
     cumulative = 0.0
     for probability in option_probabilities:

@@ -27,7 +27,7 @@ the test and benchmark oracle — while shrinking the work:
 * **Greedy warm start** — the greedy heuristic runs first on the pruned
   pool; its objective value becomes an incumbent bound row that tightens
   the MILP search, and its solution is the fallback when the MILP solver
-  is unavailable or fails.
+  fails.
 
 Ties are broken deterministically in the pinned regime.  Among batches of
 equal objective — always the case at cold start, when every claim scores
@@ -44,6 +44,8 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.config import BatchingConfig
 from repro.errors import InfeasibleSelectionError
@@ -54,13 +56,6 @@ from repro.planning.batching import (
     check_batch_feasibility,
 )
 from repro.planning.ilp import IlpSolution, _solve_greedy
-
-try:  # scipy >= 1.9
-    from scipy import sparse
-    from scipy.optimize import Bounds, LinearConstraint, milp
-except ImportError:  # pragma: no cover - scipy is a hard dependency
-    milp = None
-    sparse = None
 
 __all__ = [
     "EngineStats",
@@ -196,8 +191,6 @@ class PlannerEngine:
         candidates: Sequence[BatchCandidate],
         section_read_costs: Mapping[str, float],
         config: BatchingConfig | None = None,
-        *,
-        use_milp: bool = True,
     ) -> ClaimSelection:
         """Select the next batch (Definition 9), exactly but adaptively.
 
@@ -284,7 +277,7 @@ class PlannerEngine:
             return self._selection(candidates, chosen, section_read_costs, "engine-dp")
 
         # Greedy warm start: incumbent bound for the MILP, fallback solution
-        # when the solver is unavailable or fails.
+        # when the solver fails.
         incumbent: IlpSolution | None = None
         incumbent_error: InfeasibleSelectionError | None = None
         try:
@@ -301,19 +294,17 @@ class PlannerEngine:
         except InfeasibleSelectionError as error:
             incumbent_error = error
 
-        solution: IlpSolution | None = None
-        if use_milp and milp is not None:
-            solution = self._solve_milp(
-                kept_utilities,
-                kept_costs,
-                kept_sections,
-                kept_read_costs,
-                min_batch,
-                max_batch,
-                threshold,
-                weight,
-                incumbent.objective_value if incumbent is not None else None,
-            )
+        solution = self._solve_milp(
+            kept_utilities,
+            kept_costs,
+            kept_sections,
+            kept_read_costs,
+            min_batch,
+            max_batch,
+            threshold,
+            weight,
+            incumbent.objective_value if incumbent is not None else None,
+        )
         if solution is not None:
             self.record(milp_solves=1)
             solver = "engine-milp"

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import InfeasibleSelectionError
+from repro.errors import ConfigurationError, InfeasibleSelectionError
 
 try:  # scipy >= 1.9
     from scipy.optimize import Bounds, LinearConstraint, milp
@@ -64,14 +64,14 @@ def solve_claim_selection_ilp(
     """
     claim_count = len(utilities)
     if claim_count != len(verification_costs) or claim_count != len(claim_sections):
-        raise ValueError("utilities, costs and sections must be aligned")
+        raise ConfigurationError("utilities, costs and sections must be aligned")
     if claim_count == 0:
         raise InfeasibleSelectionError(
             "no unverified claims to select from", constraint="pool"
         )
     section_count = len(section_read_costs)
     if any(section < 0 or section >= section_count for section in claim_sections):
-        raise ValueError("claim_sections references an unknown section index")
+        raise ConfigurationError("claim_sections references an unknown section index")
     cost_threshold = _check_cost_threshold(cost_threshold)
     min_batch_size = max(0, min_batch_size)
     if min_batch_size > claim_count:
@@ -116,7 +116,7 @@ def _check_cost_threshold(cost_threshold: float | None) -> float | None:
     if cost_threshold is None:
         return None
     if cost_threshold < 0:
-        raise ValueError("cost_threshold must be non-negative (or None)")
+        raise ConfigurationError("cost_threshold must be non-negative (or None)")
     return float(cost_threshold)
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
+from repro.errors import ConfigurationError
 from repro.ml.base import Prediction
 from repro.planning.costmodel import expected_reading_cost
 
@@ -18,7 +19,7 @@ class AnswerOption:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.probability <= 1.0:
-            raise ValueError("option probability must be within [0, 1]")
+            raise ConfigurationError("option probability must be within [0, 1]")
 
 
 def order_options(options: Sequence[AnswerOption]) -> list[AnswerOption]:
@@ -33,7 +34,7 @@ def order_options(options: Sequence[AnswerOption]) -> list[AnswerOption]:
 def options_from_prediction(prediction: Prediction, count: int) -> list[AnswerOption]:
     """Build the top-``count`` answer options from a classifier prediction."""
     if count < 1:
-        raise ValueError("count must be at least 1")
+        raise ConfigurationError("count must be at least 1")
     return [
         AnswerOption(label=label, probability=probability)
         for label, probability in prediction.top_k(count)

@@ -15,12 +15,12 @@ from repro.claims.model import Claim, ClaimProperty
 from repro.config import ScrutinizerConfig
 from repro.ml.base import Prediction
 from repro.pipeline.batch import ClaimBatchPredictions
-from repro.pipeline.scoring import estimate_costs, estimate_scores, estimate_utilities
 from repro.planning.batching import BatchCandidate, ClaimSelection
 from repro.planning.costmodel import VerificationCostModel
 from repro.planning.engine import PlannerEngine
 from repro.planning.options import options_from_prediction, order_options
 from repro.planning.pruning import PruningPowerCalculator
+from repro.planning.scoring import estimate_costs, estimate_scores, estimate_utilities
 from repro.planning.screens import QueryOption, QuestionPlan, Screen
 from repro.planning.utility import claim_training_utility, expected_claim_cost
 from repro.translation.querygen import QueryGenerationResult

@@ -60,7 +60,7 @@ from repro.errors import (
 from repro.planning.engine import PlannerEngine
 from repro.runtime.pool import WorkerPool
 from repro.runtime.snapshot import ServiceSnapshot, SnapshotStore
-from repro.serving.scheduler import SchedulerConfig, TenantScheduler
+from repro.serving.scheduler import TenantScheduler
 
 __all__ = [
     "AdmissionPolicy",
@@ -270,10 +270,6 @@ class VerificationServer:
         Directory for passivated sessions.  Without one, evicted sessions
         park their snapshots in memory — same round-trip semantics, no
         crash durability.
-    scheduler:
-        The :class:`~repro.serving.scheduler.SchedulerConfig` of the
-        work-stealing tenant scheduler (fairness pressure and starvation
-        deadline).
     """
 
     def __init__(
@@ -286,7 +282,6 @@ class VerificationServer:
         max_workers: int | None = None,
         snapshot_dir: str | Path | None = None,
         system_name: str = "Serving",
-        scheduler: SchedulerConfig | None = None,
     ) -> None:
         self.corpus = corpus
         self.config = config if config is not None else ScrutinizerConfig()
@@ -300,8 +295,7 @@ class VerificationServer:
                 max_workers if max_workers is not None else self.policy.max_resident_sessions
             ),
         )
-        self.scheduler_config = scheduler if scheduler is not None else SchedulerConfig()
-        self._scheduler = TenantScheduler(self.scheduler_config)
+        self._scheduler = TenantScheduler()
         self._planner_engine = PlannerEngine()
         self._tenants: dict[str, _TenantRecord] = {}
         self._queue: deque[_Submission] = deque()

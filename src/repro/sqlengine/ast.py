@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Union
 
+from repro.errors import ConfigurationError, SQLExecutionError
+
 Expression = Union[
     "NumberLiteral",
     "StringLiteral",
@@ -145,10 +147,10 @@ class KeyDisjunction:
 
     def __post_init__(self) -> None:
         if not self.predicates:
-            raise ValueError("a key disjunction needs at least one predicate")
+            raise ConfigurationError("a key disjunction needs at least one predicate")
         aliases = {predicate.alias for predicate in self.predicates}
         if len(aliases) > 1:
-            raise ValueError("all predicates of a disjunction must share the alias")
+            raise ConfigurationError("all predicates of a disjunction must share the alias")
 
     @property
     def alias(self) -> str:
@@ -183,7 +185,7 @@ class Query:
         for item in self.from_items:
             if item.alias == alias:
                 return item.relation
-        raise KeyError(alias)
+        raise SQLExecutionError(f"unknown alias {alias!r}")
 
     def render(self) -> str:
         """Render the query back to SQL text."""

@@ -183,10 +183,7 @@ class QueryExecutor:
     def _evaluate_column(
         self, column: ColumnRef, query: Query, binding: dict[str, str]
     ) -> float | None:
-        try:
-            relation_name = query.alias_relation(column.alias)
-        except KeyError:
-            raise SQLExecutionError(f"unknown alias {column.alias!r}") from None
+        relation_name = query.alias_relation(column.alias)
         key = binding.get(column.alias)
         if key is None:
             raise SQLExecutionError(f"alias {column.alias!r} is unbound")

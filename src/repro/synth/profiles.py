@@ -12,13 +12,15 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from repro.errors import ConfigurationError
+
 
 def zipf_weights(count: int, exponent: float = 1.1) -> np.ndarray:
     """Normalised Zipf weights for ``count`` items (rank 1 most likely)."""
     if count < 1:
-        raise ValueError("count must be at least 1")
+        raise ConfigurationError("count must be at least 1")
     if exponent <= 0:
-        raise ValueError("exponent must be positive")
+        raise ConfigurationError("exponent must be positive")
     ranks = np.arange(1, count + 1, dtype=float)
     weights = ranks ** (-exponent)
     return weights / weights.sum()

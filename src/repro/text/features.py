@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from repro.errors import NotFittedError
+from repro.errors import ConfigurationError, NotFittedError
 from repro.text.embeddings import HashingWordEmbeddings
 from repro.text.tfidf import TfidfVectorizer, character_ngrams, word_ngrams
 from repro.text.tokenizer import Tokenizer
@@ -124,7 +124,7 @@ class ClaimFeaturizer:
         corpus of full sentences is not available).
         """
         if not claim_texts:
-            raise ValueError("cannot fit the featurizer on an empty corpus")
+            raise ConfigurationError("cannot fit the featurizer on an empty corpus")
         sentences = list(sentence_texts) if sentence_texts is not None else list(claim_texts)
         self._embeddings.fit(self._tokenizer.tokenize_many(sentences))
         self._word_tfidf.fit(claim_texts)
@@ -155,7 +155,7 @@ class ClaimFeaturizer:
     ) -> np.ndarray:
         """Featurise a batch of claims into a dense matrix."""
         if sentence_texts is not None and len(sentence_texts) != len(claim_texts):
-            raise ValueError("claim_texts and sentence_texts must have the same length")
+            raise ConfigurationError("claim_texts and sentence_texts must have the same length")
         rows = []
         for index, claim_text in enumerate(claim_texts):
             sentence = sentence_texts[index] if sentence_texts is not None else None

@@ -14,7 +14,7 @@ from collections.abc import Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.errors import NotFittedError
+from repro.errors import ConfigurationError, NotFittedError
 
 
 def word_ngrams(tokens: Sequence[str], orders: Sequence[int] = (1, 2)) -> list[str]:
@@ -22,7 +22,7 @@ def word_ngrams(tokens: Sequence[str], orders: Sequence[int] = (1, 2)) -> list[s
     grams: list[str] = []
     for order in orders:
         if order < 1:
-            raise ValueError("n-gram order must be at least 1")
+            raise ConfigurationError("n-gram order must be at least 1")
         if order == 1:
             grams.extend(tokens)
             continue
@@ -34,7 +34,7 @@ def word_ngrams(tokens: Sequence[str], orders: Sequence[int] = (1, 2)) -> list[s
 def character_ngrams(text: str, order: int = 3) -> list[str]:
     """Character n-grams of the text ("TF-IDF scores of every 3 characters")."""
     if order < 1:
-        raise ValueError("n-gram order must be at least 1")
+        raise ConfigurationError("n-gram order must be at least 1")
     compact = " ".join(text.lower().split())
     if len(compact) < order:
         return [compact] if compact else []
@@ -62,7 +62,7 @@ class TfidfVectorizer:
         min_df: int = 1,
     ) -> None:
         if min_df < 1:
-            raise ValueError("min_df must be at least 1")
+            raise ConfigurationError("min_df must be at least 1")
         self.analyzer = analyzer
         self.max_features = max_features
         self.min_df = min_df
@@ -80,7 +80,7 @@ class TfidfVectorizer:
             document_count += 1
             document_frequency.update(set(self.analyzer(document)))
         if document_count == 0:
-            raise ValueError("cannot fit a TF-IDF vectorizer on an empty corpus")
+            raise ConfigurationError("cannot fit a TF-IDF vectorizer on an empty corpus")
         # Every term of the fit corpus, before min_df / max_features pruning:
         # the basis for deciding whether later documents carry genuinely new
         # vocabulary (and hence whether a refit would change anything).

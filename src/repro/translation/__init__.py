@@ -8,9 +8,10 @@ The pipeline has three stages: claim preprocessing into feature vectors
 together and is the component Algorithm 1 calls for every claim.
 
 Layering contract: layer 6 of the enforced import DAG — may import
-``claims``, ``formulas``, ``sqlengine``, ``dataset``/``ml``/``text``,
-``config`` and ``errors``; never ``pipeline``/``planning`` or anything
-above. Enforced by reprolint; see ``docs/architecture.md``.
+``claims``/``pipeline``, ``formulas``, ``sqlengine``,
+``dataset``/``ml``/``text``, ``config`` and ``errors``; never
+``planning`` or anything above. Enforced by reprolint; see
+``docs/architecture.md``.
 """
 
 from repro.translation.classifiers import PropertyClassifierSuite, TrainingExample

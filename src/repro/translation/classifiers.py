@@ -282,7 +282,7 @@ class PropertyClassifierSuite:
     ) -> dict[ClaimProperty, float]:
         """Top-k accuracy of every classifier on held-out claims."""
         if len(claims) != len(truths):
-            raise ValueError("claims and truths must be aligned")
+            raise ConfigurationError("claims and truths must be aligned")
         if not claims:
             return {claim_property: 0.0 for claim_property in ClaimProperty.ordered()}
         batch = self.predict_proba_many(claims)

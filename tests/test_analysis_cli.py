@@ -1,9 +1,8 @@
-"""CLI and baseline tests for ``python -m repro.analysis``.
+"""CLI tests for ``python -m repro.analysis``.
 
 Drives :func:`repro.analysis.cli.main` in-process with an explicit output
 stream, covering the exit-code contract (0 clean / 1 violations /
-2 usage error / 3 stale baseline under ``--strict-baseline``), the JSON
-report schema, and the baseline write → match → prune round trip.
+2 usage error) and the JSON report schema.
 """
 
 from __future__ import annotations
@@ -15,9 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import Baseline, BaselineEntry, Violation
 from repro.analysis.cli import main
-from repro.errors import ConfigurationError
 
 CLEAN_SOURCE = """
     from repro.errors import ConfigurationError
@@ -55,25 +52,22 @@ def write_module(package: Path, name: str, source: str) -> Path:
     return target
 
 
-def run(package: Path, *extra: str, baseline: Path | None = None) -> tuple[int, str]:
+def run(package: Path, *extra: str) -> tuple[int, str]:
     out = io.StringIO()
-    argv = [str(package)]
-    if baseline is not None:
-        argv += ["--baseline", str(baseline)]
-    code = main([*argv, *extra], out=out)
+    code = main([str(package), *extra], out=out)
     return code, out.getvalue()
 
 
 class TestExitCodes:
     def test_clean_tree_exits_zero(self, package):
         write_module(package, "a.py", CLEAN_SOURCE)
-        code, output = run(package, "--no-baseline")
+        code, output = run(package)
         assert code == 0
-        assert "0 new violation(s)" in output
+        assert "reprolint: 0 violation(s)" in output
 
     def test_violations_exit_one(self, package):
         write_module(package, "a.py", DIRTY_SOURCE)
-        code, output = run(package, "--no-baseline")
+        code, output = run(package)
         assert code == 1
         assert "[error-taxonomy]" in output
         assert "[print-hygiene]" in output
@@ -91,12 +85,19 @@ class TestExitCodes:
         assert "unknown rule id" in output
 
     def test_unknown_flag_exits_two(self, package):
-        code, _ = run(package, "--frobnicate")
-        assert code == 2
+        for flag in (
+            "--frobnicate",
+            "--baseline=reprolint.baseline.json",
+            "--no-baseline",
+            "--write-baseline",
+            "--strict-baseline",
+        ):
+            code, _ = run(package, flag)
+            assert code == 2, flag
 
     def test_rule_selection_limits_scope(self, package):
         write_module(package, "a.py", DIRTY_SOURCE)
-        code, output = run(package, "--no-baseline", "--rules", "print-hygiene")
+        code, output = run(package, "--rules", "print-hygiene")
         assert code == 1
         assert "[print-hygiene]" in output
         assert "[error-taxonomy]" not in output
@@ -120,133 +121,20 @@ class TestExitCodes:
 class TestJsonReport:
     def test_schema(self, package):
         write_module(package, "a.py", DIRTY_SOURCE)
-        code, output = run(package, "--no-baseline", "--format", "json")
+        code, output = run(package, "--format", "json")
         assert code == 1
         payload = json.loads(output)
-        assert payload["schema_version"] == 1
-        assert set(payload["summary"]) == {
-            "new",
-            "baselined",
-            "stale_baseline_entries",
-            "modules",
-            "rules",
-        }
-        assert payload["summary"]["new"] == len(payload["violations"]) > 0
+        assert payload["schema_version"] == 2
+        assert set(payload) == {"schema_version", "summary", "violations"}
+        assert set(payload["summary"]) == {"violations", "modules", "rules"}
+        assert payload["summary"]["violations"] == len(payload["violations"]) > 0
         for violation in payload["violations"]:
             assert set(violation) == {"rule", "path", "line", "key", "message"}
             assert isinstance(violation["line"], int)
 
     def test_clean_json(self, package):
         write_module(package, "a.py", CLEAN_SOURCE)
-        code, output = run(package, "--no-baseline", "--format", "json")
+        code, output = run(package, "--format", "json")
         assert code == 0
         payload = json.loads(output)
         assert payload["violations"] == []
-
-
-class TestBaselineRoundTrip:
-    def test_write_then_match_exits_zero(self, package, tmp_path):
-        write_module(package, "a.py", DIRTY_SOURCE)
-        baseline_path = tmp_path / "baseline.json"
-
-        code, output = run(package, "--write-baseline", baseline=baseline_path)
-        assert code == 0
-        assert "wrote" in output
-
-        code, output = run(package, baseline=baseline_path)
-        assert code == 0
-        assert "0 new violation(s)" in output
-        assert "2 baselined" in output
-
-    def test_new_violation_still_fails(self, package, tmp_path):
-        write_module(package, "a.py", DIRTY_SOURCE)
-        baseline_path = tmp_path / "baseline.json"
-        run(package, "--write-baseline", baseline=baseline_path)
-
-        # A second print() in the same file is a *new* violation: the
-        # baseline is a multiset, one entry absorbs exactly one offence.
-        write_module(
-            package, "a.py", textwrap.dedent(DIRTY_SOURCE) + "\nprint('new')\n"
-        )
-        code, output = run(package, baseline=baseline_path)
-        assert code == 1
-        assert "1 new violation(s)" in output
-
-    def test_fixed_violation_reports_stale_entry(self, package, tmp_path):
-        write_module(package, "a.py", DIRTY_SOURCE)
-        baseline_path = tmp_path / "baseline.json"
-        run(package, "--write-baseline", baseline=baseline_path)
-
-        write_module(package, "a.py", CLEAN_SOURCE)
-        code, output = run(package, baseline=baseline_path)
-        assert code == 0  # tolerated without --strict-baseline
-        assert "stale baseline entry" in output
-
-        code, _ = run(package, "--strict-baseline", baseline=baseline_path)
-        assert code == 3
-
-    def test_line_drift_does_not_invalidate_baseline(self, package, tmp_path):
-        write_module(package, "a.py", DIRTY_SOURCE)
-        baseline_path = tmp_path / "baseline.json"
-        run(package, "--write-baseline", baseline=baseline_path)
-
-        # Push every violation down ten lines; keys are line-independent.
-        write_module(package, "a.py", "# pad\n" * 10 + textwrap.dedent(DIRTY_SOURCE))
-        code, _ = run(package, "--strict-baseline", baseline=baseline_path)
-        assert code == 0
-
-    def test_prune_removes_stale_entries(self):
-        violation = Violation(
-            rule="print-hygiene",
-            path="repro/a.py",
-            line=3,
-            message="print",
-            key="print-hygiene:print:3",
-        )
-        baseline = Baseline(
-            [
-                BaselineEntry("print-hygiene", "repro/a.py", "print-hygiene:print:3"),
-                BaselineEntry("error-taxonomy", "repro/b.py", "error-taxonomy:gone"),
-            ]
-        )
-        result = baseline.match([violation])
-        assert result.new == []
-        assert len(result.baselined) == 1
-        assert [entry.key for entry in result.stale] == ["error-taxonomy:gone"]
-        assert baseline.prune(result.stale) == 1
-        assert len(baseline) == 1
-
-    def test_save_load_round_trip(self, tmp_path):
-        entries = [
-            BaselineEntry("r2", "b.py", "k2"),
-            BaselineEntry("r1", "a.py", "k1"),
-        ]
-        path = tmp_path / "baseline.json"
-        Baseline(entries).save(path)
-        loaded = Baseline.load(path)
-        # Entries are persisted sorted for stable diffs.
-        assert loaded.entries == sorted(
-            entries, key=lambda entry: (entry.path, entry.rule, entry.key)
-        )
-        payload = json.loads(path.read_text())
-        assert payload["schema_version"] == 1
-
-    def test_load_rejects_bad_files(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("not json", encoding="utf-8")
-        with pytest.raises(ConfigurationError):
-            Baseline.load(bad)
-        bad.write_text(json.dumps({"schema_version": 99, "entries": []}))
-        with pytest.raises(ConfigurationError):
-            Baseline.load(bad)
-        bad.write_text(json.dumps({"schema_version": 1, "entries": [{"rule": "r"}]}))
-        with pytest.raises(ConfigurationError):
-            Baseline.load(bad)
-
-    def test_corrupt_baseline_exits_two(self, package, tmp_path):
-        write_module(package, "a.py", CLEAN_SOURCE)
-        baseline_path = tmp_path / "baseline.json"
-        baseline_path.write_text("{", encoding="utf-8")
-        code, output = run(package, baseline=baseline_path)
-        assert code == 2
-        assert "error:" in output

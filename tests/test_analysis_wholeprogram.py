@@ -362,7 +362,6 @@ class TestWholeProgramCli:
         code = main(
             [
                 str(package),
-                "--no-baseline",
                 "--rules",
                 "lock-order,async-blocking",
                 "--json",
@@ -371,16 +370,10 @@ class TestWholeProgramCli:
         )
         assert code == 1
         payload = json.loads(out.getvalue())
-        assert payload["schema_version"] == 1
-        assert set(payload["summary"]) == {
-            "new",
-            "baselined",
-            "stale_baseline_entries",
-            "modules",
-            "rules",
-        }
+        assert payload["schema_version"] == 2
+        assert set(payload["summary"]) == {"violations", "modules", "rules"}
         assert payload["summary"]["rules"] == 2
-        assert payload["summary"]["new"] == 1
+        assert payload["summary"]["violations"] == 1
         (violation,) = payload["violations"]
         assert set(violation) == {"rule", "path", "line", "key", "message"}
         assert violation["rule"] == "async-blocking"

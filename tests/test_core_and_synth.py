@@ -55,7 +55,7 @@ class TestProfiles:
         assert percentiles[50] == 2.0
 
     def test_invalid_count(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             zipf_weights(0)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.errors import NotFittedError
+from repro.errors import ConfigurationError, NotFittedError
 from repro.ml.base import Prediction
 from repro.ml.encoding import LabelEncoder
 from repro.ml.knn import KNearestNeighborsClassifier
@@ -68,7 +68,7 @@ class TestPrediction:
         assert uniform.entropy() > peaked.entropy()
 
     def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             Prediction(labels=("a",), probabilities=(0.5, 0.5))
 
 
@@ -103,11 +103,11 @@ class TestClassifiersOnBlobs:
         assert set(model.classes) == {"alpha", "beta", "gamma"}
 
     def test_empty_training_rejected(self, model_factory):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             model_factory().fit(np.zeros((0, 3)), [])
 
     def test_mismatched_lengths_rejected(self, model_factory):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             model_factory().fit(np.zeros((3, 2)), ["a", "b"])
 
 
@@ -115,13 +115,13 @@ class TestSoftmaxSpecifics:
     def test_feature_dimension_mismatch(self):
         features, labels = _blobs(dimension=6)
         model = SoftmaxRegressionClassifier(epochs=20).fit(features, labels)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             model.predict(np.zeros(3))
 
     def test_invalid_hyperparameters(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             SoftmaxRegressionClassifier(learning_rate=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             SoftmaxRegressionClassifier(epochs=0)
 
     def test_predict_batch(self):
@@ -150,7 +150,7 @@ class TestMetrics:
         assert values[-1] == 1.0
 
     def test_invalid_k(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             top_k_accuracy([], [], k=0)
 
     def test_entropy_of_uniform(self):

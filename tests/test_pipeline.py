@@ -179,9 +179,9 @@ class TestClaimFeatureStore:
         assert store.cached_count == len(claims)
         store.max_rows = 4
         assert store.cached_count == 4
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             store.max_rows = 0
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             ClaimFeatureStore(store.preprocessor, max_rows=0)
 
     def test_forget_drops_only_named_rows(self):

@@ -75,7 +75,7 @@ class TestExpectedReadingCost:
         assert sorted_cost <= reversed_cost
 
     def test_negative_cost_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             expected_reading_cost([0.5], -1.0)
 
     @given(st.lists(st.floats(min_value=0, max_value=0.3), min_size=1, max_size=8))
@@ -105,7 +105,7 @@ class TestOptions:
         )
 
     def test_invalid_probability_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             AnswerOption("a", 1.5)
 
 
@@ -275,7 +275,7 @@ class TestIlp:
             solve_claim_selection_ilp([], [], [], [], 1, 1)
 
     def test_misaligned_inputs_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             solve_claim_selection_ilp([1.0], [1.0, 2.0], [0], [1.0], 1, 1)
 
     def test_zero_budget_with_costly_claims_is_infeasible(self):
@@ -317,7 +317,7 @@ class TestIlp:
         assert len(solution.selected_indices) == 3
 
     def test_negative_cost_threshold_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             solve_claim_selection_ilp([1.0], [1.0], [0], [1.0], 1, 1, cost_threshold=-1.0)
 
     def test_min_batch_above_pool_raises_in_both_paths(self):
@@ -413,7 +413,7 @@ class TestBatchSelection:
         assert outcome.value.constraint == "pool"
 
     def test_negative_cost_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             BatchCandidate("c1", "s", verification_cost=-1.0, training_utility=0.0)
 
     def test_min_batch_above_pool_surfaces_the_constraint(self):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from repro.api.service import VerificationService
 from repro.config import BatchingConfig, ScrutinizerConfig
 from repro.errors import InfeasibleSelectionError
+from repro.planning import engine as engine_module
 from repro.planning.batching import BatchCandidate, ClaimSelection, select_claim_batch
 from repro.planning.engine import FusionRequest, PlannerEngine, dominance_prune
 from repro.planning.ilp import solve_claim_selection_ilp
@@ -178,14 +181,20 @@ class TestEngineExactness:
 
 
 class TestEngineCaches:
-    def test_greedy_fallback_when_milp_disabled(self):
+    def test_greedy_fallback_when_milp_disabled(self, monkeypatch):
+        # A failed MILP solve falls back to the greedy incumbent.
+        monkeypatch.setattr(
+            engine_module, "milp", lambda **_: SimpleNamespace(success=False, x=None)
+        )
         candidates = _candidates([3.0, 1.0, 2.0], [10.0, 10.0, 10.0], [0, 1, 2])
         reads = {f"sec{j:02d}": 5.0 for j in range(3)}
         config = BatchingConfig(
             min_batch_size=1, max_batch_size=2, cost_threshold=200.0, utility_weight=30.0
         )
-        selection = PlannerEngine().plan(candidates, reads, config=config, use_milp=False)
+        engine = PlannerEngine()
+        selection = engine.plan(candidates, reads, config=config)
         assert selection.solver == "engine-greedy"
+        assert engine.stats.greedy_fallbacks == 1
         assert 1 <= selection.batch_size <= 2
 
     def test_infeasible_minimum_batch_raises(self):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import NotFittedError
+from repro.errors import ConfigurationError, NotFittedError
 from repro.text.embeddings import HashingWordEmbeddings
 from repro.text.features import ClaimFeaturizer, FeaturizerConfig
 from repro.text.tfidf import TfidfVectorizer, character_ngrams, word_ngrams
@@ -33,7 +33,7 @@ class TestNgrams:
         assert character_ngrams("ab", order=3) == ["ab"]
 
     def test_invalid_order(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             word_ngrams(["a"], orders=(0,))
 
 
@@ -78,7 +78,7 @@ class TestTfidf:
         assert "nine" not in vectorizer.vocabulary
 
     def test_empty_corpus_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             self._vectorizer().fit([])
 
 
@@ -146,11 +146,11 @@ class TestClaimFeaturizer:
     def test_mismatched_sentence_list_rejected(self):
         featurizer = ClaimFeaturizer(FeaturizerConfig(embedding_dimension=16))
         featurizer.fit(CORPUS)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             featurizer.transform_matrix(CORPUS, sentence_texts=CORPUS[:1])
 
     def test_empty_corpus_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             ClaimFeaturizer().fit([])
 
     @settings(deadline=None, max_examples=10)
