@@ -93,10 +93,11 @@ typecheck:
 check-docs:
 	$(PYTHON) scripts/check_docs.py
 
-# Run the maintained examples end to end (about 20s together); each
-# writes only to a temporary directory.  The first failure stops the run.
+# Run all six maintained examples end to end (about 20s together;
+# full_reproduction without --paper-scale); none writes outside a
+# temporary directory.  The first failure stops the run.
 EXAMPLES = quickstart question_planning_demo active_learning_cold_start \
-	multi_tenant_serving
+	multi_tenant_serving iea_report_verification full_reproduction
 examples:
 	@set -e; for example in $(EXAMPLES); do \
 		echo "== examples/$$example.py"; \

@@ -13,17 +13,14 @@ same-layer peers; never ``sqlengine`` or anything above. Enforced by
 reprolint; see ``docs/architecture.md``.
 """
 
-from repro.dataset.catalog import Catalog, RelationSummary
 from repro.dataset.csvio import read_relation_csv, write_relation_csv
 from repro.dataset.database import Database
 from repro.dataset.relation import Relation
 from repro.dataset.types import Value, coerce_value, is_missing, is_numeric
 
 __all__ = [
-    "Catalog",
     "Database",
     "Relation",
-    "RelationSummary",
     "Value",
     "coerce_value",
     "is_missing",

@@ -31,8 +31,8 @@ class Relation:
         Optional initial rows; each row is a mapping that must contain the
         key attribute and may contain any subset of the value attributes.
     description:
-        Free-text metadata used by the catalog (tables in the IEA corpus come
-        with little more than a name, so this defaults to empty).
+        Free-text metadata (tables in the IEA corpus come with little more
+        than a name, so this defaults to empty).
     """
 
     def __init__(

@@ -4,8 +4,7 @@ The paper trains one classifier per query property (relations, primary-key
 values, attributes, formulas) over the Figure 4 features.  scikit-learn is
 not available offline, so the package implements the needed model classes on
 top of numpy: multinomial (softmax) logistic regression and a
-k-nearest-neighbour fallback, together with label encoding and evaluation
-metrics (accuracy, top-k accuracy, distribution entropy).  The
+k-nearest-neighbour fallback, together with label encoding.  The
 active-learning training utility of Section 5.2 lives with the planner, in
 :func:`repro.planning.utility.claim_training_utility`.
 
@@ -19,7 +18,6 @@ from repro.ml.base import Classifier, Prediction
 from repro.ml.encoding import LabelEncoder
 from repro.ml.knn import KNearestNeighborsClassifier
 from repro.ml.logistic import SoftmaxRegressionClassifier
-from repro.ml.metrics import accuracy, entropy, top_k_accuracy
 from repro.ml.state import model_from_state, model_to_state
 
 __all__ = [
@@ -28,9 +26,6 @@ __all__ = [
     "LabelEncoder",
     "Prediction",
     "SoftmaxRegressionClassifier",
-    "accuracy",
-    "entropy",
     "model_from_state",
     "model_to_state",
-    "top_k_accuracy",
 ]

@@ -8,7 +8,7 @@ combined form ``t(B) - wu * sum u(c)`` when a utility weight is given.
 
 The paper uses Gurobi; we encode the identical program for
 ``scipy.optimize.milp`` (HiGHS) and fall back to a greedy knapsack-style
-heuristic when the MILP solver is unavailable or fails.
+heuristic when ``use_milp`` is off or the MILP solver fails.
 
 ``cost_threshold`` semantics: ``None`` (the default) disables the cost
 constraint entirely.  Any float — including ``0.0`` — is a genuine budget:
@@ -22,13 +22,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.errors import ConfigurationError, InfeasibleSelectionError
-
-try:  # scipy >= 1.9
-    from scipy.optimize import Bounds, LinearConstraint, milp
-except ImportError:  # pragma: no cover - scipy is a hard dependency
-    milp = None
 
 
 @dataclass(frozen=True)
@@ -86,7 +82,7 @@ def solve_claim_selection_ilp(
             f"batch bounds are infeasible: [{min_batch_size}, {max_batch_size}]",
             constraint="batch_bounds",
         )
-    if use_milp and milp is not None:
+    if use_milp:
         solution = _solve_with_milp(
             utilities,
             verification_costs,

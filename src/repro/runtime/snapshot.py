@@ -10,8 +10,7 @@ after a crash or restart, as plain JSON:
   (every per-claim verification, and the machine-time accounting of the
   planner and retrainer),
 * the translation backend via its ``to_state()`` hook — fitted featurizer
-  corpus, classifier weights, training examples, vocabulary-refit
-  accounting,
+  corpus, classifier weights and training examples,
 * every random stream: the service's accuracy-sampling generator, the
   shared timing model and each simulated checker's behavioural RNG.
 
@@ -59,7 +58,7 @@ __all__ = [
 ]
 
 #: Version stamp of the snapshot JSON layout; bump on breaking changes.
-SNAPSHOT_SCHEMA_VERSION = 3
+SNAPSHOT_SCHEMA_VERSION = 4
 
 
 class _SchemaVersionError(SerializationError):

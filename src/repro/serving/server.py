@@ -89,10 +89,6 @@ class AdmissionPolicy:
     #: Bound on the submission queue between scheduling rounds; a full
     #: queue raises :class:`~repro.errors.BackpressureError`.
     max_queued_submissions: int = 256
-    #: Per-tenant cap on cached feature rows
-    #: (:attr:`repro.pipeline.feature_store.ClaimFeatureStore.max_rows`);
-    #: ``None`` leaves tenant caches unbounded.
-    max_cached_features_per_tenant: int | None = None
 
     def __post_init__(self) -> None:
         if self.max_tenants < 1:
@@ -108,13 +104,6 @@ class AdmissionPolicy:
             )
         if self.max_queued_submissions < 1:
             raise ConfigurationError("max_queued_submissions must be at least 1")
-        if (
-            self.max_cached_features_per_tenant is not None
-            and self.max_cached_features_per_tenant < 1
-        ):
-            raise ConfigurationError(
-                "max_cached_features_per_tenant must be at least 1 (or None)"
-            )
 
 
 # ---------------------------------------------------------------------- #
@@ -463,15 +452,6 @@ class VerificationServer:
     # ------------------------------------------------------------------ #
     # session residency
     # ------------------------------------------------------------------ #
-    def _apply_feature_cap(self, service: VerificationService) -> None:
-        cap = self.policy.max_cached_features_per_tenant
-        if cap is None:
-            return
-        suite = getattr(service.translator, "suite", None)
-        store = getattr(suite, "feature_store", None)
-        if store is not None:
-            store.max_rows = cap
-
     def _fresh_translator(self):
         from repro.translation.translator import ClaimTranslator
 
@@ -558,7 +538,6 @@ class VerificationServer:
                 system_name=f"{self._system_name}/{record.tenant_id}",
             )
             self.stats.sessions_started += 1
-        self._apply_feature_cap(service)
         # Every tenant plans on the server's one engine, so its stats
         # aggregate over tenants.
         service.planner.engine = self._planner_engine

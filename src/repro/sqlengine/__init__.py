@@ -7,9 +7,8 @@ functions from the library ``F`` over attribute values and constants.
 
 The module provides a lexer/parser producing a small AST
 (:mod:`repro.sqlengine.ast`), an executor evaluating queries over a
-:class:`~repro.dataset.database.Database`, the function library
-(:mod:`repro.sqlengine.functions`) and a programmatic query builder used by
-the query generator.
+:class:`~repro.dataset.database.Database` and the function library
+(:mod:`repro.sqlengine.functions`).
 
 Layering contract: layer 3 of the enforced import DAG — may import
 ``analysis``/``dataset``/``ml``/``text``, ``config`` and ``errors``; never
@@ -30,7 +29,6 @@ from repro.sqlengine.ast import (
     StringLiteral,
     UnaryOp,
 )
-from repro.sqlengine.builder import QueryBuilder, QueryTemplate
 from repro.sqlengine.executor import QueryExecutor, QueryResult
 from repro.sqlengine.functions import FUNCTION_LIBRARY, FunctionLibrary, SQLFunction
 from repro.sqlengine.parser import parse_expression, parse_query
@@ -47,10 +45,8 @@ __all__ = [
     "KeyPredicate",
     "NumberLiteral",
     "Query",
-    "QueryBuilder",
     "QueryExecutor",
     "QueryResult",
-    "QueryTemplate",
     "SQLFunction",
     "StringLiteral",
     "UnaryOp",

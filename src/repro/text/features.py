@@ -57,16 +57,17 @@ class FeaturizerConfig:
 class ClaimFeaturizer:
     """Fits the Figure 4 pipeline on a corpus and featurises claims.
 
-    The featurizer is usually fitted once on the texts available at
-    bootstrap time and reused throughout verification.  Refitting changes
-    feature indices, so every ``fit`` bumps :attr:`generation`; consumers
-    caching feature vectors (the pipeline's
+    The featurizer is fitted on the texts available at bootstrap time and
+    its vocabulary stays fixed throughout verification: retraining never
+    refits it, only a new bootstrap does.  Refitting changes feature
+    indices, so every ``fit`` bumps :attr:`generation`; consumers caching
+    feature vectors (the pipeline's
     :class:`~repro.pipeline.feature_store.ClaimFeatureStore`) compare
     generations to discard stale rows, and the incremental classifiers
     restart from scratch rather than warm-starting across generations.
 
     Fitted tables are replaced, never mutated: ``fit`` assigns fresh
-    vocabulary, IDF, seen-term and context-mean objects, and nothing
+    vocabulary, IDF and context-mean objects, and nothing
     writes into them afterwards.  A deep copy therefore wraps the same
     tables in fresh vectorizers and embeddings, and copies only the
     embeddings' base-vector cache, which grows as tokens are seen.  Copies
@@ -220,17 +221,3 @@ class ClaimFeaturizer:
         featurizer._fitted = bool(state["fitted"])
         featurizer._generation = int(state["generation"])  # type: ignore[arg-type]
         return featurizer
-
-    def unseen_terms(self, claim_texts: Sequence[str]) -> set[str]:
-        """Word and character n-grams of ``claim_texts`` new since the last fit.
-
-        Measured against *everything* the fit corpus contained (not just the
-        terms kept after ``max_features`` pruning), so texts already seen at
-        fit time always report zero — only genuinely new vocabulary counts
-        toward a refit decision.
-        """
-        if not self._fitted:
-            raise NotFittedError("ClaimFeaturizer.unseen_terms called before fit")
-        unseen = self._word_tfidf.unseen_terms(claim_texts)
-        unseen |= self._char_tfidf.unseen_terms(claim_texts)
-        return unseen

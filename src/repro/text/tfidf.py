@@ -68,7 +68,6 @@ class TfidfVectorizer:
         self.min_df = min_df
         self._vocabulary: dict[str, int] = {}
         self._idf: np.ndarray | None = None
-        self._seen_terms: frozenset[str] = frozenset()
 
     # ------------------------------------------------------------------ #
     # fitting
@@ -81,10 +80,6 @@ class TfidfVectorizer:
             document_frequency.update(set(self.analyzer(document)))
         if document_count == 0:
             raise ConfigurationError("cannot fit a TF-IDF vectorizer on an empty corpus")
-        # Every term of the fit corpus, before min_df / max_features pruning:
-        # the basis for deciding whether later documents carry genuinely new
-        # vocabulary (and hence whether a refit would change anything).
-        self._seen_terms = frozenset(document_frequency)
         eligible = [
             (term, frequency)
             for term, frequency in document_frequency.items()
@@ -116,15 +111,6 @@ class TfidfVectorizer:
     @property
     def dimension(self) -> int:
         return len(self._vocabulary)
-
-    def unseen_terms(self, documents: Iterable[str]) -> set[str]:
-        """Distinct analyzer terms of ``documents`` absent from the fit corpus."""
-        unseen: set[str] = set()
-        for document in documents:
-            for term in self.analyzer(document):
-                if term not in self._seen_terms:
-                    unseen.add(term)
-        return unseen
 
     def transform_one(self, document: str) -> np.ndarray:
         if self._idf is None:
@@ -168,7 +154,6 @@ class TfidfVectorizer:
             "min_df": self.min_df,
             "vocabulary": terms,
             "idf": None if self._idf is None else self._idf.tolist(),
-            "seen_terms": sorted(self._seen_terms),
         }
 
     @classmethod
@@ -185,5 +170,4 @@ class TfidfVectorizer:
         vectorizer._vocabulary = {term: index for index, term in enumerate(terms)}
         idf = state.get("idf")
         vectorizer._idf = None if idf is None else np.asarray(idf, dtype=float)
-        vectorizer._seen_terms = frozenset(state.get("seen_terms", ()))  # type: ignore[arg-type]
         return vectorizer

@@ -11,9 +11,8 @@ The suite is batch-first: features come from a shared
 per featurizer generation), prediction for many claims is one matrix
 multiplication per property (:meth:`PropertyClassifierSuite.predict_many`),
 and retraining is incremental — softmax weights warm-start from the
-previous fit, and the TF-IDF vocabulary is only refit once enough unseen
-n-grams have accumulated (which bumps the feature generation and restarts
-the models cold).
+previous fit.  The TF-IDF vocabulary is fitted once, when the translator
+is bootstrapped; retraining ignores n-grams outside it.
 """
 
 from __future__ import annotations
@@ -59,7 +58,8 @@ class SuiteConfig:
     Each property uses k-NN below ``parametric_threshold`` training
     samples (or with fewer than two labels) and softmax regression above
     it — the paper's setup.  Softmax retrains continue from the previous
-    weights while the feature generation stays the same.  Pass a
+    weights while the feature generation stays the same; retraining never
+    refits the featurizer's vocabulary.  Pass a
     ``SuiteConfig`` to :class:`~repro.translation.translator.ClaimTranslator`
     (``suite_config=``) to change any of these.
     """
@@ -71,15 +71,6 @@ class SuiteConfig:
     epochs: int = 120
     l2: float = 1e-3
     seed: int = 0
-    #: Refit the TF-IDF vocabulary once this many distinct n-grams unseen
-    #: at featurizer-fit time have accumulated in the training examples;
-    #: the refit bumps the feature-store generation, discarding cached
-    #: vectors and the softmax weights.  0 disables vocabulary refits.
-    vocabulary_refit_threshold: int = 200
-
-    def __post_init__(self) -> None:
-        if self.vocabulary_refit_threshold < 0:
-            raise ConfigurationError("vocabulary_refit_threshold must be non-negative")
 
 
 class PropertyClassifierSuite:
@@ -97,14 +88,8 @@ class PropertyClassifierSuite:
         self._store = ClaimFeatureStore(preprocessor)
         self._retrain_count = 0
         #: Feature generation the current models were trained on; a refit
-        #: of the vocabulary invalidates warm starts along with the cache.
+        #: of the featurizer invalidates warm starts along with the cache.
         self._models_generation: int | None = None
-        #: Distinct n-grams in accumulated examples that the featurizer has
-        #: never seen; crossing the threshold triggers a vocabulary refit.
-        self._unseen_terms: set[str] = set()
-        #: How many of ``self._examples`` are already part of the
-        #: featurizer's fit corpus (avoids re-absorbing texts on refits).
-        self._absorbed_example_count = 0
 
     # ------------------------------------------------------------------ #
     # training data management
@@ -131,24 +116,9 @@ class PropertyClassifierSuite:
         """The featurizer generation currently being served."""
         return self._store.generation
 
-    @property
-    def pending_unseen_term_count(self) -> int:
-        """Unseen n-grams accumulated toward the next vocabulary refit."""
-        return len(self._unseen_terms)
-
     def add_examples(self, examples: Sequence[TrainingExample]) -> None:
         """Accumulate labelled claims without retraining yet."""
         self._examples.extend(examples)
-        self._track_unseen_terms(examples)
-
-    def _track_unseen_terms(self, examples: Sequence[TrainingExample]) -> None:
-        if self._config.vocabulary_refit_threshold <= 0:
-            return
-        if not self._preprocessor.is_fitted:
-            return
-        self._unseen_terms |= self._preprocessor.unseen_terms(
-            [example.claim for example in examples]
-        )
 
     def _features_of(self, claim: Claim) -> np.ndarray:
         """One cached feature row (generation-tagged; never stale)."""
@@ -161,12 +131,8 @@ class PropertyClassifierSuite:
         """Train all four classifiers on the accumulated examples."""
         if examples is not None:
             self._examples = list(examples)
-            self._unseen_terms = set()
-            self._absorbed_example_count = 0
-            self._track_unseen_terms(self._examples)
         if not self._examples:
             raise TranslationError("cannot train the classifier suite without examples")
-        self._maybe_refit_vocabulary()
         features = self._store.matrix([example.claim for example in self._examples])
         generation = self._store.generation
         warm_eligible = generation == self._models_generation
@@ -187,24 +153,6 @@ class PropertyClassifierSuite:
         """Add newly verified claims as training samples and refit (Algorithm 1)."""
         self.add_examples(new_examples)
         return self.fit()
-
-    def _maybe_refit_vocabulary(self) -> None:
-        """Absorb accumulated unseen vocabulary once it crosses the threshold.
-
-        The refit extends the featurizer's fit corpus with the not-yet
-        absorbed example texts and bumps the feature generation: the shared
-        store drops every cached row and the next ``fit`` restarts the
-        models cold (warm starts across feature spaces would be garbage).
-        """
-        threshold = self._config.vocabulary_refit_threshold
-        if threshold <= 0 or not self._preprocessor.is_fitted:
-            return
-        if len(self._unseen_terms) < threshold:
-            return
-        fresh = self._examples[self._absorbed_example_count :]
-        self._preprocessor.refit_with([example.claim for example in fresh])
-        self._absorbed_example_count = len(self._examples)
-        self._unseen_terms = set()
 
     def _resolve_model(self, previous: object | None, sample_count: int, class_count: int):
         """Pick the model for one property, continuing a warm fit if possible.
@@ -333,8 +281,6 @@ class PropertyClassifierSuite:
                 for example in self._examples
             ],
             "retrain_count": self._retrain_count,
-            "unseen_terms": sorted(self._unseen_terms),
-            "absorbed_example_count": self._absorbed_example_count,
             "models": {
                 claim_property.value: model_to_state(model)
                 for claim_property, model in self._models.items()
@@ -372,8 +318,6 @@ class PropertyClassifierSuite:
             for entry in state.get("examples", ())  # type: ignore[union-attr]
         ]
         suite._retrain_count = int(state.get("retrain_count", 0))  # type: ignore[arg-type]
-        suite._unseen_terms = {str(term) for term in state.get("unseen_terms", ())}  # type: ignore[union-attr]
-        suite._absorbed_example_count = int(state.get("absorbed_example_count", 0))  # type: ignore[arg-type]
         suite._models = {
             ClaimProperty(claim_property): model_from_state(model_state)
             for claim_property, model_state in state.get("models", {}).items()  # type: ignore[union-attr]

@@ -63,35 +63,6 @@ class ClaimPreprocessor:
         self._featurizer.fit(claim_texts, sentence_texts)
         return self
 
-    def refit_with(self, claims: Sequence[Claim]) -> "ClaimPreprocessor":
-        """Refit the featurizer on the fit corpus extended with ``claims``.
-
-        Used by incremental retraining once enough unseen vocabulary has
-        accumulated: the TF-IDF vocabularies absorb the new texts while the
-        original corpus keeps anchoring the document frequencies.  Texts
-        already in the fit corpus are skipped, so re-absorbing a claim
-        cannot inflate its terms' document frequencies; when nothing new
-        remains the refit is skipped entirely.  A real refit bumps
-        :attr:`feature_generation`, discarding cached feature rows.
-        """
-        existing = set(zip(self._fitted_claim_texts, self._fitted_sentence_texts))
-        fresh: list[Claim] = []
-        for claim in claims:
-            key = (claim.text, claim.context_text)
-            if key not in existing:
-                existing.add(key)
-                fresh.append(claim)
-        if not fresh:
-            return self
-        return self.fit_texts(
-            self._fitted_claim_texts + [claim.text for claim in fresh],
-            self._fitted_sentence_texts + [claim.context_text for claim in fresh],
-        )
-
-    def unseen_terms(self, claims: Sequence[Claim]) -> set[str]:
-        """N-grams in ``claims`` that the fitted featurizer has never seen."""
-        return self._featurizer.unseen_terms([claim.text for claim in claims])
-
     @property
     def feature_generation(self) -> int:
         """Generation of the underlying featurizer (bumped on every refit)."""

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.dataset.catalog import Catalog
 from repro.dataset.relation import Relation
 from repro.errors import (
     DatasetError,
@@ -126,25 +125,3 @@ class TestDatabase:
 
     def test_total_cells(self, ged_database):
         assert ged_database.total_cells() == 4 * 5 + 2 * 5
-
-
-class TestCatalog:
-    def test_summary_counts(self, ged_database):
-        catalog = Catalog(ged_database)
-        summary = catalog.summary("GED")
-        assert summary.row_count == 4
-        assert summary.column_count == 5
-        assert summary.numeric_cell_count == 20
-        assert summary.density == 1.0
-
-    def test_key_index(self, ged_database):
-        catalog = Catalog(ged_database)
-        assert catalog.relations_for_key("PGElecDemand") == {"GED", "WEO_Power"}
-
-    def test_attribute_vocabulary(self, ged_database):
-        catalog = Catalog(ged_database)
-        assert "2017" in catalog.attribute_vocabulary()
-
-    def test_shared_keys(self, ged_database):
-        catalog = Catalog(ged_database)
-        assert catalog.shared_keys("GED", "WEO_Power") == {"PGElecDemand"}

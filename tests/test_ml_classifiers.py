@@ -1,17 +1,15 @@
-"""Tests for the ML substrate: encoders, classifiers and metrics."""
+"""Tests for the ML substrate: encoders and classifiers."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.errors import ConfigurationError, NotFittedError
 from repro.ml.base import Prediction
 from repro.ml.encoding import LabelEncoder
 from repro.ml.knn import KNearestNeighborsClassifier
 from repro.ml.logistic import SoftmaxRegressionClassifier
-from repro.ml.metrics import accuracy, entropy, top_k_accuracy, top_k_curve
 
 
 def _blobs(seed: int = 0, samples_per_class: int = 30, dimension: int = 10):
@@ -84,8 +82,10 @@ class TestClassifiersOnBlobs:
     def test_high_training_accuracy(self, model_factory):
         features, labels = _blobs()
         model = model_factory().fit(features, labels)
-        predictions = [model.predict(row) for row in features]
-        assert accuracy(predictions, labels) > 0.9
+        hits = sum(
+            model.predict(row).top_label == label for row, label in zip(features, labels)
+        )
+        assert hits / len(labels) > 0.9
 
     def test_probabilities_sum_to_one(self, model_factory):
         features, labels = _blobs()
@@ -128,38 +128,3 @@ class TestSoftmaxSpecifics:
         features, labels = _blobs()
         model = SoftmaxRegressionClassifier(epochs=50).fit(features, labels)
         assert len(model.predict_batch(features[:5])) == 5
-
-
-class TestMetrics:
-    def _predictions(self):
-        return [
-            Prediction.from_distribution(["a", "b", "c"], [0.6, 0.3, 0.1]),
-            Prediction.from_distribution(["a", "b", "c"], [0.2, 0.5, 0.3]),
-            Prediction.from_distribution(["a", "b", "c"], [0.1, 0.2, 0.7]),
-        ]
-
-    def test_accuracy(self):
-        assert accuracy(self._predictions(), ["a", "a", "c"]) == pytest.approx(2 / 3)
-
-    def test_top_k_accuracy_grows_with_k(self):
-        predictions = self._predictions()
-        truths = ["c", "a", "b"]
-        curve = top_k_curve(predictions, truths, max_k=3)
-        values = [value for _, value in curve]
-        assert values == sorted(values)
-        assert values[-1] == 1.0
-
-    def test_invalid_k(self):
-        with pytest.raises(ConfigurationError):
-            top_k_accuracy([], [], k=0)
-
-    def test_entropy_of_uniform(self):
-        assert entropy([0.25, 0.25, 0.25, 0.25]) == pytest.approx(np.log(4))
-
-    def test_entropy_of_point_mass(self):
-        assert entropy([1.0, 0.0]) == 0.0
-
-    @given(st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=2, max_size=10))
-    def test_entropy_bounded_by_log_n(self, weights):
-        assert entropy(weights) <= np.log(len(weights)) + 1e-9
-

@@ -134,63 +134,6 @@ class TestClaimFeatureStore:
         matrix = store.matrix([])
         assert matrix.shape == (0, preprocessor.featurizer.dimension)
 
-    def test_capacity_bound_evicts_oldest_rows(self):
-        _, claims, preprocessor = self._store()
-        store = ClaimFeatureStore(preprocessor, max_rows=3)
-        rows = [store.vector(claim) for claim in claims[:5]]
-        assert store.cached_count == 3
-        # The oldest rows left; exactly the three newest are still cached,
-        # served as the very arrays inserted rather than re-featurized.
-        for index in (2, 3, 4):
-            assert store.vector(claims[index]) is rows[index]
-        assert store.cached_count == 3
-        np.testing.assert_array_equal(
-            store.vector(claims[4]), preprocessor.preprocess(claims[4]).features
-        )
-
-    def test_matrix_larger_than_capacity_is_still_correct(self, monkeypatch):
-        _, claims, preprocessor = self._store()
-        store = ClaimFeatureStore(preprocessor, max_rows=2)
-        matrix = store.matrix(claims)
-        assert matrix.shape[0] == len(claims)
-        assert store.cached_count == 2
-        unbounded = ClaimFeatureStore(preprocessor).matrix(claims)
-        np.testing.assert_array_equal(matrix, unbounded)
-        # Exactly the two newest claims stay cached: serving them featurizes
-        # nothing.
-        featurized: list[str] = []
-        preprocess = preprocessor.preprocess
-
-        def counting_preprocess(claim):
-            featurized.append(claim.claim_id)
-            return preprocess(claim)
-
-        monkeypatch.setattr(preprocessor, "preprocess", counting_preprocess)
-        for index in (-2, -1):
-            np.testing.assert_array_equal(
-                store.vector(claims[index]), unbounded[index]
-            )
-        assert featurized == []
-        assert store.cached_count == 2
-
-    def test_capacity_can_be_tightened_later(self):
-        store, claims, _ = self._store()
-        store.matrix(claims)
-        assert store.cached_count == len(claims)
-        store.max_rows = 4
-        assert store.cached_count == 4
-        with pytest.raises(ConfigurationError):
-            store.max_rows = 0
-        with pytest.raises(ConfigurationError):
-            ClaimFeatureStore(store.preprocessor, max_rows=0)
-
-    def test_forget_drops_only_named_rows(self):
-        store, claims, _ = self._store()
-        store.matrix(claims)
-        dropped = store.forget([claims[0].claim_id, claims[1].claim_id, "unknown"])
-        assert dropped == 2
-        assert store.cached_count == len(claims) - 2
-
 
 class TestStaleCacheRegression:
     def test_suite_serves_fresh_vectors_after_featurizer_refit(self):
@@ -376,72 +319,6 @@ class TestWarmStart:
             assert suite._models[claim_property] is first_models[claim_property]
 
 
-class TestVocabularyRefit:
-    def _novel_examples(self, count: int = 4) -> list[TrainingExample]:
-        texts = [
-            "offshore wind turbines delivered unprecedented gigawatt capacity",
-            "hydrogen electrolyzers scaled beyond pilot deployments rapidly",
-            "geothermal wellheads sustained remarkable baseload output levels",
-            "photovoltaic inverters exceeded efficiency expectations everywhere",
-        ]
-        return [
-            TrainingExample(
-                claim=_claim(f"n{index}", texts[index % len(texts)]),
-                labels={
-                    ClaimProperty.RELATION: "GED",
-                    ClaimProperty.KEY: "PGElecDemand",
-                    ClaimProperty.ATTRIBUTE: "2017",
-                    ClaimProperty.FORMULA: "a",
-                },
-            )
-            for index in range(count)
-        ]
-
-    def test_refit_triggers_after_unseen_terms_accumulate(self):
-        examples = _examples()
-        preprocessor = ClaimPreprocessor().fit([example.claim for example in examples])
-        suite = PropertyClassifierSuite(
-            preprocessor,
-            SuiteConfig(parametric_threshold=100, vocabulary_refit_threshold=10),
-        )
-        suite.fit(examples)
-        generation = suite.feature_generation
-        suite.retrain(self._novel_examples())
-        assert suite.feature_generation == generation + 1
-        assert suite.pending_unseen_term_count == 0
-        # The new vocabulary is now part of the feature space and the suite
-        # keeps serving predictions.
-        prediction = suite.predict(_claim("q", "offshore wind turbines"))
-        assert set(prediction) == set(ClaimProperty.ordered())
-
-    def test_threshold_zero_disables_refit(self):
-        examples = _examples()
-        preprocessor = ClaimPreprocessor().fit([example.claim for example in examples])
-        suite = PropertyClassifierSuite(
-            preprocessor,
-            SuiteConfig(parametric_threshold=100, vocabulary_refit_threshold=0),
-        )
-        suite.fit(examples)
-        generation = suite.feature_generation
-        suite.retrain(self._novel_examples())
-        assert suite.feature_generation == generation
-        assert suite.pending_unseen_term_count == 0
-
-    def test_seen_corpus_accumulates_no_unseen_terms(self):
-        examples = _examples()
-        preprocessor = ClaimPreprocessor().fit([example.claim for example in examples])
-        suite = PropertyClassifierSuite(
-            preprocessor,
-            SuiteConfig(parametric_threshold=100, vocabulary_refit_threshold=1),
-        )
-        suite.fit(examples)
-        generation = suite.feature_generation
-        # Retraining on claims whose texts were in the fit corpus must not
-        # trigger a refit, no matter how low the threshold.
-        suite.retrain(_examples(4, offset=200))
-        assert suite.feature_generation == generation
-
-
 # --------------------------------------------------------------------- #
 # vectorized batch scoring
 # --------------------------------------------------------------------- #
@@ -469,20 +346,6 @@ class TestVectorizedScoring:
         vectorized = planner.estimate_utilities_batch(batch)
         scalar = [planner.estimate_utility(predictions) for predictions in dicts]
         np.testing.assert_allclose(vectorized, scalar, rtol=1e-9)
-
-    def test_refit_with_deduplicates_absorbed_texts(self):
-        examples = _examples()
-        claims = [example.claim for example in examples]
-        preprocessor = ClaimPreprocessor().fit(claims)
-        generation = preprocessor.feature_generation
-        # Re-absorbing texts already in the fit corpus is a no-op: no
-        # duplicate documents skewing IDF, no spurious generation bump.
-        preprocessor.refit_with(claims)
-        assert preprocessor.feature_generation == generation
-        novel = _claim("novel", "entirely new words about tidal barrage output")
-        preprocessor.refit_with([novel, novel])
-        assert preprocessor.feature_generation == generation + 1
-        assert preprocessor.unseen_terms([novel]) == set()
 
     def test_property_batch_entropies_match_prediction_entropy(self):
         batch, dicts = self._batch_and_dicts()

@@ -76,10 +76,7 @@ def _make_service(corpus, backend: str):
         preprocessor=ClaimPreprocessor(
             ClaimFeaturizer(FeaturizerConfig(word_max_features=150, char_max_features=150))
         ),
-        suite_config=SuiteConfig(
-            parametric_threshold=PARAMETRIC_THRESHOLDS[backend],
-            vocabulary_refit_threshold=50,
-        ),
+        suite_config=SuiteConfig(parametric_threshold=PARAMETRIC_THRESHOLDS[backend]),
     )
     claims = [annotated.claim for annotated in corpus]
     truths = [annotated.ground_truth for annotated in corpus]

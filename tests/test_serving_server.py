@@ -69,8 +69,6 @@ def test_policy_validation():
         AdmissionPolicy(max_pending_claims_per_tenant=0)
     with pytest.raises(ConfigurationError):
         AdmissionPolicy(max_queued_submissions=0)
-    with pytest.raises(ConfigurationError):
-        AdmissionPolicy(max_cached_features_per_tenant=0)
 
 
 def test_server_rejects_process_executor(serving_corpus):
@@ -422,24 +420,16 @@ def test_known_claims_cover_snapshots_and_submissions(serving_corpus, tmp_path):
     second.close()
 
 
-def test_feature_cache_cap_is_applied_per_tenant(serving_corpus):
-    server = VerificationServer(
-        serving_corpus,
-        _config(),
-        policy=AdmissionPolicy(max_cached_features_per_tenant=5),
-        executor="serial",
-    )
+def test_tenants_get_their_own_feature_store(serving_corpus):
+    server = VerificationServer(serving_corpus, _config(), executor="serial")
     ids = list(serving_corpus.claim_ids)
     server.submit("a", ids[:12])
     server.submit("b", ids[12:24])
     server.run_round()
-    stores = []
-    for tenant_id in ("a", "b"):
-        record = server._tenants[tenant_id]
-        store = record.service.translator.suite.feature_store
-        assert store.max_rows == 5
-        assert store.cached_count <= 5
-        stores.append(store)
+    stores = [
+        server._tenants[tenant_id].service.translator.suite.feature_store
+        for tenant_id in ("a", "b")
+    ]
     assert stores[0] is not stores[1], "tenants must not share a feature store"
     server.close()
 
@@ -475,7 +465,8 @@ def test_snapshot_from_another_schema_version_fails_restart(
     the journal into a cold session would overwrite it at passivation.
 
     Version 2 is the retired format whose session repeated the report's
-    verifications; the next version is one this build predates.
+    verifications, version 3 the one whose classifier suite still carried
+    vocabulary-refit state; the next version is one this build predates.
     """
     first = VerificationServer(
         serving_corpus, _config(), executor="serial", snapshot_dir=tmp_path
@@ -486,7 +477,7 @@ def test_snapshot_from_another_schema_version_fails_restart(
     store = SnapshotStore(tmp_path)
     path = store.path("t0")
     written = path.read_text()
-    for version in (2, SNAPSHOT_SCHEMA_VERSION + 1):
+    for version in (2, 3, SNAPSHOT_SCHEMA_VERSION + 1):
         payload = json.loads(written)
         payload["schema_version"] = version
         path.write_text(json.dumps(payload))

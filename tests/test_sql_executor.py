@@ -4,10 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import SQLError, SQLExecutionError, UnknownRelationError
-from repro.sqlengine.builder import QueryBuilder, QueryTemplate, lookup_query
+from repro.errors import SQLExecutionError, UnknownRelationError
 from repro.sqlengine.executor import QueryExecutor
-from repro.sqlengine.parser import parse_query
 
 
 @pytest.fixture()
@@ -84,62 +82,3 @@ class TestExecution:
         executor = QueryExecutor(ged_database, max_bindings=2)
         with pytest.raises(SQLExecutionError):
             executor.execute("SELECT a.2017 + b.2017 FROM GED a, GED b")
-
-
-class TestQueryBuilder:
-    def test_builder_matches_parsed_query(self, executor):
-        built = (
-            QueryBuilder()
-            .select("a.2017 / b.2016")
-            .from_relation("GED", "a")
-            .from_relation("GED", "b")
-            .where_key("a", "PGElecDemand")
-            .where_key("b", "PGElecDemand")
-            .build()
-        )
-        assert executor.execute_scalar(built) == pytest.approx(22209.0 / 21567.0)
-
-    def test_builder_requires_select(self):
-        with pytest.raises(SQLError):
-            QueryBuilder().from_relation("GED", "a").build()
-
-    def test_builder_requires_from(self):
-        with pytest.raises(SQLError):
-            QueryBuilder().select("a.2017").build()
-
-    def test_builder_rejects_unknown_alias_in_where(self):
-        with pytest.raises(SQLError):
-            QueryBuilder().select("a.2017").from_relation("GED", "a").where_key("b", "X").build()
-
-    def test_lookup_query_helper(self, executor):
-        query = lookup_query("GED", "PGINCoal", "2040")
-        assert executor.execute_scalar(query) == 2353.0
-
-    def test_where_key_disjunction(self, executor):
-        built = (
-            QueryBuilder()
-            .select("a.2017")
-            .from_relation("GED", "a")
-            .where_key("a", "PGElecDemand", "PGINCoal")
-            .build()
-        )
-        assert len(executor.execute(built).values) == 2
-
-
-class TestQueryTemplate:
-    def test_fill_replaces_placeholders(self):
-        template = QueryTemplate("SELECT a.{year} FROM {rel} a WHERE a.Index = '{key}'")
-        sql = template.fill(year="2017", rel="GED", key="PGElecDemand")
-        assert parse_query(sql).relation_names() == ("GED",)
-
-    def test_missing_placeholder_raises(self):
-        with pytest.raises(SQLError):
-            QueryTemplate("SELECT a.{year} FROM GED a").fill()
-
-    def test_extra_placeholder_raises(self):
-        with pytest.raises(SQLError):
-            QueryTemplate("SELECT a.2017 FROM GED a").fill(year="2017")
-
-    def test_placeholder_names_deduplicated(self):
-        template = QueryTemplate("{rel} {rel} {key}")
-        assert template.placeholder_names() == ["rel", "key"]

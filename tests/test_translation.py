@@ -55,7 +55,7 @@ class TestPreprocessor:
             return [featurizer._embeddings._context_means] + [
                 table
                 for vectorizer in (featurizer._word_tfidf, featurizer._char_tfidf)
-                for table in (vectorizer._vocabulary, vectorizer._idf, vectorizer._seen_terms)
+                for table in (vectorizer._vocabulary, vectorizer._idf)
             ]
 
         claims = [
@@ -75,7 +75,7 @@ class TestPreprocessor:
             )
         before = template.feature_matrix(claims)
 
-        refitting.refit_with(claims[2:])
+        refitting.fit(claims)
         assert refitting.feature_generation == template.feature_generation + 1
         assert not any(
             mine is theirs
