@@ -5,11 +5,11 @@ pool, so at multi-tenant scale the planner's cost per round is what
 matters.  This benchmark drives both planners through the same sequence of
 rounds over a 2,000-claim pending pool — each round selects a batch and
 removes it from the pool, exactly like the serving scheduler — and times
-the old path (dense MILP re-encoded from scratch each round,
-``select_claim_batch``) against :class:`~repro.planning.engine.PlannerEngine`
-(dominance pruning, per-section aggregation, a sparse MILP with
-aggregated linking rows, greedy warm start).  Both are exact: the
-per-round objective values must agree.
+the reference path (dense MILP re-encoded from scratch each round,
+``select_claim_batch``) against :class:`~repro.planning.engine.PlannerEngine`,
+which, with no cost threshold, collapses the program to one claim count
+per section and solves it by an exact dynamic program over sections.
+Both are exact: the per-round objective values must agree.
 
 Results persist to ``bench-out/BENCH_planner_scaling.json``.
 ``REPRO_BENCH_QUICK=1`` (the ``make bench-planner`` configuration) shrinks
@@ -109,7 +109,6 @@ def test_bench_planner_scaling():
         "engine": {
             "planning_seconds_per_round": engine_seconds / rounds,
             "rounds_per_second": rounds / engine_seconds,
-            "claims_pruned": engine.stats.claims_pruned,
             "claims_seen": engine.stats.claims_seen,
         },
         "engine_over_resolve_speedup": speedup,
@@ -119,8 +118,7 @@ def test_bench_planner_scaling():
         f"\nplanner scaling over a {_POOL_SIZE}-claim pool ({rounds} rounds): "
         f"re-solve {resolve_seconds / rounds * 1e3:.1f} ms/round, "
         f"engine {engine_seconds / rounds * 1e3:.1f} ms/round, "
-        f"speedup {speedup:.1f}x "
-        f"({engine.stats.claims_pruned}/{engine.stats.claims_seen} claims pruned)"
+        f"speedup {speedup:.1f}x"
     )
 
     # The acceptance bar is >=3x; the observed speedup is over an order of

@@ -28,7 +28,6 @@ from repro.api.service import ProgressCallback, VerificationService
 from repro.claims.corpus import ClaimCorpus
 from repro.config import ScrutinizerConfig
 from repro.errors import ConfigurationError
-from repro.planning.planner import QuestionPlanner
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.core.scrutinizer import Scrutinizer
@@ -52,10 +51,8 @@ class ScrutinizerBuilder:
         self._translator: TranslationBackend | None = None
         self._checkers: list[Checker] | None = None
         self._answer_source: AnswerSource | None = None
-        self._planner: QuestionPlanner | None = None
         self._batch_selector: BatchSelector | None = None
         self._accuracy_sample_size = 60
-        self._system_name: str | None = None
         self._callbacks: list[ProgressCallback] = []
         self._snapshot: "ServiceSnapshot | None" = None
 
@@ -87,11 +84,6 @@ class ScrutinizerBuilder:
         self._answer_source = answer_source
         return self
 
-    def with_planner(self, planner: QuestionPlanner) -> "ScrutinizerBuilder":
-        """Use a custom question planner."""
-        self._planner = planner
-        return self
-
     def with_batch_selector(self, batch_selector: BatchSelector) -> "ScrutinizerBuilder":
         """Use a custom claim-ordering policy."""
         self._batch_selector = batch_selector
@@ -102,11 +94,6 @@ class ScrutinizerBuilder:
         if sample_size < 1:
             raise ConfigurationError("accuracy sample size must be at least 1")
         self._accuracy_sample_size = sample_size
-        return self
-
-    def with_system_name(self, name: str) -> "ScrutinizerBuilder":
-        """Override the system name stamped on reports."""
-        self._system_name = name
         return self
 
     def sequential_baseline(self) -> "ScrutinizerBuilder":
@@ -130,8 +117,8 @@ class ScrutinizerBuilder:
         configuration is applied automatically; the resulting service
         continues the checkpointed run byte-identically (same batch
         selections, predictions and verdicts as an uninterrupted run).
-        Custom components (checkers, answer sources, planners) still have
-        to be re-attached through the usual ``with_*`` methods — only
+        Custom components (checkers, answer sources, batch selectors) still
+        have to be re-attached through the usual ``with_*`` methods — only
         their serializable state comes from the snapshot.
         """
         from repro.runtime.snapshot import (
@@ -189,10 +176,8 @@ class ScrutinizerBuilder:
             translator=translator,
             checkers=self._checkers,
             answer_source=self._answer_source,
-            planner=self._planner,
             batch_selector=self._batch_selector,
             accuracy_sample_size=self._accuracy_sample_size,
-            system_name=self._system_name,
         )
         for callback in self._callbacks:
             service.on_batch_complete(callback)

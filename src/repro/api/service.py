@@ -72,9 +72,10 @@ class BatchResult:
     #: Classifier accuracy on the still-pending claims, keyed by series
     #: name; empty when tracking is off or no claims remain.
     accuracy_by_property: dict[str, float]
-    #: Which strategy selected the batch: the engine's ``"engine-direct"``,
-    #: ``"engine-dp"``, ``"engine-milp"`` or ``"engine-greedy"``,
-    #: ``"sequential"`` for the baseline, or a custom batch selector's own
+    #: Which strategy selected the batch: the engine's ``"engine-direct"``
+    #: or ``"engine-dp"``; under a cost threshold the reference MILP's
+    #: ``"scipy-milp"``, or ``"greedy"`` when its solver fails;
+    #: ``"sequential"`` for the baseline; or a custom batch selector's own
     #: tag.
     solver: str
     #: Number of claims still pending after this batch.

@@ -18,7 +18,7 @@ reprolint; see ``docs/architecture.md``.
 
 from repro.planning.batching import BatchCandidate, ClaimSelection, select_claim_batch
 from repro.planning.costmodel import VerificationCostModel
-from repro.planning.engine import EngineStats, PlannerEngine, dominance_prune
+from repro.planning.engine import EngineStats, PlannerEngine
 from repro.planning.ilp import IlpSolution, solve_claim_selection_ilp
 from repro.planning.options import AnswerOption, expected_option_cost, order_options
 from repro.planning.planner import QuestionPlanner
@@ -40,7 +40,6 @@ __all__ = [
     "Screen",
     "VerificationCostModel",
     "claim_training_utility",
-    "dominance_prune",
     "expected_claim_cost",
     "expected_option_cost",
     "order_options",

@@ -4,17 +4,20 @@ A batch of claims costs the sum of their expected verification costs plus
 one reading cost per distinct section touched.  Subject to batch-size and
 cost-threshold constraints, the selection maximises accumulated training
 utility — an NP-hard problem (knapsack reduction, Theorem 7) delegated to
-the ILP encoding of :mod:`repro.planning.ilp`.
+the ILP encoding of :mod:`repro.planning.ilp`.  :func:`select_claim_batch`
+is that reference program: the test and benchmark oracle, and the solver
+:class:`~repro.planning.engine.PlannerEngine` hands every instance with a
+genuine cost threshold.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from repro.config import BatchingConfig
 from repro.errors import ConfigurationError, InfeasibleSelectionError
-from repro.planning.ilp import IlpSolution, solve_claim_selection_ilp
+from repro.planning.ilp import solve_claim_selection_ilp
 
 
 @dataclass(frozen=True)
@@ -47,6 +50,22 @@ class ClaimSelection:
     def batch_size(self) -> int:
         return len(self.claim_ids)
 
+    @classmethod
+    def from_candidates(
+        cls,
+        selected: Sequence[BatchCandidate],
+        section_read_costs: Mapping[str, float],
+        solver: str,
+    ) -> "ClaimSelection":
+        """The selection of ``selected``, in order, costed by :func:`batch_cost`."""
+        return cls(
+            claim_ids=tuple(candidate.claim_id for candidate in selected),
+            total_cost=batch_cost(selected, section_read_costs),
+            total_utility=sum(candidate.training_utility for candidate in selected),
+            sections_read=tuple(sorted({candidate.section_id for candidate in selected})),
+            solver=solver,
+        )
+
 
 def check_batch_feasibility(candidate_count: int, config: BatchingConfig) -> None:
     """Shared feasibility preamble of both batch planners.
@@ -72,7 +91,7 @@ def check_batch_feasibility(candidate_count: int, config: BatchingConfig) -> Non
 
 def batch_cost(
     candidates: Sequence[BatchCandidate],
-    section_read_costs: dict[str, float],
+    section_read_costs: Mapping[str, float],
 ) -> float:
     """Total cost ``t(C)`` of a batch (Definition 8)."""
     verification = sum(candidate.verification_cost for candidate in candidates)
@@ -83,9 +102,8 @@ def batch_cost(
 
 def select_claim_batch(
     candidates: Sequence[BatchCandidate],
-    section_read_costs: dict[str, float],
+    section_read_costs: Mapping[str, float],
     config: BatchingConfig | None = None,
-    use_milp: bool = True,
 ) -> ClaimSelection:
     """Select the next batch of claims to verify (Definition 9).
 
@@ -110,7 +128,7 @@ def select_claim_batch(
         section_read_costs.get(section_id, config.section_read_cost)
         for section_id in section_ids
     ]
-    solution: IlpSolution = solve_claim_selection_ilp(
+    solution = solve_claim_selection_ilp(
         utilities=[candidate.training_utility for candidate in candidates],
         verification_costs=[candidate.verification_cost for candidate in candidates],
         claim_sections=[section_index[candidate.section_id] for candidate in candidates],
@@ -119,19 +137,9 @@ def select_claim_batch(
         max_batch_size=max_batch_size,
         cost_threshold=config.cost_threshold,
         utility_weight=config.utility_weight if config.utility_weight > 0 else None,
-        use_milp=use_milp,
     )
-    selected = [candidates[index] for index in solution.selected_indices]
-    if not selected and config.cost_threshold is None:
-        # Degenerate objective (e.g. zero utilities): fall back to document
-        # order.  Under a genuine cost threshold an empty selection stands —
-        # filling the batch anyway could blow the budget.
-        selected = list(candidates[: config.max_batch_size])
-    sections_read = tuple(sorted({candidate.section_id for candidate in selected}))
-    return ClaimSelection(
-        claim_ids=tuple(candidate.claim_id for candidate in selected),
-        total_cost=batch_cost(selected, section_read_costs),
-        total_utility=sum(candidate.training_utility for candidate in selected),
-        sections_read=sections_read,
-        solver=solution.solver,
+    return ClaimSelection.from_candidates(
+        [candidates[index] for index in solution.selected_indices],
+        section_read_costs,
+        solution.solver,
     )

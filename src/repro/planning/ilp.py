@@ -8,7 +8,10 @@ combined form ``t(B) - wu * sum u(c)`` when a utility weight is given.
 
 The paper uses Gurobi; we encode the identical program for
 ``scipy.optimize.milp`` (HiGHS) and fall back to a greedy knapsack-style
-heuristic when ``use_milp`` is off or the MILP solver fails.
+heuristic when the MILP solver fails.  This dense encoding is the reference
+program: :func:`~repro.planning.batching.select_claim_batch` wraps it, and
+the planner engine solves every instance with a genuine cost threshold
+through it.
 
 ``cost_threshold`` semantics: ``None`` (the default) disables the cost
 constraint entirely.  Any float — including ``0.0`` — is a genuine budget:
@@ -34,7 +37,6 @@ class IlpSolution:
     selected_indices: tuple[int, ...]
     objective_value: float
     solver: str
-    optimal: bool
 
 
 def solve_claim_selection_ilp(
@@ -46,7 +48,6 @@ def solve_claim_selection_ilp(
     max_batch_size: int,
     cost_threshold: float | None = None,
     utility_weight: float | None = None,
-    use_milp: bool = True,
 ) -> IlpSolution:
     """Solve one claim-selection instance.
 
@@ -56,7 +57,8 @@ def solve_claim_selection_ilp(
     ``utility_weight`` is ``None`` the objective is pure utility
     maximisation subject to the cost threshold; otherwise the combined
     objective ``t(B) - wu * sum u(c)`` is minimised.  ``cost_threshold=None``
-    disables the cost constraint; ``0.0`` is a genuine zero budget.
+    disables the cost constraint; ``0.0`` is a genuine zero budget.  The
+    greedy heuristic answers when the MILP solver fails.
     """
     claim_count = len(utilities)
     if claim_count != len(verification_costs) or claim_count != len(claim_sections):
@@ -82,19 +84,18 @@ def solve_claim_selection_ilp(
             f"batch bounds are infeasible: [{min_batch_size}, {max_batch_size}]",
             constraint="batch_bounds",
         )
-    if use_milp:
-        solution = _solve_with_milp(
-            utilities,
-            verification_costs,
-            claim_sections,
-            section_read_costs,
-            min_batch_size,
-            max_batch_size,
-            cost_threshold,
-            utility_weight,
-        )
-        if solution is not None:
-            return solution
+    solution = _solve_with_milp(
+        utilities,
+        verification_costs,
+        claim_sections,
+        section_read_costs,
+        min_batch_size,
+        max_batch_size,
+        cost_threshold,
+        utility_weight,
+    )
+    if solution is not None:
+        return solution
     return _solve_greedy(
         utilities,
         verification_costs,
@@ -192,7 +193,6 @@ def _solve_with_milp(
         selected_indices=selection,
         objective_value=float(result.fun),
         solver="scipy-milp",
-        optimal=True,
     )
 
 
@@ -209,7 +209,7 @@ def _solve_greedy(
     cost_threshold: float | None,
     utility_weight: float | None,
 ) -> IlpSolution:
-    """Greedy knapsack-style heuristic used when the MILP solver is unavailable.
+    """Greedy knapsack-style heuristic used when the MILP solver fails.
 
     Claims are taken best-score first; ties break by lowest claim index so
     equal-score claims select in the same order on every platform (matching
@@ -273,7 +273,6 @@ def _solve_greedy(
         selected_indices=tuple(selected),
         objective_value=float(objective),
         solver="greedy",
-        optimal=False,
     )
 
 

@@ -225,15 +225,10 @@ class QuestionPlanner:
             if document_order is not None:
                 position = {claim_id: index for index, claim_id in enumerate(document_order)}
                 ordered.sort(key=lambda candidate: position.get(candidate.claim_id, 1 << 30))
-            chosen = ordered[: self.config.batching.max_batch_size]
-            sections = tuple(sorted({candidate.section_id for candidate in chosen}))
-            return ClaimSelection(
-                claim_ids=tuple(candidate.claim_id for candidate in chosen),
-                total_cost=sum(candidate.verification_cost for candidate in chosen)
-                + sum(section_read_costs.get(section, 0.0) for section in sections),
-                total_utility=sum(candidate.training_utility for candidate in chosen),
-                sections_read=sections,
-                solver="sequential",
+            return ClaimSelection.from_candidates(
+                ordered[: self.config.batching.max_batch_size],
+                section_read_costs,
+                "sequential",
             )
         return self.engine.plan(
             candidates, dict(section_read_costs), config=self.config.batching

@@ -97,17 +97,9 @@ class TfidfVectorizer:
         self._idf = idf
         return self
 
-    def fit_transform(self, documents: Sequence[str]) -> np.ndarray:
-        self.fit(documents)
-        return self.transform(documents)
-
     # ------------------------------------------------------------------ #
     # transformation
     # ------------------------------------------------------------------ #
-    @property
-    def vocabulary(self) -> dict[str, int]:
-        return dict(self._vocabulary)
-
     @property
     def dimension(self) -> int:
         return len(self._vocabulary)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from repro.claims.model import Claim, ClaimProperty
 from repro.config import BatchingConfig, CostModelConfig, ScrutinizerConfig
 from repro.errors import ConfigurationError, InfeasibleSelectionError
 from repro.ml.base import Prediction
+from repro.planning import ilp as ilp_module
 from repro.planning.batching import BatchCandidate, batch_cost, select_claim_batch
 from repro.planning.costmodel import VerificationCostModel, expected_reading_cost
 from repro.planning.ilp import solve_claim_selection_ilp
@@ -27,6 +30,13 @@ from repro.planning.utility import claim_training_utility, expected_claim_cost
 
 def _prediction(labels, probabilities) -> Prediction:
     return Prediction.from_distribution(labels, probabilities)
+
+
+def _fail_milp(monkeypatch) -> None:
+    """Make the MILP solver fail, so the greedy fallback answers."""
+    monkeypatch.setattr(
+        ilp_module, "milp", lambda **_: SimpleNamespace(success=False, x=None)
+    )
 
 
 def _predictions() -> dict[ClaimProperty, Prediction]:
@@ -256,7 +266,8 @@ class TestIlp:
         )
         assert set(solution.selected_indices) <= {0, 1}
 
-    def test_greedy_fallback_matches_constraints(self):
+    def test_greedy_fallback_matches_constraints(self, monkeypatch):
+        _fail_milp(monkeypatch)
         solution = solve_claim_selection_ilp(
             utilities=[1.0, 5.0, 2.0],
             verification_costs=[10.0, 10.0, 10.0],
@@ -264,7 +275,6 @@ class TestIlp:
             section_read_costs=[5.0, 5.0, 5.0],
             min_batch_size=1,
             max_batch_size=2,
-            use_milp=False,
         )
         assert solution.solver == "greedy"
         assert 1 <= len(solution.selected_indices) <= 2
@@ -320,22 +330,25 @@ class TestIlp:
         with pytest.raises(ConfigurationError):
             solve_claim_selection_ilp([1.0], [1.0], [0], [1.0], 1, 1, cost_threshold=-1.0)
 
-    def test_min_batch_above_pool_raises_in_both_paths(self):
-        for use_milp in (True, False):
-            with pytest.raises(InfeasibleSelectionError) as outcome:
-                solve_claim_selection_ilp(
-                    utilities=[1.0, 2.0],
-                    verification_costs=[1.0, 1.0],
-                    claim_sections=[0, 0],
-                    section_read_costs=[1.0],
-                    min_batch_size=5,
-                    max_batch_size=8,
-                    use_milp=use_milp,
-                )
+    def test_min_batch_above_pool_raises_in_both_paths(self, monkeypatch):
+        for solver_fails in (False, True):
+            with monkeypatch.context() as patch:
+                if solver_fails:
+                    _fail_milp(patch)
+                with pytest.raises(InfeasibleSelectionError) as outcome:
+                    solve_claim_selection_ilp(
+                        utilities=[1.0, 2.0],
+                        verification_costs=[1.0, 1.0],
+                        claim_sections=[0, 0],
+                        section_read_costs=[1.0],
+                        min_batch_size=5,
+                        max_batch_size=8,
+                    )
             assert outcome.value.constraint == "min_batch_size"
 
-    def test_greedy_ties_break_by_lowest_index(self):
+    def test_greedy_ties_break_by_lowest_index(self, monkeypatch):
         """Equal-score claims select lowest-index-first on every platform."""
+        _fail_milp(monkeypatch)
         solution = solve_claim_selection_ilp(
             utilities=[2.0, 2.0, 2.0, 2.0],
             verification_costs=[10.0, 10.0, 10.0, 10.0],
@@ -343,11 +356,10 @@ class TestIlp:
             section_read_costs=[5.0],
             min_batch_size=1,
             max_batch_size=2,
-            use_milp=False,
         )
         assert solution.selected_indices == (0, 1)
 
-    def test_milp_and_greedy_agree_when_greedy_is_optimal(self):
+    def test_milp_and_greedy_agree_when_greedy_is_optimal(self, monkeypatch):
         """On a single-section, uniform-cost, pinned-size instance the greedy
         heuristic is optimal; both solvers must return the same batch and
         report the same objective value."""
@@ -360,8 +372,9 @@ class TestIlp:
             max_batch_size=2,
             utility_weight=5.0,
         )
-        milp_solution = solve_claim_selection_ilp(use_milp=True, **kwargs)
-        greedy_solution = solve_claim_selection_ilp(use_milp=False, **kwargs)
+        milp_solution = solve_claim_selection_ilp(**kwargs)
+        _fail_milp(monkeypatch)
+        greedy_solution = solve_claim_selection_ilp(**kwargs)
         assert milp_solution.solver == "scipy-milp"
         assert greedy_solution.solver == "greedy"
         assert set(milp_solution.selected_indices) == set(greedy_solution.selected_indices)
@@ -369,9 +382,10 @@ class TestIlp:
             milp_solution.objective_value, abs=1e-9
         )
 
-    def test_greedy_skips_over_budget_claims_instead_of_stopping(self):
+    def test_greedy_skips_over_budget_claims_instead_of_stopping(self, monkeypatch):
         """A too-expensive top-scored claim no longer ends the greedy pass:
         cheaper claims further down the ranking still fill the batch."""
+        _fail_milp(monkeypatch)
         solution = solve_claim_selection_ilp(
             utilities=[9.0, 1.0, 1.0],
             verification_costs=[100.0, 5.0, 5.0],
@@ -381,7 +395,6 @@ class TestIlp:
             max_batch_size=3,
             cost_threshold=20.0,
             utility_weight=30.0,
-            use_milp=False,
         )
         assert solution.selected_indices == (1, 2)
 
@@ -416,19 +429,21 @@ class TestBatchSelection:
         with pytest.raises(ConfigurationError):
             BatchCandidate("c1", "s", verification_cost=-1.0, training_utility=0.0)
 
-    def test_min_batch_above_pool_surfaces_the_constraint(self):
+    def test_min_batch_above_pool_surfaces_the_constraint(self, monkeypatch):
         """No more silent short batches: both solver paths refuse, and the
         error names the violated constraint."""
-        for use_milp in (True, False):
-            with pytest.raises(InfeasibleSelectionError) as outcome:
-                select_claim_batch(
-                    self._candidates(),
-                    {"sec1": 30.0, "sec2": 30.0},
-                    config=BatchingConfig(
-                        min_batch_size=5, max_batch_size=8, cost_threshold=500.0
-                    ),
-                    use_milp=use_milp,
-                )
+        for solver_fails in (False, True):
+            with monkeypatch.context() as patch:
+                if solver_fails:
+                    _fail_milp(patch)
+                with pytest.raises(InfeasibleSelectionError) as outcome:
+                    select_claim_batch(
+                        self._candidates(),
+                        {"sec1": 30.0, "sec2": 30.0},
+                        config=BatchingConfig(
+                            min_batch_size=5, max_batch_size=8, cost_threshold=500.0
+                        ),
+                    )
             assert outcome.value.constraint == "min_batch_size"
 
     def test_pinned_regime_still_allows_a_partial_final_batch(self):

@@ -11,10 +11,9 @@ from hypothesis import given, settings, strategies as st
 from repro.api.service import VerificationService
 from repro.config import BatchingConfig, ScrutinizerConfig
 from repro.errors import InfeasibleSelectionError
-from repro.planning import engine as engine_module
+from repro.planning import ilp as ilp_module
 from repro.planning.batching import BatchCandidate, ClaimSelection, select_claim_batch
-from repro.planning.engine import FusionRequest, PlannerEngine, dominance_prune
-from repro.planning.ilp import solve_claim_selection_ilp
+from repro.planning.engine import FusionRequest, PlannerEngine
 from repro.planning.planner import QuestionPlanner
 from repro.serving.server import AdmissionPolicy, VerificationServer
 
@@ -81,7 +80,7 @@ class TestEngineExactness:
     @settings(deadline=None, max_examples=30)
     @given(_instances())
     def test_pinned_regime_matches_full_milp(self, instance):
-        """Pruning + per-section aggregation never change the objective."""
+        """Per-section aggregation never changes the objective."""
         utilities, costs, sections, reads, max_batch = instance
         config = BatchingConfig(
             min_batch_size=1, max_batch_size=max_batch, utility_weight=5.0
@@ -113,46 +112,6 @@ class TestEngineExactness:
             _combined_objective(baseline, 30.0), abs=1e-6
         )
 
-    @settings(deadline=None, max_examples=30)
-    @given(_instances())
-    def test_dominance_pruning_keeps_the_milp_objective(self, instance):
-        """Solving the ILP on the pruned pool gives the full pool's optimum."""
-        utilities, costs, sections, reads, max_batch = instance
-        utilities = np.asarray(utilities)
-        costs = np.asarray(costs)
-        sections = np.asarray(sections)
-        kept = dominance_prune(
-            utilities,
-            costs,
-            sections,
-            max_batch,
-            cost_constrained=True,
-            utility_weight=5.0,
-        )
-        full = solve_claim_selection_ilp(
-            utilities=list(utilities),
-            verification_costs=list(costs),
-            claim_sections=list(sections),
-            section_read_costs=list(reads),
-            min_batch_size=0,
-            max_batch_size=max_batch,
-            cost_threshold=250.0,
-            utility_weight=5.0,
-        )
-        pruned = solve_claim_selection_ilp(
-            utilities=list(utilities[kept]),
-            verification_costs=list(costs[kept]),
-            claim_sections=list(sections[kept]),
-            section_read_costs=list(reads),
-            min_batch_size=0,
-            max_batch_size=max_batch,
-            cost_threshold=250.0,
-            utility_weight=5.0,
-        )
-        assert pruned.objective_value == pytest.approx(
-            full.objective_value, abs=1e-6
-        )
-
     def test_pure_utility_shortcut_picks_top_batch(self):
         candidates = _candidates([1.0, 4.0, 2.0, 4.0], [10.0] * 4, [0, 1, 0, 1])
         config = BatchingConfig(min_batch_size=1, max_batch_size=2, utility_weight=0.0)
@@ -182,9 +141,9 @@ class TestEngineExactness:
 
 class TestEngineCaches:
     def test_greedy_fallback_when_milp_disabled(self, monkeypatch):
-        # A failed MILP solve falls back to the greedy incumbent.
+        # Under a cost threshold a failed MILP solve falls back to the greedy.
         monkeypatch.setattr(
-            engine_module, "milp", lambda **_: SimpleNamespace(success=False, x=None)
+            ilp_module, "milp", lambda **_: SimpleNamespace(success=False, x=None)
         )
         candidates = _candidates([3.0, 1.0, 2.0], [10.0, 10.0, 10.0], [0, 1, 2])
         reads = {f"sec{j:02d}": 5.0 for j in range(3)}
@@ -193,8 +152,8 @@ class TestEngineCaches:
         )
         engine = PlannerEngine()
         selection = engine.plan(candidates, reads, config=config)
-        assert selection.solver == "engine-greedy"
-        assert engine.stats.greedy_fallbacks == 1
+        assert selection.solver == "greedy"
+        assert engine.stats.plans == 1
         assert 1 <= selection.batch_size <= 2
 
     def test_infeasible_minimum_batch_raises(self):

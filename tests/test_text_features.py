@@ -44,7 +44,7 @@ class TestTfidf:
 
     def test_fit_transform_shape(self):
         vectorizer = self._vectorizer()
-        matrix = vectorizer.fit_transform(CORPUS)
+        matrix = vectorizer.fit(CORPUS).transform(CORPUS)
         assert matrix.shape == (len(CORPUS), vectorizer.dimension)
 
     def test_transform_before_fit_raises(self):
@@ -53,7 +53,7 @@ class TestTfidf:
 
     def test_rows_are_normalised(self):
         vectorizer = self._vectorizer()
-        matrix = vectorizer.fit_transform(CORPUS)
+        matrix = vectorizer.fit(CORPUS).transform(CORPUS)
         norms = np.linalg.norm(matrix, axis=1)
         assert np.allclose(norms[norms > 0], 1.0)
 
@@ -73,9 +73,15 @@ class TestTfidf:
 
     def test_min_df_filters_rare_terms(self):
         tokenizer = Tokenizer()
+        unpruned = TfidfVectorizer(analyzer=lambda text: tokenizer(text)).fit(CORPUS)
         vectorizer = TfidfVectorizer(analyzer=lambda text: tokenizer(text), min_df=2)
         vectorizer.fit(CORPUS)
-        assert "nine" not in vectorizer.vocabulary
+        # Only "in" and "2017" occur in two or more documents.
+        assert unpruned.dimension > vectorizer.dimension == 2
+        # "nine" occurs in one document: kept without min_df, pruned with it.
+        assert np.any(unpruned.transform_one("nine"))
+        assert not np.any(vectorizer.transform_one("nine"))
+        assert np.any(vectorizer.transform_one("2017"))
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ConfigurationError):
