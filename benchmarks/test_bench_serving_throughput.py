@@ -16,8 +16,8 @@ drives a fixed claim population through the
 * **Zipf-skewed traffic** at 64 and 256 tenants with a bounded resident
   set — a few hot tenants submit most of the checks while a long tail
   submits a claim or two (claims are reused across tenants; sessions stay
-  isolated), exercising the work-stealing scheduler, deadline fairness
-  and queue-pressure passivation at registry scale.
+  isolated), exercising the scheduler's steals, deadline fairness and
+  queue-pressure passivation at registry scale.
 
 Sustained claims/sec plus p50/p95/p99 per-batch serving latency and the
 scheduler's own counters land in ``bench-out/BENCH_serving_throughput.json``.
@@ -91,7 +91,6 @@ def _serve_uniform(corpus, config, tenant_count: int):
         policy=AdmissionPolicy(
             max_tenants=tenant_count, max_resident_sessions=tenant_count
         ),
-        executor="thread",
     )
     for index in range(tenant_count):
         claims = [
@@ -129,7 +128,6 @@ def _serve_zipf(corpus, config, tenant_count: int, seed: int):
             max_resident_sessions=min(tenant_count, _ZIPF_RESIDENT_SESSIONS),
             max_queued_submissions=4 * tenant_count,
         ),
-        executor="thread",
     )
     result = drive_workload(server, workload)
     assert result.verified_count == workload.claim_count
@@ -199,7 +197,6 @@ def test_bench_serving_throughput(corpus, scenario):
         "claim_count": claim_count,
         "repeats": repeats,
         "quick": quick,
-        "executor": "thread",
         "tenants": {str(count): metrics for count, metrics in results.items()},
         "zipf": {str(count): metrics for count, metrics in zipf_results.items()},
         "speedup_16_over_1": speedup_16,

@@ -223,8 +223,8 @@ class LockDisciplineRule(Rule):
 
 
 #: Pool methods whose first argument is a function that will run on an
-#: executor thread.  ``map`` is the barrier style; ``submit`` is the
-#: steal-pump style the serving scheduler dispatches with.
+#: executor thread.  ``submit`` is how the serving server dispatches
+#: tenant batches; ``map`` is the other ``concurrent.futures`` idiom.
 _DISPATCH_METHODS = {"map", "submit"}
 
 

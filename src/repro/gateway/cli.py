@@ -182,7 +182,6 @@ def _cmd_replay(args: argparse.Namespace, out) -> int:
         corpus,
         config,
         policy=policy,
-        executor="thread",
         snapshot_dir=args.snapshot_dir,
         system_name="GatewayReplay",
     ) as server:

@@ -267,14 +267,12 @@ class GatewayServer:
         segment_bytes: int = 4 * 1024 * 1024,
         fsync: bool = True,
         auto_pump: bool = True,
-        executor: str = "thread",
         system_name: str = "Gateway",
     ) -> None:
         self._server = VerificationServer(
             corpus,
             config,
             policy=policy,
-            executor=executor,
             snapshot_dir=snapshot_dir,
             system_name=system_name,
         )

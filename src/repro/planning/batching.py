@@ -95,7 +95,8 @@ def batch_cost(
 ) -> float:
     """Total cost ``t(C)`` of a batch (Definition 8)."""
     verification = sum(candidate.verification_cost for candidate in candidates)
-    sections = {candidate.section_id for candidate in candidates}
+    # Sorted, so the float sum does not follow the string hash seed.
+    sections = sorted({candidate.section_id for candidate in candidates})
     reading = sum(section_read_costs.get(section, 0.0) for section in sections)
     return verification + reading
 

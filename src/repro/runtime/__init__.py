@@ -11,9 +11,9 @@ across every batch.  This package makes that loop operable:
   ``ScrutinizerBuilder.from_snapshot(...)`` restores it; a restored run
   continues byte-identically to an uninterrupted one.
   :class:`SnapshotStore` keeps one snapshot per key in a directory.
-* :mod:`repro.runtime.pool` — :class:`WorkerPool`, the serial/thread
-  executor facade the multi-tenant :mod:`repro.serving` layer schedules
-  tenant batches on.
+* :mod:`repro.runtime.pool` — :class:`WorkerPool`, the lazy thread pool
+  the multi-tenant :mod:`repro.serving` layer schedules tenant batches
+  on.
 
 Layering contract: layer 11 of the enforced import DAG (peer of
 ``simulation``) — may import ``api`` and everything below it; never
@@ -21,7 +21,7 @@ Layering contract: layer 11 of the enforced import DAG (peer of
 ``docs/architecture.md``.
 """
 
-from repro.runtime.pool import EXECUTOR_KINDS, WorkerPool
+from repro.runtime.pool import WorkerPool
 from repro.runtime.snapshot import (
     SNAPSHOT_SCHEMA_VERSION,
     ServiceSnapshot,
@@ -31,7 +31,6 @@ from repro.runtime.snapshot import (
 )
 
 __all__ = [
-    "EXECUTOR_KINDS",
     "SNAPSHOT_SCHEMA_VERSION",
     "ServiceSnapshot",
     "SnapshotStore",

@@ -8,15 +8,16 @@ per tenant — against a shared corpus and a shared
 * :mod:`repro.serving.server` — the server: a bounded session registry
   keyed by tenant id, an :class:`~repro.serving.server.AdmissionPolicy`
   (registry bound, per-tenant pending-claim quotas, bounded submission
-  queue with backpressure), a work-stealing deadline-bounded scheduler
-  multiplexing ``run_batch`` calls across sessions (each tenant plans its
-  own batches through the server's one planner engine), and
-  queue-pressure-driven passivation of idle sessions to
+  queue with backpressure), a deadline-bounded scheduler whose rounds
+  queue ``run_batch`` calls of many sessions on the thread pool at once
+  (each tenant plans its own batches through the server's one planner
+  engine), and queue-pressure-driven passivation of idle sessions to
   :class:`~repro.runtime.snapshot.ServiceSnapshot` checkpoints (rehydrated
   transparently on the tenant's next request).
 * :mod:`repro.serving.scheduler` — the scheduling policy itself:
-  weighted-deficit fairness with a hard anti-starvation deadline,
-  decoupled from server bookkeeping so it is independently testable.
+  weighted-deficit fairness with a hard anti-starvation deadline (both
+  module constants), decoupled from server bookkeeping so it is
+  independently testable.
 * :mod:`repro.serving.workloads` — scenario-driven mixed tenant traffic:
   bursty submitters, steady streamers and resume-after-crash tenants,
   generated deterministically and drivable against any server.
@@ -33,11 +34,10 @@ Layering contract: layer 12 of the enforced import DAG — may import
 ``docs/architecture.md``.
 """
 
-from repro.serving.scheduler import RoundDecision, SchedulerConfig, TenantScheduler
+from repro.serving.scheduler import RoundDecision, TenantScheduler
 from repro.serving.server import (
     AdmissionPolicy,
     ServerStats,
-    ServerStatus,
     TenantBatchOutcome,
     TenantStatus,
     VerificationServer,
@@ -58,10 +58,8 @@ __all__ = [
     "CrashEvent",
     "RoundDecision",
     "SCENARIO_KINDS",
-    "SchedulerConfig",
     "ServerStats",
     "TenantScheduler",
-    "ServerStatus",
     "ServingWorkload",
     "SubmissionEvent",
     "TenantBatchOutcome",

@@ -7,7 +7,7 @@ Two verbs over the deterministic synthetic workload:
     tenants (bursty / steady / resume-after-crash scenarios — or
     Zipf-skewed bursts with ``--zipf``), and serve it with admission
     control.  The summary reports p50/p95/p99 batch latency and the
-    work-stealing scheduler's counters (steals, deadline boosts)::
+    scheduler's counters (steals, deadline boosts)::
 
         python -m repro.serving run --claims 120 --tenants 8 \\
             --max-resident 4 --snapshot-dir ./tenants --report summary.json
@@ -103,7 +103,6 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
         corpus,
         config,
         policy=policy,
-        executor=args.executor,
         snapshot_dir=args.snapshot_dir,
     ) as server:
         result = drive_workload(server, workload)
@@ -225,12 +224,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=256,
         help="submission queue bound before backpressure",
-    )
-    run.add_argument(
-        "--executor",
-        choices=("serial", "thread"),
-        default="thread",
-        help="worker pool running tenant batches",
     )
     run.add_argument(
         "--mix",

@@ -1,29 +1,20 @@
-"""Work-stealing, deadline-aware tenant scheduling for the serving layer.
+"""Deadline-aware, weighted-deficit tenant scheduling for the serving layer.
 
-The original server scheduled rounds with a global barrier: pick the
-``max_resident_sessions`` least-recently-scheduled tenants, ``map`` them
-over the pool, wait for *all* of them, repeat.  Past a handful of tenants
-that shape collapses — every round is as slow as its slowest tenant, and
-freed workers idle behind the barrier while runnable tenants wait whole
-rounds for a slot.
-
-:class:`TenantScheduler` replaces the round-robin pick with
-**weighted-deficit scheduling** and the barrier with a **steal pump**
-(driven by :meth:`repro.runtime.pool.WorkerPool.submit` /
-:meth:`~repro.runtime.pool.WorkerPool.wait_any` in the server):
+:class:`TenantScheduler` picks each round's tenants by **weighted-deficit
+scheduling**:
 
 * every runnable tenant accrues *deficit credit* each round in proportion
-  to its backlog pressure — ``weight = (1 + pending) ** pressure_exponent``
+  to its backlog pressure — ``weight = (1 + pending) ** PRESSURE_EXPONENT``
   — and being scheduled costs one unit, so tenants that keep losing slots
   accumulate an ever-stronger claim on the next one (weighted deficit
   round-robin, the classic fair-queueing construction);
-* a runnable tenant that has waited ``deadline_rounds`` consecutive
+* a runnable tenant that has waited ``DEADLINE_ROUNDS`` consecutive
   rounds without a slot jumps the queue outright, which turns fairness
   from a tendency into a bound: no tenant waits more than
-  ``deadline_rounds`` plus one drain of the forced cohort;
-* the server dispatches the chosen tenants through ``submit`` and refills
-  each freed worker from the remainder of the round's schedule instead of
-  waiting on a barrier — the refill is counted as a *steal*.
+  ``DEADLINE_ROUNDS`` plus one drain of the forced cohort.
+
+The server queues the chosen tenants' batches on its
+:class:`~repro.runtime.pool.WorkerPool` in the order returned here.
 
 The scheduler is deliberately ignorant of services, pools and snapshots:
 it sees lightweight tenant views (anything with ``tenant_id``,
@@ -42,11 +33,20 @@ from typing import Protocol
 from repro.errors import ConfigurationError
 
 __all__ = [
+    "DEADLINE_ROUNDS",
+    "PRESSURE_EXPONENT",
     "RoundDecision",
-    "SchedulerConfig",
     "TenantScheduler",
     "TenantView",
 ]
+
+#: Backlog pressure: a runnable tenant's share of each round's credit is
+#: proportional to ``(1 + pending) ** PRESSURE_EXPONENT``.  The square root
+#: rewards backlog without letting one huge tenant monopolise the pool.
+PRESSURE_EXPONENT = 0.5
+#: Hard anti-starvation bound: a runnable tenant unscheduled for this many
+#: consecutive rounds jumps the queue in the next round.
+DEADLINE_ROUNDS = 8
 
 
 class TenantView(Protocol):
@@ -56,27 +56,6 @@ class TenantView(Protocol):
     admission_index: int
     pending_claims: int
     last_scheduled_round: int
-
-
-@dataclass(frozen=True)
-class SchedulerConfig:
-    """Knobs of the work-stealing tenant scheduler."""
-
-    #: Backlog pressure: a runnable tenant's share of each round's credit
-    #: is proportional to ``(1 + pending) ** pressure_exponent``.  ``0``
-    #: gives pure (unweighted) deficit round-robin; ``1`` weighs strictly
-    #: by backlog.  The default square root rewards backlog without letting
-    #: one huge tenant monopolise the pool.
-    pressure_exponent: float = 0.5
-    #: Hard anti-starvation bound: a runnable tenant unscheduled for this
-    #: many consecutive rounds jumps the queue in the next round.
-    deadline_rounds: int = 8
-
-    def __post_init__(self) -> None:
-        if self.pressure_exponent < 0:
-            raise ConfigurationError("pressure_exponent must be non-negative")
-        if self.deadline_rounds < 1:
-            raise ConfigurationError("deadline_rounds must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -105,7 +84,6 @@ class _TenantState:
 class TenantScheduler:
     """Weighted-deficit, deadline-bounded tenant picker (one per server)."""
 
-    config: SchedulerConfig = field(default_factory=SchedulerConfig)
     _states: dict[str, _TenantState] = field(default_factory=dict)
 
     def waiting_rounds(self, tenant_id: str) -> int:
@@ -139,8 +117,7 @@ class TenantScheduler:
             return RoundDecision(scheduled=(), deadline_boosted=(), waiting=())
         quota = min(quota, len(runnable))
         weights = {
-            view.tenant_id: (1.0 + max(0, view.pending_claims))
-            ** self.config.pressure_exponent
+            view.tenant_id: (1.0 + max(0, view.pending_claims)) ** PRESSURE_EXPONENT
             for view in runnable
         }
         total_weight = sum(weights.values())
@@ -150,8 +127,7 @@ class TenantScheduler:
         forced = [
             view
             for view in runnable
-            if self._states[view.tenant_id].waiting_rounds
-            >= self.config.deadline_rounds
+            if self._states[view.tenant_id].waiting_rounds >= DEADLINE_ROUNDS
         ]
         forced.sort(
             key=lambda view: (

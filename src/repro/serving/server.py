@@ -5,14 +5,13 @@ serving layer: many tenants submit claims against a shared corpus, each
 tenant gets its own isolated :class:`~repro.api.service.VerificationService`
 (own translator, own feature store, own RNG streams — seeded per tenant,
 so runs are deterministic and tenants cannot observe each other), and a
-work-stealing, deadline-aware scheduler
-(:class:`~repro.serving.scheduler.TenantScheduler`) multiplexes
-``run_batch`` calls across the resident sessions over one shared
-:class:`~repro.runtime.pool.WorkerPool`: runnable tenants accrue
-weighted-deficit credit, and a freed worker immediately takes the round's
-next tenant instead of idling behind a barrier.  Each tenant selects its
-own batches inside ``run_batch``, through the server's one
-:class:`~repro.planning.engine.PlannerEngine`.
+deadline-aware scheduler (:class:`~repro.serving.scheduler.TenantScheduler`)
+multiplexes ``run_batch`` calls across the resident sessions over one
+shared :class:`~repro.runtime.pool.WorkerPool`: runnable tenants accrue
+weighted-deficit credit, and each round queues its tenants' batches on
+the pool at once, so a freed worker takes the round's next batch instead
+of idling.  Each tenant selects its own batches inside ``run_batch``,
+through the server's one :class:`~repro.planning.engine.PlannerEngine`.
 
 Admission control (:class:`AdmissionPolicy`) bounds every resource the
 server holds:
@@ -65,7 +64,6 @@ from repro.serving.scheduler import TenantScheduler
 __all__ = [
     "AdmissionPolicy",
     "ServerStats",
-    "ServerStatus",
     "TenantBatchOutcome",
     "TenantStatus",
     "VerificationServer",
@@ -141,8 +139,6 @@ class _TenantRecord:
     evictions: int = 0
     rehydrations: int = 0
     last_scheduled_round: int = -1
-    #: Batches this tenant ran on a worker freed mid-round (no barrier).
-    steals: int = 0
     #: Rounds spent runnable but without a slot, total and worst streak.
     wait_rounds_total: int = 0
     wait_rounds_max: int = 0
@@ -170,7 +166,8 @@ class ServerStats:
     rehydrations: int = 0
     rejected_submissions: int = 0
     peak_resident: int = 0
-    #: Batches dispatched to a worker freed mid-round (steal pump refills).
+    #: Batches queued past the pool's width, which start on a worker
+    #: freed mid-round.
     steals: int = 0
     #: Times a tenant hit the deadline bound and jumped the queue.
     deadline_boosts: int = 0
@@ -193,7 +190,6 @@ class TenantStatus:
     batches_run: int
     evictions: int
     rehydrations: int
-    steals: int = 0
     wait_rounds_total: int = 0
     wait_rounds_max: int = 0
     deadline_boosts: int = 0
@@ -206,20 +202,6 @@ class TenantStatus:
 
 
 @dataclass(frozen=True)
-class ServerStatus:
-    """Read-only view of the whole server."""
-
-    tenants: tuple[TenantStatus, ...]
-    resident_count: int
-    queued_submissions: int
-    stats: ServerStats
-
-    @property
-    def tenant_count(self) -> int:
-        return len(self.tenants)
-
-
-@dataclass(frozen=True)
 class TenantBatchOutcome:
     """One scheduled batch of one tenant, with its scheduling latency."""
 
@@ -228,9 +210,6 @@ class TenantBatchOutcome:
     #: Wall-clock seconds this batch took inside the worker (planning,
     #: simulated crowd, retraining) — the per-batch serving latency.
     wall_seconds: float
-    #: Whether a freed worker picked this batch up mid-round (a steal)
-    #: rather than the round's initial dispatch wave.
-    stolen: bool = False
 
 
 # ---------------------------------------------------------------------- #
@@ -250,8 +229,6 @@ class VerificationServer:
     policy:
         The :class:`AdmissionPolicy`; defaults bound the registry at 64
         tenants and the resident set at 4 sessions.
-    executor:
-        ``"thread"`` (default) or ``"serial"`` for the scheduling pool.
     max_workers:
         Width of the scheduling pool; defaults to the resident-session
         bound (one worker per concurrently runnable session).
@@ -267,7 +244,6 @@ class VerificationServer:
         config: ScrutinizerConfig | None = None,
         *,
         policy: AdmissionPolicy | None = None,
-        executor: str = "thread",
         max_workers: int | None = None,
         snapshot_dir: str | Path | None = None,
         system_name: str = "Serving",
@@ -279,10 +255,7 @@ class VerificationServer:
         self.stats = ServerStats()
         self._system_name = system_name
         self._pool = WorkerPool(
-            executor,
-            max_workers=(
-                max_workers if max_workers is not None else self.policy.max_resident_sessions
-            ),
+            max_workers if max_workers is not None else self.policy.max_resident_sessions
         )
         self._scheduler = TenantScheduler()
         self._planner_engine = PlannerEngine()
@@ -573,12 +546,6 @@ class VerificationServer:
         self._passivate(record)
         return True
 
-    def _evict_over_capacity(self, protected: Sequence[str] = ()) -> None:
-        """LRU-evict resident sessions beyond ``max_resident_sessions``."""
-        self._evict_lru(
-            self.resident_count - self.policy.max_resident_sessions, set(protected)
-        )
-
     # ------------------------------------------------------------------ #
     # scheduling
     # ------------------------------------------------------------------ #
@@ -600,18 +567,21 @@ class VerificationServer:
             record.submitted_claims += len(submission.claim_ids)
 
     def run_round(self) -> list[TenantBatchOutcome]:
-        """Run one scheduling round without a barrier.
+        """Run one scheduling round.
 
         Drains the queue, asks the :class:`~repro.serving.scheduler.
         TenantScheduler` for up to ``max_resident_sessions`` tenants
-        (weighted-deficit fair, deadline-bounded), then pumps their batches
-        through the pool with ``submit``/``wait_any``: every completion
-        immediately hands the freed worker the round's next tenant (a
-        *steal*) instead of waiting for the whole wave.
+        (weighted-deficit fair, deadline-bounded), then queues all their
+        batches on the pool at once: the first ``max_workers`` start
+        immediately, and each later one (a *steal*) starts on the first
+        worker to free up.
 
         Tenants whose sessions are passivated but still have pending
-        claims are rehydrated before running.  Returns the batch outcomes
-        of this round in completion order (empty when the server is idle).
+        claims are rehydrated before running.  Batches are booked in
+        dispatch order, and the outcomes come back in that order (empty
+        when the server is idle).  If any batch raised, the first such
+        error is re-raised only once every batch has finished and the
+        others are booked.
         """
         if self._closed:
             raise ServingError("the server is closed")
@@ -641,56 +611,40 @@ class VerificationServer:
             # run; scheduled tenants are protected from the LRU sweep.
             self._ensure_resident(record, protected=protected)
             record.last_scheduled_round = self._round
-        self._evict_over_capacity(protected=protected)
-        self.stats.peak_resident = max(self.stats.peak_resident, self.resident_count)
 
-        def _run_one(
-            record: _TenantRecord,
-        ) -> tuple[str, BatchResult | None, float]:
+        def _run_one(record: _TenantRecord) -> tuple[BatchResult | None, float]:
             started = time.perf_counter()
             assert record.service is not None
             result = record.service.run_batch()
-            return record.tenant_id, result, time.perf_counter() - started
+            return result, time.perf_counter() - started
 
-        # The steal pump: fill the pool, then refill every freed slot from
-        # the remainder of the schedule as completions arrive.  Dispatch
-        # order is the scheduler's; completion order is the pool's.
-        width = self._pool.width or len(scheduled)
-        backlog = deque(scheduled)
-        in_flight: dict[object, tuple[str, bool]] = {}
-        initial_wave = True
+        # Batches past the pool's width wait in its queue for a freed worker.
+        futures = [self._pool.submit(_run_one, record) for record in scheduled]
+        self.stats.steals += max(0, len(scheduled) - self._pool.max_workers)
         outcomes: list[TenantBatchOutcome] = []
-        while backlog or in_flight:
-            while backlog and len(in_flight) < max(1, width):
-                record = backlog.popleft()
-                future = self._pool.submit(_run_one, record)
-                in_flight[future] = (record.tenant_id, not initial_wave)
-            initial_wave = False
-            done, _ = WorkerPool.wait_any(list(in_flight))
-            for future in done:
-                tenant_id, stolen = in_flight.pop(future)
-                result_tenant_id, result, wall = future.result()
-                record = self._tenants[result_tenant_id]
-                if stolen:
-                    record.steals += 1
-                    self.stats.steals += 1
-                if result is None:
-                    record.pending_claims = 0
-                    continue
-                record.batches_run += 1
-                record.verified_claims += result.batch_size
-                record.pending_claims = result.pending_after
-                self.stats.batches += 1
-                self.stats.claims_verified += result.batch_size
-                outcomes.append(
-                    TenantBatchOutcome(
-                        tenant_id=result_tenant_id,
-                        result=result,
-                        wall_seconds=wall,
-                        stolen=stolen,
-                    )
+        failures: list[BaseException] = []
+        for record, future in zip(scheduled, futures):
+            error = future.exception()
+            if error is not None:
+                failures.append(error)
+                continue
+            result, wall = future.result()
+            if result is None:
+                record.pending_claims = 0
+                continue
+            record.batches_run += 1
+            record.verified_claims += result.batch_size
+            record.pending_claims = result.pending_after
+            self.stats.batches += 1
+            self.stats.claims_verified += result.batch_size
+            outcomes.append(
+                TenantBatchOutcome(
+                    tenant_id=record.tenant_id, result=result, wall_seconds=wall
                 )
+            )
         self.stats.rounds += 1
+        if failures:
+            raise failures[0]
         return outcomes
 
     def run_until_idle(self, max_rounds: int | None = None) -> list[TenantBatchOutcome]:
@@ -754,20 +708,9 @@ class VerificationServer:
             batches_run=record.batches_run,
             evictions=record.evictions,
             rehydrations=record.rehydrations,
-            steals=record.steals,
             wait_rounds_total=record.wait_rounds_total,
             wait_rounds_max=record.wait_rounds_max,
             deadline_boosts=record.deadline_boosts,
-        )
-
-    def status(self) -> ServerStatus:
-        return ServerStatus(
-            tenants=tuple(
-                self.tenant_status(tenant_id) for tenant_id in self._tenants
-            ),
-            resident_count=self.resident_count,
-            queued_submissions=len(self._queue),
-            stats=self.stats,
         )
 
     # ------------------------------------------------------------------ #

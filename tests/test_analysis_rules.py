@@ -242,8 +242,8 @@ class TestLockDiscipline:
         ]
 
     def test_flags_worker_write_dispatched_via_submit(self, tmp_path):
-        # The steal pump dispatches with submit/wait_any instead of map;
-        # functions handed to <pool>.submit run on executors all the same.
+        # The server dispatches with submit instead of map; functions
+        # handed to <pool>.submit run on executors all the same.
         violations = check(
             tmp_path,
             LockDisciplineRule(),

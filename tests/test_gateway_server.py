@@ -304,7 +304,6 @@ class TestCrashRecovery:
         with VerificationServer(
             gateway_corpus,
             gateway_config,
-            executor="thread",
             snapshot_dir=tmp_path / "b" / "snap",
         ) as replay_server:
             recovery = recover_server(replay_server, tmp_path / "b" / "wal")
@@ -323,7 +322,6 @@ class TestCrashRecovery:
         with VerificationServer(
             gateway_corpus,
             gateway_config,
-            executor="thread",
             snapshot_dir=tmp_path / "b" / "snap",
         ) as second_server:
             second = recover_server(second_server, tmp_path / "b" / "wal")
@@ -389,7 +387,7 @@ class TestCrashRecovery:
         ids = list(gateway_corpus.claim_ids)
         tenants = {f"t{index}": ids[index * 4 : index * 4 + 4] for index in range(3)}
         with VerificationServer(
-            gateway_corpus, gateway_config, executor="serial", snapshot_dir=tmp_path / "snap"
+            gateway_corpus, gateway_config, snapshot_dir=tmp_path / "snap"
         ) as first:
             for tenant_id, claims in tenants.items():
                 first.submit(tenant_id, claims[:3])
@@ -408,7 +406,7 @@ class TestCrashRecovery:
 
         monkeypatch.setattr(ServiceSnapshot, "load", classmethod(counting_load))
         with VerificationServer(
-            gateway_corpus, gateway_config, executor="serial", snapshot_dir=tmp_path / "snap"
+            gateway_corpus, gateway_config, snapshot_dir=tmp_path / "snap"
         ) as server:
             recovery = recover_server(server, tmp_path / "wal")
             assert len(loads) == len(tenants)
@@ -439,7 +437,7 @@ class TestCrashRecovery:
         # A crash mid-write leaves a partial frame at the journal tail.
         segment = sorted((tmp_path / "wal").glob("journal-*.log"))[-1]
         segment.write_bytes(segment.read_bytes() + b"\x00\x01partial")
-        with VerificationServer(gateway_corpus, gateway_config, executor="thread") as server:
+        with VerificationServer(gateway_corpus, gateway_config) as server:
             recovery = recover_server(server, tmp_path / "wal")
             assert recovery.scan.truncated_tails == 1
             assert recovery.replayed_claims == 4

@@ -75,7 +75,6 @@ def test_serving_counters_read_the_server(small_corpus, workloads_module):
         small_corpus,
         workloads_module.system_config(),
         policy=AdmissionPolicy(max_tenants=2, max_resident_sessions=2),
-        executor="serial",
     )
     claim_ids = list(small_corpus.claim_ids)
     try:

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -410,6 +414,24 @@ class TestBatchSelection:
     def test_batch_cost_counts_sections_once(self):
         cost = batch_cost(self._candidates()[:2], {"sec1": 30.0})
         assert cost == pytest.approx(40.0 + 45.0 + 30.0)
+
+    def test_batch_cost_does_not_follow_the_hash_seed(self):
+        """Read costs sum in one order, so every interpreter gets one float."""
+        script = (
+            "from repro.planning.batching import BatchCandidate, batch_cost\n"
+            "candidates = [BatchCandidate(f'c{i}', f's{i}', 0.0, 0.0) for i in range(3)]\n"
+            "print(repr(batch_cost(candidates, {'s0': 0.1, 's1': 0.2, 's2': 0.3})))\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        for seed in ("0", "3"):
+            completed = subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)},
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            assert completed.stdout.strip() == "0.6000000000000001"
 
     def test_select_claim_batch_returns_selection(self):
         selection = select_claim_batch(

@@ -247,9 +247,8 @@ class TestServingIntegration:
             small_corpus,
             config,
             policy=AdmissionPolicy(max_tenants=4, max_resident_sessions=2),
-            # Thread executor on purpose: two tenant sessions plan through
-            # the shared engine concurrently, exercising its locking.
-            executor="thread",
+            # Two tenant sessions plan through the shared engine
+            # concurrently on the pool, exercising its locking.
             snapshot_dir=tmp_path / "snaps",
         ) as server:
             engine = server.planner_engine
@@ -357,7 +356,6 @@ class TestOnePlanningPath:
             small_corpus,
             _ORACLE_CONFIG,
             policy=AdmissionPolicy(max_tenants=3, max_resident_sessions=3),
-            executor="serial",
         )
         rounds = _record_engine_rounds(server.planner_engine, monkeypatch)
         claim_ids = list(small_corpus.claim_ids)
@@ -388,7 +386,6 @@ class TestOnePlanningPath:
             small_corpus,
             _ORACLE_CONFIG,
             policy=AdmissionPolicy(max_tenants=1, max_resident_sessions=1),
-            executor="serial",
         )
         rounds = _record_engine_rounds(server.planner_engine, monkeypatch)
         server.submit("alpha", list(small_corpus.claim_ids)[:40])

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
-from repro.serving.scheduler import RoundDecision, SchedulerConfig, TenantScheduler
+from repro.serving.scheduler import DEADLINE_ROUNDS, RoundDecision, TenantScheduler
 
 
 @dataclass
@@ -31,17 +31,6 @@ def _views(*pending: int) -> list[_View]:
         _View(tenant_id=f"t{index}", admission_index=index, pending_claims=count)
         for index, count in enumerate(pending)
     ]
-
-
-# ---------------------------------------------------------------------- #
-# configuration
-# ---------------------------------------------------------------------- #
-def test_config_validation():
-    with pytest.raises(ConfigurationError):
-        SchedulerConfig(pressure_exponent=-0.1)
-    with pytest.raises(ConfigurationError):
-        SchedulerConfig(deadline_rounds=0)
-    SchedulerConfig(pressure_exponent=0.0, deadline_rounds=1)
 
 
 def test_empty_round_decisions():
@@ -69,17 +58,10 @@ def test_equal_tenants_alternate_across_rounds():
 
 
 def test_backlog_pressure_biases_the_pick():
-    """With exponent 1, a 99x backlog wins the first slot outright."""
-    scheduler = TenantScheduler(SchedulerConfig(pressure_exponent=1.0))
+    """At the square-root exponent, a 99x backlog wins the first slot."""
+    scheduler = TenantScheduler()
     decision = scheduler.select(_views(1, 99), quota=1)
     assert decision.scheduled == ("t1",)
-
-
-def test_zero_exponent_ignores_backlog():
-    """Pure deficit round-robin: backlog size never changes the order."""
-    scheduler = TenantScheduler(SchedulerConfig(pressure_exponent=0.0))
-    decision = scheduler.select(_views(1, 9999), quota=1)
-    assert decision.scheduled == ("t0",)
 
 
 def test_drained_tenant_forgets_its_state():
@@ -96,16 +78,15 @@ def test_drained_tenant_forgets_its_state():
 # deadline anti-starvation
 # ---------------------------------------------------------------------- #
 def test_starved_tenant_jumps_the_queue_at_the_deadline():
-    """A featherweight tenant is forced in after ``deadline_rounds``."""
-    config = SchedulerConfig(pressure_exponent=1.0, deadline_rounds=2)
-    scheduler = TenantScheduler(config)
+    """A featherweight tenant is forced in after ``DEADLINE_ROUNDS``."""
+    scheduler = TenantScheduler()
     views = _views(1, 1000, 1000)
-    # Rounds 1-2: the heavy tenants' pressure keeps t0 out.
-    for _ in range(2):
+    # The heavy tenants' pressure keeps t0 out until the deadline.
+    for _ in range(DEADLINE_ROUNDS):
         decision = scheduler.select(views, quota=1)
         assert "t0" not in decision.scheduled
         assert not decision.deadline_boosted
-    # Round 3: t0 has waited deadline_rounds rounds and is forced first.
+    # t0 has waited DEADLINE_ROUNDS rounds and is forced first.
     decision = scheduler.select(views, quota=1)
     assert decision.scheduled == ("t0",)
     assert decision.deadline_boosted == ("t0",)
@@ -113,17 +94,22 @@ def test_starved_tenant_jumps_the_queue_at_the_deadline():
 
 
 def test_forced_cohort_orders_by_longest_wait():
-    config = SchedulerConfig(pressure_exponent=1.0, deadline_rounds=1)
-    scheduler = TenantScheduler(config)
-    t0, t1, t2 = _views(1, 1, 1000)
-    scheduler.select([t1, t2], quota=1)  # t2's pressure wins; t1 waits 1.
-    scheduler.select([t0, t1, t2], quota=1)  # t1 forced in; t0, t2 wait 1.
-    scheduler.select([t0, t1, t2], quota=1)  # t0, t2 tied: admission -> t0.
-    # t2 has now waited two consecutive rounds and t1 one; the forced
-    # cohort drains longest wait first, not by admission order.
-    decision = scheduler.select([t0, t1, t2], quota=2)
-    assert decision.scheduled == ("t2", "t1")
-    assert decision.deadline_boosted == ("t2", "t1")
+    scheduler = TenantScheduler()
+    t0, t1, t2, heavy = _views(1, 1, 1, 1_000_000)
+    # The heavy tenant's pressure wins every slot until the deadline; t0
+    # joins one round after t1 and t2, so it has waited one round less.
+    scheduler.select([t1, t2, heavy], quota=1)
+    for _ in range(DEADLINE_ROUNDS - 1):
+        decision = scheduler.select([t0, t1, t2, heavy], quota=1)
+        assert decision.scheduled == (heavy.tenant_id,)
+    # t1 and t2 hit the deadline together: admission breaks the tie.
+    decision = scheduler.select([t0, t1, t2, heavy], quota=1)
+    assert decision.deadline_boosted == ("t1",)
+    # t2 has now waited one round longer than t0; the forced cohort
+    # drains longest wait first, not by admission order.
+    decision = scheduler.select([t0, t1, t2, heavy], quota=2)
+    assert decision.scheduled == ("t2", "t0")
+    assert decision.deadline_boosted == ("t2", "t0")
 
 
 # ---------------------------------------------------------------------- #
@@ -132,27 +118,21 @@ def test_forced_cohort_orders_by_longest_wait():
 @settings(deadline=None, max_examples=40)
 @given(
     tenant_count=st.integers(min_value=2, max_value=8),
-    pressure_exponent=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
-    deadline_rounds=st.integers(min_value=1, max_value=6),
     data=st.data(),
 )
-def test_no_tenant_ever_starves(tenant_count, pressure_exponent, deadline_rounds, data):
-    """No runnable tenant waits more than ``deadline_rounds + tenants``.
+def test_no_tenant_ever_starves(tenant_count, data):
+    """No runnable tenant waits more than ``DEADLINE_ROUNDS + tenants``.
 
     The deadline turns fairness into a hard bound: once a tenant hits
-    ``deadline_rounds`` consecutive waits it joins the forced cohort,
+    ``DEADLINE_ROUNDS`` consecutive waits it joins the forced cohort,
     which is ordered by longest wait and drains at >= 1 slot per round —
     so even the adversarial case (every other tenant forced first) is
     served within another ``tenant_count`` rounds.  Backlogs and quotas
     are drawn fresh each round to hunt for sequences that break this.
     """
-    scheduler = TenantScheduler(
-        SchedulerConfig(
-            pressure_exponent=pressure_exponent, deadline_rounds=deadline_rounds
-        )
-    )
+    scheduler = TenantScheduler()
     views = _views(*[1] * tenant_count)
-    bound = deadline_rounds + tenant_count
+    bound = DEADLINE_ROUNDS + tenant_count
     rounds = data.draw(st.integers(min_value=bound + 1, max_value=3 * bound))
     for round_index in range(rounds):
         for view in views:

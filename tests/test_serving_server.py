@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import io
 import json
+import time
 
 import pytest
 
+from repro.api.service import VerificationService
 from repro.config import BatchingConfig, ScrutinizerConfig
 from repro.errors import (
     AdmissionError,
@@ -71,14 +73,14 @@ def test_policy_validation():
         AdmissionPolicy(max_queued_submissions=0)
 
 
-def test_server_rejects_process_executor(serving_corpus):
+def test_server_rejects_zero_workers(serving_corpus):
     with pytest.raises(ConfigurationError):
-        VerificationServer(serving_corpus, _config(), executor="process")
+        VerificationServer(serving_corpus, _config(), max_workers=0)
 
 
 def test_registry_bound_rejects_new_tenants(serving_corpus):
     server = VerificationServer(
-        serving_corpus, _config(), policy=AdmissionPolicy(max_tenants=2), executor="serial"
+        serving_corpus, _config(), policy=AdmissionPolicy(max_tenants=2)
     )
     ids = list(serving_corpus.claim_ids)
     server.submit("a", [ids[0]])
@@ -96,7 +98,6 @@ def test_per_tenant_quota(serving_corpus):
         serving_corpus,
         _config(),
         policy=AdmissionPolicy(max_pending_claims_per_tenant=3),
-        executor="serial",
     )
     ids = list(serving_corpus.claim_ids)
     server.submit("a", ids[:3])
@@ -118,7 +119,6 @@ def test_backpressure_when_queue_full(serving_corpus):
         serving_corpus,
         _config(),
         policy=AdmissionPolicy(max_queued_submissions=2),
-        executor="serial",
     )
     ids = list(serving_corpus.claim_ids)
     server.submit("a", [ids[0]])
@@ -139,7 +139,6 @@ def test_refused_first_submission_holds_no_registry_slot(serving_corpus):
         policy=AdmissionPolicy(
             max_tenants=2, max_queued_submissions=1, max_pending_claims_per_tenant=2
         ),
-        executor="serial",
     )
     ids = list(serving_corpus.claim_ids)
     server.submit("a", [ids[0]])
@@ -158,7 +157,7 @@ def test_refused_first_submission_holds_no_registry_slot(serving_corpus):
 
 
 def test_unknown_claims_and_tenants(serving_corpus):
-    server = VerificationServer(serving_corpus, _config(), executor="serial")
+    server = VerificationServer(serving_corpus, _config())
     with pytest.raises(ClaimError):
         server.submit("a", ["no-such-claim"])
     with pytest.raises(UnknownTenantError):
@@ -168,7 +167,7 @@ def test_unknown_claims_and_tenants(serving_corpus):
 
 
 def test_closed_server_refuses_work(serving_corpus):
-    server = VerificationServer(serving_corpus, _config(), executor="serial")
+    server = VerificationServer(serving_corpus, _config())
     server.close()
     with pytest.raises(ServingError):
         server.submit("a", [serving_corpus.claim_ids[0]])
@@ -186,7 +185,6 @@ def test_all_tenants_drain_to_their_exact_claim_sets(serving_corpus):
         serving_corpus,
         _config(),
         policy=AdmissionPolicy(max_resident_sessions=2),
-        executor="thread",
     )
     for tenant_id, claims in tenants.items():
         server.submit(tenant_id, claims)
@@ -210,7 +208,6 @@ def test_scheduler_is_fair_across_tenants(serving_corpus):
         serving_corpus,
         _config(),
         policy=AdmissionPolicy(max_resident_sessions=2),
-        executor="serial",
     )
     for tenant_id, claims in tenants.items():
         server.submit(tenant_id, claims)
@@ -223,7 +220,7 @@ def test_scheduler_is_fair_across_tenants(serving_corpus):
 
 
 def test_run_round_on_idle_server_is_empty(serving_corpus):
-    server = VerificationServer(serving_corpus, _config(), executor="serial")
+    server = VerificationServer(serving_corpus, _config())
     assert server.run_round() == []
     assert server.run_until_idle() == []
     server.close()
@@ -232,19 +229,19 @@ def test_run_round_on_idle_server_is_empty(serving_corpus):
 # ---------------------------------------------------------------------- #
 # eviction / rehydration
 # ---------------------------------------------------------------------- #
-def test_lru_eviction_keeps_residency_bounded(serving_corpus, tmp_path):
+@pytest.mark.parametrize("max_resident", [1, 2])
+def test_lru_eviction_keeps_residency_bounded(serving_corpus, tmp_path, max_resident):
     tenants = _split(serving_corpus, 4)
     server = VerificationServer(
         serving_corpus,
         _config(),
-        policy=AdmissionPolicy(max_resident_sessions=1),
-        executor="serial",
+        policy=AdmissionPolicy(max_resident_sessions=max_resident),
         snapshot_dir=tmp_path,
     )
     for tenant_id, claims in tenants.items():
         server.submit(tenant_id, claims)
     server.run_until_idle()
-    assert server.stats.peak_resident <= 1
+    assert server.stats.peak_resident <= max_resident
     assert server.stats.evictions > 0
     assert server.stats.rehydrations > 0
     for tenant_id, claims in tenants.items():
@@ -259,13 +256,11 @@ def test_evicted_then_rehydrated_matches_resident_run(serving_corpus, tmp_path):
         serving_corpus,
         _config(),
         policy=AdmissionPolicy(max_resident_sessions=8),
-        executor="serial",
     )
     churning = VerificationServer(
         serving_corpus,
         _config(),
         policy=AdmissionPolicy(max_resident_sessions=1),
-        executor="serial",
         snapshot_dir=tmp_path,
     )
     for tenant_id, claims in tenants.items():
@@ -294,7 +289,7 @@ def test_evicted_then_rehydrated_matches_resident_run(serving_corpus, tmp_path):
 def test_restart_over_snapshot_dir_resumes_tenants(serving_corpus, tmp_path):
     tenants = _split(serving_corpus, 2)
     first = VerificationServer(
-        serving_corpus, _config(), executor="serial", snapshot_dir=tmp_path
+        serving_corpus, _config(), snapshot_dir=tmp_path
     )
     for tenant_id, claims in tenants.items():
         first.submit(tenant_id, claims)
@@ -302,7 +297,7 @@ def test_restart_over_snapshot_dir_resumes_tenants(serving_corpus, tmp_path):
     first.close()  # passivates everything to disk
 
     second = VerificationServer(
-        serving_corpus, _config(), executor="serial", snapshot_dir=tmp_path
+        serving_corpus, _config(), snapshot_dir=tmp_path
     )
     adopted = second.adopt_tenants()
     assert set(adopted) == set(tenants)
@@ -316,7 +311,7 @@ def test_restart_of_finished_tenant_runs_nothing(serving_corpus, tmp_path):
     """A finished tenant is answered from its snapshot after a restart."""
     claims = _split(serving_corpus, 2)["t0"]
     first = VerificationServer(
-        serving_corpus, _config(), executor="serial", snapshot_dir=tmp_path
+        serving_corpus, _config(), snapshot_dir=tmp_path
     )
     first.submit("t0", claims)
     first.run_until_idle()
@@ -326,7 +321,7 @@ def test_restart_of_finished_tenant_runs_nothing(serving_corpus, tmp_path):
     mtime = snapshot.stat().st_mtime_ns
 
     with VerificationServer(
-        serving_corpus, _config(), executor="serial", snapshot_dir=tmp_path
+        serving_corpus, _config(), snapshot_dir=tmp_path
     ) as second:
         assert second.adopt_tenants() == ("t0",)
         assert second.submit("t0", claims) == 0
@@ -343,14 +338,14 @@ def test_restart_of_finished_tenant_runs_nothing(serving_corpus, tmp_path):
 def test_restart_after_lost_snapshot_reruns_only_that_tenant(serving_corpus, tmp_path):
     """A tenant whose snapshot is gone starts afresh; the others resume."""
     tenants = _split(serving_corpus, 2)
-    with VerificationServer(serving_corpus, _config(), executor="serial") as straight:
+    with VerificationServer(serving_corpus, _config()) as straight:
         for tenant_id, claims in tenants.items():
             straight.submit(tenant_id, claims)
         straight.run_until_idle()
         expected = {tenant_id: _verdicts(straight.report(tenant_id)) for tenant_id in tenants}
 
     first = VerificationServer(
-        serving_corpus, _config(), executor="serial", snapshot_dir=tmp_path
+        serving_corpus, _config(), snapshot_dir=tmp_path
     )
     for tenant_id, claims in tenants.items():
         first.submit(tenant_id, claims)
@@ -360,7 +355,7 @@ def test_restart_after_lost_snapshot_reruns_only_that_tenant(serving_corpus, tmp
     first.store.path("t1").unlink()
 
     with VerificationServer(
-        serving_corpus, _config(), executor="serial", snapshot_dir=tmp_path
+        serving_corpus, _config(), snapshot_dir=tmp_path
     ) as second:
         for tenant_id, claims in tenants.items():
             second.submit(tenant_id, claims)
@@ -374,7 +369,7 @@ def test_claims_submitted_while_passivated_survive_restart(serving_corpus, tmp_p
     """Claims parked on an evicted tenant reach its snapshot on close."""
     ids = list(serving_corpus.claim_ids)
     first = VerificationServer(
-        serving_corpus, _config(), executor="serial", snapshot_dir=tmp_path
+        serving_corpus, _config(), snapshot_dir=tmp_path
     )
     first.submit("a", ids[:6])
     first.run_round()
@@ -389,7 +384,7 @@ def test_claims_submitted_while_passivated_survive_restart(serving_corpus, tmp_p
     first.close()  # ...so close() must flush it into the snapshot
 
     second = VerificationServer(
-        serving_corpus, _config(), executor="serial", snapshot_dir=tmp_path
+        serving_corpus, _config(), snapshot_dir=tmp_path
     )
     second.adopt_tenants()
     second.run_until_idle()
@@ -400,7 +395,7 @@ def test_claims_submitted_while_passivated_survive_restart(serving_corpus, tmp_p
 def test_known_claims_cover_snapshots_and_submissions(serving_corpus, tmp_path):
     ids = list(serving_corpus.claim_ids)
     first = VerificationServer(
-        serving_corpus, _config(), executor="serial", snapshot_dir=tmp_path
+        serving_corpus, _config(), snapshot_dir=tmp_path
     )
     first.submit("a", ids[:8])
     assert first.known_claims("a") == frozenset(ids[:8])
@@ -408,7 +403,7 @@ def test_known_claims_cover_snapshots_and_submissions(serving_corpus, tmp_path):
     first.close()
 
     second = VerificationServer(
-        serving_corpus, _config(), executor="serial", snapshot_dir=tmp_path
+        serving_corpus, _config(), snapshot_dir=tmp_path
     )
     second.adopt_tenants()
     # Adopted from the snapshot: verified and pending claims alike.
@@ -421,7 +416,7 @@ def test_known_claims_cover_snapshots_and_submissions(serving_corpus, tmp_path):
 
 
 def test_tenants_get_their_own_feature_store(serving_corpus):
-    server = VerificationServer(serving_corpus, _config(), executor="serial")
+    server = VerificationServer(serving_corpus, _config())
     ids = list(serving_corpus.claim_ids)
     server.submit("a", ids[:12])
     server.submit("b", ids[12:24])
@@ -439,7 +434,7 @@ def test_tenants_get_their_own_feature_store(serving_corpus):
 # ---------------------------------------------------------------------- #
 def test_snapshot_store_round_trip_and_key_mangling(serving_corpus, tmp_path):
     server = VerificationServer(
-        serving_corpus, _config(), executor="serial", snapshot_dir=tmp_path / "s"
+        serving_corpus, _config(), snapshot_dir=tmp_path / "s"
     )
     weird = "acme/EU tenant:01"
     server.submit(weird, serving_corpus.claim_ids[:3])
@@ -469,7 +464,7 @@ def test_snapshot_from_another_schema_version_fails_restart(
     vocabulary-refit state; the next version is one this build predates.
     """
     first = VerificationServer(
-        serving_corpus, _config(), executor="serial", snapshot_dir=tmp_path
+        serving_corpus, _config(), snapshot_dir=tmp_path
     )
     first.submit("t0", serving_corpus.claim_ids[:4])
     first.run_round()
@@ -486,7 +481,7 @@ def test_snapshot_from_another_schema_version_fails_restart(
         with pytest.raises(SerializationError, match=names_both):
             store.items()
         second = VerificationServer(
-            serving_corpus, _config(), executor="serial", snapshot_dir=tmp_path
+            serving_corpus, _config(), snapshot_dir=tmp_path
         )
         with pytest.raises(SerializationError, match=names_both):
             second.adopt_tenants()
@@ -500,7 +495,7 @@ def test_snapshot_carrying_store_manifest_fails_restart(serving_corpus, tmp_path
     """A snapshot whose feature rows lived in the retired out-of-core store
     must not be resumed as if the key were absent."""
     first = VerificationServer(
-        serving_corpus, _config(), executor="serial", snapshot_dir=tmp_path
+        serving_corpus, _config(), snapshot_dir=tmp_path
     )
     first.submit("t0", serving_corpus.claim_ids[:4])
     first.run_round()
@@ -529,7 +524,6 @@ def test_serving_cli_run_and_status(tmp_path):
             "--seed", "5",
             "--batch-size", "6",
             "--max-resident", "2",
-            "--executor", "serial",
             "--snapshot-dir", str(tmp_path / "tenants"),
             "--report", str(report_path),
         ],
@@ -579,7 +573,6 @@ def test_serving_cli_rerun_resumes_a_staged_run(tmp_path):
         "--seed", "5",
         "--batch-size", "6",
         "--max-resident", "2",
-        "--executor", "serial",
     ]
     corpus = workload_corpus(24, 5)
     staged = VerificationServer(
@@ -591,7 +584,6 @@ def test_serving_cli_rerun_resumes_a_staged_run(tmp_path):
             seed=5,
         ),
         policy=AdmissionPolicy(max_tenants=3, max_resident_sessions=2),
-        executor="serial",
         snapshot_dir=tmp_path / "resumed",
     )
     partial = drive_workload(
@@ -617,39 +609,62 @@ def test_serving_cli_rerun_resumes_a_staged_run(tmp_path):
 
 
 # ---------------------------------------------------------------------- #
-# work-stealing scheduler
+# rounds on the pool
 # ---------------------------------------------------------------------- #
 def test_scheduler_stats_surface_in_status(serving_corpus):
-    """Steals, waits and deadline boosts are visible per tenant."""
+    """Steals count batches queued past the pool's width; waits are per tenant."""
     tenants = _split(serving_corpus, 4)
     server = VerificationServer(
         serving_corpus,
         _config(),
         policy=AdmissionPolicy(max_resident_sessions=2),
-        executor="serial",
+        max_workers=1,
     )
     for tenant_id, claims in tenants.items():
         server.submit(tenant_id, claims)
     outcomes = server.run_round()
-    # The serial pool has width 1: the second scheduled tenant of the
-    # round was dispatched into a freed slot, i.e. stolen.
-    assert sum(1 for outcome in outcomes if outcome.stolen) == len(outcomes) - 1
+    # One worker: the round's second batch waited in the pool's queue.
     assert server.stats.steals == len(outcomes) - 1
     served = {outcome.tenant_id for outcome in outcomes}
     for tenant_id in tenants:
         status = server.tenant_status(tenant_id)
         if tenant_id in served:
-            assert status.steals + int(tenant_id == outcomes[0].tenant_id) >= 1
             assert status.wait_rounds_total == 0
         else:
             # Unscheduled runnable tenants aged by one round.
             assert status.wait_rounds_total == 1
             assert status.wait_rounds_max == 1
-    server.run_until_idle()
-    status = server.status()
-    assert status.stats.steals >= server.stats.steals
-    assert status.stats.deadline_boosts >= 0
     server.close()
+
+
+def test_failed_batch_is_raised_after_the_round_is_booked(serving_corpus, monkeypatch):
+    """A failing tenant does not leave another tenant's batch unbooked."""
+
+    class _Boom(Exception):
+        pass
+
+    run_batch = VerificationService.run_batch
+
+    def scripted(service):
+        if service.system_name.endswith("/a"):
+            raise _Boom("tenant a failed")
+        time.sleep(0.2)
+        return run_batch(service)
+
+    monkeypatch.setattr(VerificationService, "run_batch", scripted)
+    ids = list(serving_corpus.claim_ids)
+    with VerificationServer(
+        serving_corpus,
+        _config(),
+        policy=AdmissionPolicy(max_resident_sessions=2),
+        max_workers=2,
+    ) as server:
+        server.submit("a", ids[:6])
+        server.submit("b", ids[6:12])
+        with pytest.raises(_Boom):
+            server.run_round()
+        assert server.tenant_status("b").batches_run == 1
+        assert server.tenant_status("a").batches_run == 0
 
 
 def test_serving_cli_zipf_run(tmp_path):
@@ -663,7 +678,6 @@ def test_serving_cli_zipf_run(tmp_path):
             "--seed", "5",
             "--batch-size", "6",
             "--max-resident", "3",
-            "--executor", "serial",
             "--zipf", "1.1",
             "--report", str(report_path),
         ],

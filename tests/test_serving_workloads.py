@@ -112,7 +112,6 @@ def test_drive_workload_serves_every_scenario(workload_corpus, tmp_path):
         workload_corpus,
         _config(),
         policy=AdmissionPolicy(max_resident_sessions=2),
-        executor="serial",
         snapshot_dir=tmp_path,
     )
     result = drive_workload(server, workload)
@@ -139,7 +138,6 @@ def test_drive_workload_chunks_quota_rejected_bursts(workload_corpus):
         workload_corpus,
         _config(),
         policy=AdmissionPolicy(max_pending_claims_per_tenant=max(2, burst // 2)),
-        executor="serial",
     )
     result = drive_workload(server, workload)
     assert result.deferred_submissions > 0
@@ -155,7 +153,6 @@ def test_drive_workload_retries_backpressured_submissions(workload_corpus):
         workload_corpus,
         _config(),
         policy=AdmissionPolicy(max_queued_submissions=1, max_resident_sessions=2),
-        executor="serial",
     )
     result = drive_workload(server, workload)
     assert result.deferred_submissions > 0
@@ -172,7 +169,6 @@ def test_drive_workload_crash_before_first_admission(workload_corpus):
         workload_corpus,
         _config(),
         policy=AdmissionPolicy(max_queued_submissions=1),
-        executor="serial",
     )
     result = drive_workload(server, workload)
     assert result.deferred_submissions > 0
@@ -189,7 +185,7 @@ def test_drive_workload_stopped_before_an_arrival(workload_corpus):
     early = {event.tenant_id for event in workload.submissions if event.round_index == 0}
     unadmitted = set(late) - early
     assert unadmitted, "the script must have a tenant arriving after round 0"
-    server = VerificationServer(workload_corpus, _config(), executor="serial")
+    server = VerificationServer(workload_corpus, _config())
     result = drive_workload(server, workload, max_rounds=1)
     assert result.rounds == 1
     assert set(result.verified_by_tenant) == {s.tenant_id for s in workload.scenarios}
@@ -254,7 +250,6 @@ def test_drive_zipf_workload_verifies_every_submission(workload_corpus):
         workload_corpus,
         _config(),
         policy=AdmissionPolicy(max_resident_sessions=3, max_queued_submissions=24),
-        executor="serial",
     )
     result = drive_workload(server, workload)
     assert result.verified_count == workload.claim_count
