@@ -59,7 +59,7 @@ def main() -> None:
         status = "picked from options" if answer.displayed_hit else "suggested by the checker"
         print(f"  {screen.claim_property.value:<10} -> {answer.selected_labels} ({status})")
 
-    translation = translator.translate(claim, validated)
+    translation = translator.translate(claim, predictions, validated)
     plan = planner.plan_questions(claim, predictions, translation.generation)
     print(f"\nFinal screen: {len(plan.query_options)} candidate queries "
           f"(pruning power {plan.pruning_power:.1f}, expected cost {plan.expected_cost:.0f}s)")

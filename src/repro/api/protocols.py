@@ -8,7 +8,7 @@ The main loop of Algorithm 1 only ever talks to four structural roles:
   final screen: the ground-truth oracle in simulations, a user interface in
   a real deployment.
 * :class:`TranslationBackend` — the claim-to-query translation component
-  (classifier training, prediction, query generation).
+  (classifier training, batch prediction, query generation).
 * :class:`BatchSelector` — the claim-ordering policy choosing the next
   batch of claims to verify.
 
@@ -127,24 +127,27 @@ class TranslationBackend(Protocol):
         """Feed newly verified claims back into the models (Algorithm 1)."""
         ...
 
-    def predict(self, claim: Claim) -> Mapping[ClaimProperty, Prediction]:
-        """Ranked property predictions for one claim."""
-        ...
-
     def predict_many(self, claims: Sequence[Claim]) -> ClaimBatchPredictions:
-        """Predictions for many claims in one pass (the planning hot path).
+        """Predictions for many claims in one pass (the only prediction path).
 
         The service calls this once per batch over the whole pending pool,
-        and scores every claim from the returned probability matrices.
+        scores every claim from the returned probability matrices, and
+        plans each selected claim from its row.
         """
         ...
 
     def translate(
         self,
         claim: Claim,
+        predictions: Mapping[ClaimProperty, Prediction],
         validated_context: Mapping[ClaimProperty, Sequence[str]] | None = None,
     ) -> TranslationResult:
-        """Generate and tentatively execute candidate queries."""
+        """Generate and tentatively execute candidate queries.
+
+        ``predictions`` is the claim's row of the :meth:`predict_many`
+        batch; properties missing from ``validated_context`` fall back to
+        its top-ranked labels.
+        """
         ...
 
     def evaluate_accuracy(

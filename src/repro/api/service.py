@@ -415,7 +415,8 @@ class VerificationService:
         for position, claim_id in enumerate(selection.claim_ids):
             claim = self.corpus.claim(claim_id)
             # Ranked per-claim predictions are materialized lazily, only for
-            # the claims actually selected into the batch.
+            # the claims actually selected into the batch; the claim's row
+            # is the only input its question plan gets.
             if batch_predictions is not None and claim_id in batch_predictions:
                 predictions = batch_predictions.predictions_for(claim_id)
             else:
@@ -517,7 +518,9 @@ class VerificationService:
             if predictions is None:
                 response = checker.verify_manually(claim)
             else:
-                plan = self._build_plan(claim, predictions)
+                plan = self.planner.plan_claim(
+                    claim, predictions, self.translator, self.answer_source
+                )
                 response = checker.verify_with_plan(claim, plan)
             responses.append(response)
             if response.decided:
@@ -551,23 +554,6 @@ class VerificationService:
             batch_index=batch_index,
         )
 
-    def _build_plan(self, claim: Claim, predictions: Mapping[ClaimProperty, Prediction]):
-        """Two-phase planning: context screens first, then the final screen.
-
-        The context (relations, keys, attributes) validated by the crowd
-        feeds query generation, whose candidates populate the final screen —
-        exactly the workflow of Section 3.1/4.3.
-        """
-        context_plan = self.planner.plan_questions(claim, predictions)
-        validated_context: dict[ClaimProperty, tuple[str, ...]] = {}
-        for screen in context_plan.screens:
-            if screen.claim_property is ClaimProperty.FORMULA:
-                continue
-            answer = self.answer_source.answer_screen(claim.claim_id, screen)
-            validated_context[screen.claim_property] = answer.selected_labels
-        translation = self.translator.translate(claim, validated_context)
-        return self.planner.plan_questions(claim, predictions, translation.generation)
-
     def _assign_checkers(self, position: int) -> list[Checker]:
         """Round-robin assignment of ``votes_per_claim`` checkers to a claim."""
         count = min(self.config.votes_per_claim, len(self.checkers))
@@ -581,7 +567,9 @@ class VerificationService:
         """Predictions for every pending claim, as one batch.
 
         One ``predict_many`` call — a single feature matrix and one matrix
-        operation per property — instead of per-claim ``predict`` loops.
+        operation per property.  It is the batch's only prediction: batch
+        selection scores its arrays, and each selected claim is planned
+        and translated from its row.
         """
         if not self.translator.is_trained:
             return None

@@ -130,7 +130,6 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
             host=args.host,
             port=args.port,
             flush_interval=args.flush_interval,
-            fsync=not args.no_fsync,
         )
         await gateway.start()
         recovery = gateway.recovery.to_dict() if gateway.recovery else {}
@@ -279,11 +278,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.002,
         help="group-commit window in seconds (acks batched per fsync)",
-    )
-    serve.add_argument(
-        "--no-fsync",
-        action="store_true",
-        help="skip fsync on commit (benchmarks only; weakens durability)",
     )
     serve.add_argument(
         "--journal-dir", required=True, help="write-ahead journal directory"

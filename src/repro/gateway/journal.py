@@ -219,22 +219,17 @@ class JournalWriter:
         directory: str | Path,
         *,
         segment_bytes: int = 4 * 1024 * 1024,
-        fsync: bool = True,
-        start_seq: int | None = None,
     ) -> None:
         if segment_bytes <= 0:
             raise JournalError("segment_bytes must be positive")
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self._segment_bytes = segment_bytes
-        self._fsync = fsync
         self._lock = threading.RLock()
         existing = segment_paths(self.directory)
         last_index = _segment_index(existing[-1]) if existing else -1
         self._next_segment = (last_index if last_index is not None else -1) + 1
-        if start_seq is None:
-            start_seq = scan_journal(self.directory).last_seq + 1
-        self._next_seq = start_seq
+        self._next_seq = scan_journal(self.directory).last_seq + 1
         self._file = None
         self._sealed = []
         self._segment_written = 0
@@ -287,14 +282,12 @@ class JournalWriter:
             if not self._uncommitted and not self._sealed:
                 return
             for sealed in self._sealed:
-                if self._fsync:
-                    os.fsync(sealed.fileno())
+                os.fsync(sealed.fileno())
                 sealed.close()
             self._sealed.clear()
             if self._file is not None:
                 self._file.flush()
-                if self._fsync:
-                    os.fsync(self._file.fileno())
+                os.fsync(self._file.fileno())
             self.commits += 1
             self.records_committed += self._uncommitted
             self._uncommitted = 0

@@ -264,8 +264,6 @@ class GatewayServer:
         host: str = "127.0.0.1",
         port: int = 0,
         flush_interval: float = 0.002,
-        segment_bytes: int = 4 * 1024 * 1024,
-        fsync: bool = True,
         auto_pump: bool = True,
         system_name: str = "Gateway",
     ) -> None:
@@ -277,7 +275,7 @@ class GatewayServer:
             system_name=system_name,
         )
         self.policy = self._server.policy
-        self._journal = JournalWriter(journal_dir, segment_bytes=segment_bytes, fsync=fsync)
+        self._journal = JournalWriter(journal_dir)
         self._engine = ThreadPoolExecutor(max_workers=1, thread_name_prefix="gateway-engine")
         self.stats = GatewayStats()
         self.host = host
@@ -366,17 +364,14 @@ class GatewayServer:
             self._work.set()
 
     async def stop(self) -> None:
-        """Graceful shutdown: drain the backlog, passivate every tenant."""
+        """Graceful shutdown: drain the backlog, passivate every tenant.
+
+        Every step runs even when the pump task died of a batch error;
+        that error is raised once the gateway is fully stopped.
+        """
         if self._stopped:
             return
-        self._stopping = True
-        self._work.set()
-        self._flush_request.set()
-        if self._tcp is not None:
-            self._tcp.close()
-            await self._tcp.wait_closed()
-        await self._cancel_tasks()
-        self._fail_commit_waiters("gateway stopped before commit")
+        pump_error = await self._halt("gateway stopped before commit")
         batch = list(self._backlog)
         self._backlog.clear()
         if self._loop is not None:
@@ -387,24 +382,19 @@ class GatewayServer:
         await loop.run_in_executor(None, self._journal.close)
         await self._close_connections()
         self._stopped = True
+        if pump_error is not None:
+            raise pump_error
 
     async def abort(self) -> None:
         """Crash simulation: stop without passivation or a final commit.
 
         Used by recovery tests to model ``SIGKILL``: whatever the journal
         fsynced survives, resident sessions and buffered journal bytes do
-        not.
+        not.  Like :meth:`stop`, it raises the pump's error last.
         """
         if self._stopped:
             return
-        self._stopping = True
-        self._work.set()
-        self._flush_request.set()
-        if self._tcp is not None:
-            self._tcp.close()
-            await self._tcp.wait_closed()
-        await self._cancel_tasks()
-        self._fail_commit_waiters("gateway aborted before commit")
+        pump_error = await self._halt("gateway aborted before commit")
         self._engine.shutdown(wait=True)
         self._journal.abandon()
         # Free worker threads without passivating: a crash writes no
@@ -412,15 +402,41 @@ class GatewayServer:
         self._server._pool.close()  # noqa: SLF001 — crash simulation only
         await self._close_connections()
         self._stopped = True
+        if pump_error is not None:
+            raise pump_error
 
-    async def _cancel_tasks(self) -> None:
+    async def _halt(self, reason: str) -> BaseException | None:
+        """Stop listening and end the pump and flush tasks.
+
+        Fails the pending commit waiters with ``reason`` and returns the
+        error a task died of (the pump's, after a batch raised), or
+        ``None``.
+        """
+        self._stopping = True
+        self._work.set()
+        self._flush_request.set()
+        if self._tcp is not None:
+            self._tcp.close()
+            await self._tcp.wait_closed()
+        error: BaseException | None = None
         for task in (self._pump_task, self._flush_task):
-            if task is not None:
-                task.cancel()
-                with contextlib.suppress(asyncio.CancelledError):
-                    await task
+            if task is None:
+                continue
+            task.cancel()
+            try:
+                await task
+            except asyncio.CancelledError:
+                # Ours to swallow only when it is the task's own
+                # cancellation, not one aimed at this coroutine.
+                current = asyncio.current_task()
+                if current is not None and current.cancelling():
+                    raise
+            except Exception as task_error:
+                error = error or task_error
         self._pump_task = None
         self._flush_task = None
+        self._fail_commit_waiters(reason)
+        return error
 
     def _fail_commit_waiters(self, reason: str) -> None:
         waiters = self._commit_waiters

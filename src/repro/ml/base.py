@@ -30,12 +30,6 @@ class Prediction:
         """The ``k`` most probable labels with their probabilities."""
         return list(zip(self.labels[:k], self.probabilities[:k]))
 
-    def probability_of(self, label: str) -> float:
-        for candidate, probability in zip(self.labels, self.probabilities):
-            if candidate == label:
-                return probability
-        return 0.0
-
     def entropy(self) -> float:
         """Shannon entropy of the distribution (used by Definition 7)."""
         probabilities = np.asarray(self.probabilities, dtype=float)
@@ -61,20 +55,15 @@ class Prediction:
 class Classifier(Protocol):
     """Protocol implemented by every property classifier.
 
-    Batch prediction is part of the contract: the verification loop scores
-    every pending claim after every batch, so classifiers must accept a
-    whole feature matrix at once.  ``predict`` is the single-row
-    convenience wrapper over the same path.
+    Prediction is batch-only: the verification loop scores every pending
+    claim after every batch, so a classifier maps a whole feature matrix
+    to one probability matrix.  A single claim is a one-row batch, and
+    ranked :class:`Prediction` objects are built from rows of that matrix
+    (:meth:`~repro.pipeline.batch.PropertyBatch.prediction`).
     """
 
     def fit(self, features: np.ndarray, labels: Sequence[str]) -> "Classifier":
         """Train on the given samples."""
-
-    def predict(self, features: np.ndarray) -> Prediction:
-        """Predict the ranked label distribution for one feature vector."""
-
-    def predict_batch(self, features: np.ndarray) -> list[Prediction]:
-        """Ranked label distributions for every row of a feature matrix."""
 
     def predict_proba_batch(self, features: np.ndarray) -> np.ndarray:
         """(rows x classes) probability matrix, aligned with :attr:`classes`."""
@@ -86,17 +75,3 @@ class Classifier(Protocol):
     @property
     def classes(self) -> tuple[str, ...]:
         """Labels the classifier can currently predict."""
-
-
-def as_single_row(features: np.ndarray) -> np.ndarray:
-    """Validate a single feature vector and shape it as a one-row batch.
-
-    Routing single predictions through the batch path keeps the two bit for
-    bit identical: there is only one implementation to agree with.
-    """
-    vector = np.asarray(features, dtype=float)
-    if vector.ndim == 2 and vector.shape[0] == 1:
-        vector = vector[0]
-    if vector.ndim != 1:
-        raise ConfigurationError("predict expects a single feature vector")
-    return vector[None, :]

@@ -9,10 +9,10 @@ Prediction is batched: one ``queries @ training.T`` matrix multiplication
 scores every query against every training row, and the top-k neighbours are
 found with :func:`numpy.argpartition` instead of a full per-query sort.
 Tie-breaking at the k-th similarity is deterministic — the lowest training
-indices win — and the single-claim path *is* a one-row batch, so the two
-paths share every instruction: rankings always agree, and probabilities
-match to within the last-ulp reordering BLAS applies to differently shaped
-matrix products.
+indices win — so a query's neighbourhood does not depend on the other rows
+of its batch: a one-row batch ranks labels like that row of a larger batch,
+and probabilities match to within the last-ulp reordering BLAS applies to
+differently shaped matrix products.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError, NotFittedError
-from repro.ml.base import Prediction, as_single_row
 from repro.ml.encoding import LabelEncoder
 from repro.ml.state import decode_array, encode_array, register_model_kind
 
@@ -64,20 +63,6 @@ class KNearestNeighborsClassifier:
     # ------------------------------------------------------------------ #
     # prediction
     # ------------------------------------------------------------------ #
-    def predict(self, features: np.ndarray) -> Prediction:
-        return Prediction.from_distribution(
-            self._encoder.classes, self.predict_proba(features)
-        )
-
-    def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        """Probability of each known class, aligned with :attr:`classes`."""
-        return self.predict_proba_batch(as_single_row(features))[0]
-
-    def predict_batch(self, features: np.ndarray) -> list[Prediction]:
-        probabilities = self.predict_proba_batch(features)
-        classes = self._encoder.classes
-        return [Prediction.from_distribution(classes, row) for row in probabilities]
-
     def predict_proba_batch(self, features: np.ndarray) -> np.ndarray:
         """Class probabilities for every query row, in one matrix pass."""
         if (

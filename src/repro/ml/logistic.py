@@ -14,7 +14,6 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError, NotFittedError
-from repro.ml.base import Prediction, as_single_row
 from repro.ml.encoding import LabelEncoder
 from repro.ml.state import decode_array, encode_array, register_model_kind
 
@@ -120,19 +119,6 @@ class SoftmaxRegressionClassifier:
     # ------------------------------------------------------------------ #
     # prediction
     # ------------------------------------------------------------------ #
-    def predict(self, features: np.ndarray) -> Prediction:
-        probabilities = self.predict_proba(features)
-        return Prediction.from_distribution(self._encoder.classes, probabilities)
-
-    def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        """Probability of each known class, aligned with :attr:`classes`."""
-        return self.predict_proba_batch(as_single_row(features))[0]
-
-    def predict_batch(self, features: np.ndarray) -> list[Prediction]:
-        probabilities = self.predict_proba_batch(features)
-        classes = self._encoder.classes
-        return [Prediction.from_distribution(classes, row) for row in probabilities]
-
     def predict_proba_batch(self, features: np.ndarray) -> np.ndarray:
         """(rows x classes) probability matrix: one ``X @ W + b`` matmul."""
         if self._weights is None or self._bias is None:

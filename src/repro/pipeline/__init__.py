@@ -13,9 +13,10 @@ the system:
   ranked per-claim :class:`~repro.ml.base.Prediction` objects.
 
 :mod:`repro.planning.scoring` turns the probability matrices into
-vectorized expected verification cost and training utility.  The
-single-claim entry points (``ClaimTranslator.predict``,
-``Classifier.predict``) remain as thin wrappers over the batch path.
+vectorized expected verification cost and training utility, and each
+selected claim is planned from its row of the same batch.  There is no
+single-claim prediction path: ``ClaimTranslator.predict`` is row 0 of a
+one-claim batch.
 
 Layering contract: layer 5 of the enforced import DAG (peer of
 ``claims``) — may import ``claims``, ``ml`` and everything below; never

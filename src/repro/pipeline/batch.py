@@ -41,7 +41,11 @@ class PropertyBatch:
             raise ConfigurationError("probabilities and labels must be aligned")
 
     def prediction(self, index: int) -> Prediction:
-        """The ranked distribution for one claim (same path as ``predict``)."""
+        """The ranked distribution for one claim: its row, sorted.
+
+        This is the only place ranked predictions come from; a single
+        claim's predictions are row 0 of a one-claim batch.
+        """
         return Prediction.from_distribution(self.labels, self.probabilities[index])
 
     def entropies(self) -> np.ndarray:
@@ -94,10 +98,6 @@ class ClaimBatchPredictions:
     def __contains__(self, claim_id: object) -> bool:
         return claim_id in self._index_of
 
-    @property
-    def properties(self) -> tuple[ClaimProperty, ...]:
-        return tuple(self.by_property)
-
     # ------------------------------------------------------------------ #
     # array access (planning hot path)
     # ------------------------------------------------------------------ #
@@ -129,7 +129,3 @@ class ClaimBatchPredictions:
     def predictions_for(self, claim_id: str) -> dict[ClaimProperty, Prediction]:
         """Ranked per-property predictions for one claim of the batch."""
         return self.predictions_at(self._index_of[claim_id])
-
-    def as_prediction_dicts(self) -> list[dict[ClaimProperty, Prediction]]:
-        """Materialize every claim's ranked predictions, in batch order."""
-        return [self.predictions_at(index) for index in range(len(self.claim_ids))]

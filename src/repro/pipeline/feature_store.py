@@ -40,10 +40,11 @@ class ClaimFeatureStore:
     """Caches featurized claim rows keyed by claim id.
 
     The store never featurizes a claim twice within one featurizer
-    generation, and batch requests featurize all missing claims in a single
+    generation, and a request featurizes all its missing claims in a single
     :meth:`~repro.translation.preprocess.ClaimPreprocessor.feature_matrix`
-    call.  Rows are returned read-only so a cached vector can be handed to
-    many consumers without defensive copies.
+    call.  :meth:`matrix` is the only way in: a single claim is a one-row
+    matrix, and every matrix is a fresh copy, so a consumer writing into it
+    cannot corrupt the cache.
     """
 
     def __init__(self, preprocessor: ClaimPreprocessor) -> None:
@@ -74,16 +75,6 @@ class ClaimFeatureStore:
     # ------------------------------------------------------------------ #
     # featurization
     # ------------------------------------------------------------------ #
-    def vector(self, claim: Claim) -> np.ndarray:
-        """The feature row of one claim (cached, read-only)."""
-        self._sync_generation()
-        row = self._rows.get(claim.claim_id)
-        if row is None:
-            row = np.asarray(self._preprocessor.preprocess(claim).features, dtype=float)
-            row.setflags(write=False)
-            self._rows[claim.claim_id] = row
-        return row
-
     def matrix(self, claims: Sequence[Claim]) -> np.ndarray:
         """Feature matrix with one row per claim, in claim order.
 
@@ -97,7 +88,6 @@ class ClaimFeatureStore:
             computed = np.ascontiguousarray(
                 self._preprocessor.feature_matrix(missing), dtype=float
             )
-            computed.setflags(write=False)
             for index, claim in enumerate(missing):
                 rows[claim.claim_id] = computed[index]
         if not claims:

@@ -8,6 +8,7 @@ candidates) and selecting the next batch of claims to verify.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -24,6 +25,10 @@ from repro.planning.scoring import estimate_costs, estimate_scores, estimate_uti
 from repro.planning.screens import QueryOption, QuestionPlan, Screen
 from repro.planning.utility import claim_training_utility, expected_claim_cost
 from repro.translation.querygen import QueryGenerationResult
+
+if TYPE_CHECKING:  # pragma: no cover - the protocols live in repro.api,
+    # which sits above planning; only the annotations need them.
+    from repro.api.protocols import AnswerSource, TranslationBackend
 
 
 class QuestionPlanner:
@@ -106,6 +111,32 @@ class QuestionPlanner:
             expected_cost=expected_cost,
             pruning_power=pruning_power,
         )
+
+    def plan_claim(
+        self,
+        claim: Claim,
+        predictions: Mapping[ClaimProperty, Prediction],
+        translator: TranslationBackend,
+        answer_source: AnswerSource,
+    ) -> QuestionPlan:
+        """Two-phase planning: context screens first, then the final screen.
+
+        ``predictions`` is the claim's row of the batch predictions.  The
+        crowd validates the context (relations, keys, attributes) on the
+        first plan's screens; query generation runs on that context, and its
+        candidates populate the final screen — the workflow of Sections
+        3.1 and 4.3.
+        """
+        context_plan = self.plan_questions(claim, predictions)
+        validated_context = {
+            screen.claim_property: answer_source.answer_screen(
+                claim.claim_id, screen
+            ).selected_labels
+            for screen in context_plan.screens
+            if screen.claim_property is not ClaimProperty.FORMULA
+        }
+        translation = translator.translate(claim, predictions, validated_context)
+        return self.plan_questions(claim, predictions, translation.generation)
 
     @staticmethod
     def _uncertainty_order(

@@ -199,15 +199,7 @@ def _run_checker(
         if translator is None or planner is None:
             response = checker.verify_manually(claim)
         else:
-            predictions = translator.predict(claim)
-            context_plan = planner.plan_questions(claim, predictions)
-            validated = {
-                screen.claim_property: oracle.answer_screen(claim_id, screen).selected_labels
-                for screen in context_plan.screens
-                if screen.claim_property is not ClaimProperty.FORMULA
-            }
-            translation = translator.translate(claim, validated)
-            plan = planner.plan_questions(claim, predictions, translation.generation)
+            plan = planner.plan_claim(claim, translator.predict(claim), translator, oracle)
             response = checker.verify_with_plan(claim, plan)
         elapsed = min(response.elapsed_seconds, remaining)
         remaining -= response.elapsed_seconds

@@ -17,14 +17,13 @@ reprolint; see ``docs/architecture.md``.
 """
 
 from repro.text.embeddings import HashingWordEmbeddings
-from repro.text.features import ClaimFeaturizer, FeatureVector
+from repro.text.features import ClaimFeaturizer
 from repro.text.numbers import NumericMention, extract_numeric_mentions, parse_quantity
 from repro.text.tfidf import TfidfVectorizer, character_ngrams, word_ngrams
 from repro.text.tokenizer import Tokenizer, sentence_split
 
 __all__ = [
     "ClaimFeaturizer",
-    "FeatureVector",
     "HashingWordEmbeddings",
     "NumericMention",
     "TfidfVectorizer",

@@ -21,28 +21,6 @@ from repro.text.tokenizer import Tokenizer
 
 
 @dataclass(frozen=True)
-class FeatureVector:
-    """A featurised claim, keeping the three segments inspectable."""
-
-    sentence_embedding: np.ndarray
-    word_tfidf: np.ndarray
-    char_tfidf: np.ndarray
-
-    @property
-    def dense(self) -> np.ndarray:
-        """The concatenated vector handed to the classifiers."""
-        return np.concatenate([self.sentence_embedding, self.word_tfidf, self.char_tfidf])
-
-    @property
-    def dimension(self) -> int:
-        return (
-            self.sentence_embedding.shape[0]
-            + self.word_tfidf.shape[0]
-            + self.char_tfidf.shape[0]
-        )
-
-
-@dataclass(frozen=True)
 class FeaturizerConfig:
     """Knobs of the feature pipeline."""
 
@@ -134,36 +112,36 @@ class ClaimFeaturizer:
         self._generation += 1
         return self
 
-    def transform(self, claim_text: str, sentence_text: str | None = None) -> FeatureVector:
-        """Featurise one claim in its sentence context."""
-        if not self._fitted:
-            raise NotFittedError("ClaimFeaturizer.transform called before fit")
-        sentence = sentence_text if sentence_text is not None else claim_text
-        sentence_embedding = self._embeddings.embed_tokens(self._tokenizer(sentence))
-        return FeatureVector(
-            sentence_embedding=sentence_embedding,
-            word_tfidf=self._word_tfidf.transform_one(claim_text),
-            char_tfidf=self._char_tfidf.transform_one(claim_text),
-        )
-
-    def transform_dense(self, claim_text: str, sentence_text: str | None = None) -> np.ndarray:
-        return self.transform(claim_text, sentence_text).dense
-
     def transform_matrix(
         self,
         claim_texts: Sequence[str],
         sentence_texts: Sequence[str] | None = None,
     ) -> np.ndarray:
-        """Featurise a batch of claims into a dense matrix."""
+        """Featurise a batch of claims into a dense matrix.
+
+        Row ``i`` concatenates three segments: the embedding of sentence
+        ``i`` (the claim text itself when no sentences are given), then the
+        word and character TF-IDF scores of claim ``i``.
+        """
+        if not self._fitted:
+            raise NotFittedError("ClaimFeaturizer.transform_matrix called before fit")
         if sentence_texts is not None and len(sentence_texts) != len(claim_texts):
             raise ConfigurationError("claim_texts and sentence_texts must have the same length")
-        rows = []
-        for index, claim_text in enumerate(claim_texts):
-            sentence = sentence_texts[index] if sentence_texts is not None else None
-            rows.append(self.transform_dense(claim_text, sentence))
-        if not rows:
+        if not claim_texts:
             return np.zeros((0, self.dimension))
-        return np.vstack(rows)
+        sentences = sentence_texts if sentence_texts is not None else claim_texts
+        return np.vstack(
+            [
+                np.concatenate(
+                    [
+                        self._embeddings.embed_tokens(self._tokenizer(sentence)),
+                        self._word_tfidf.transform_one(claim_text),
+                        self._char_tfidf.transform_one(claim_text),
+                    ]
+                )
+                for claim_text, sentence in zip(claim_texts, sentences)
+            ]
+        )
 
     @property
     def dimension(self) -> int:

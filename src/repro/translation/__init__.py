@@ -1,6 +1,6 @@
 """Claim-to-query translation (Section 4 of the paper).
 
-The pipeline has three stages: claim preprocessing into feature vectors
+The pipeline has three stages: claim preprocessing into feature matrices
 (:mod:`repro.translation.preprocess`), the four property classifiers
 (:mod:`repro.translation.classifiers`), and the query-generation algorithm
 (Algorithm 2, :mod:`repro.translation.querygen`).  The
@@ -15,14 +15,13 @@ Layering contract: layer 6 of the enforced import DAG — may import
 """
 
 from repro.translation.classifiers import PropertyClassifierSuite, TrainingExample
-from repro.translation.preprocess import ClaimPreprocessor, PreprocessedClaim
+from repro.translation.preprocess import ClaimPreprocessor
 from repro.translation.querygen import QueryCandidate, QueryGenerationResult, QueryGenerator
 from repro.translation.translator import ClaimTranslator, TranslationResult
 
 __all__ = [
     "ClaimPreprocessor",
     "ClaimTranslator",
-    "PreprocessedClaim",
     "PropertyClassifierSuite",
     "QueryCandidate",
     "QueryGenerationResult",

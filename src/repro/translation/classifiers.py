@@ -6,12 +6,13 @@ The suite keeps all four aligned, retrains them as labelled claims arrive
 (active learning) and exposes the ranked probability distributions consumed
 by query generation and by question planning.
 
-The suite is batch-first: features come from a shared
+The suite predicts in batches only: features come from a shared
 :class:`~repro.pipeline.feature_store.ClaimFeatureStore` (featurize once
-per featurizer generation), prediction for many claims is one matrix
-multiplication per property (:meth:`PropertyClassifierSuite.predict_many`),
-and retraining is incremental — softmax weights warm-start from the
-previous fit.  The TF-IDF vocabulary is fitted once, when the translator
+per featurizer generation), and prediction is one probability matrix per
+property (:meth:`PropertyClassifierSuite.predict_proba_many`), from which
+ranked per-claim predictions are read row by row.  A single claim is a
+one-row batch.  Retraining is incremental — softmax weights warm-start
+from the previous fit.  The TF-IDF vocabulary is fitted once, when the translator
 is bootstrapped; retraining ignores n-grams outside it.
 """
 
@@ -20,11 +21,8 @@ from __future__ import annotations
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from repro.claims.model import Claim, ClaimGroundTruth, ClaimProperty
 from repro.errors import ConfigurationError, NotFittedError, TranslationError
-from repro.ml.base import Prediction
 from repro.ml.knn import KNearestNeighborsClassifier
 from repro.ml.logistic import SoftmaxRegressionClassifier
 from repro.ml.state import model_from_state, model_to_state
@@ -81,7 +79,6 @@ class PropertyClassifierSuite:
         preprocessor: ClaimPreprocessor,
         config: SuiteConfig | None = None,
     ) -> None:
-        self._preprocessor = preprocessor
         self._config = config if config is not None else SuiteConfig()
         self._models: dict[ClaimProperty, object] = {}
         self._examples: list[TrainingExample] = []
@@ -95,34 +92,13 @@ class PropertyClassifierSuite:
     # training data management
     # ------------------------------------------------------------------ #
     @property
-    def example_count(self) -> int:
-        return len(self._examples)
-
-    @property
     def retrain_count(self) -> int:
         return self._retrain_count
-
-    @property
-    def preprocessor(self) -> ClaimPreprocessor:
-        return self._preprocessor
 
     @property
     def feature_store(self) -> ClaimFeatureStore:
         """The shared claim-feature cache (generation-invalidated)."""
         return self._store
-
-    @property
-    def feature_generation(self) -> int:
-        """The featurizer generation currently being served."""
-        return self._store.generation
-
-    def add_examples(self, examples: Sequence[TrainingExample]) -> None:
-        """Accumulate labelled claims without retraining yet."""
-        self._examples.extend(examples)
-
-    def _features_of(self, claim: Claim) -> np.ndarray:
-        """One cached feature row (generation-tagged; never stale)."""
-        return self._store.vector(claim)
 
     # ------------------------------------------------------------------ #
     # (re)training
@@ -151,7 +127,7 @@ class PropertyClassifierSuite:
 
     def retrain(self, new_examples: Sequence[TrainingExample]) -> "PropertyClassifierSuite":
         """Add newly verified claims as training samples and refit (Algorithm 1)."""
-        self.add_examples(new_examples)
+        self._examples.extend(new_examples)
         return self.fit()
 
     def _resolve_model(self, previous: object | None, sample_count: int, class_count: int):
@@ -181,16 +157,6 @@ class PropertyClassifierSuite:
     def is_trained(self) -> bool:
         return len(self._models) == len(ClaimProperty.ordered())
 
-    def predict(self, claim: Claim) -> dict[ClaimProperty, Prediction]:
-        """Ranked label distributions for all four properties of one claim."""
-        return self.predict_many([claim])[0]
-
-    def predict_many(
-        self, claims: Sequence[Claim]
-    ) -> list[dict[ClaimProperty, Prediction]]:
-        """Ranked predictions for every claim, from one feature matrix."""
-        return self.predict_proba_many(claims).as_prediction_dicts()
-
     def predict_proba_many(self, claims: Sequence[Claim]) -> ClaimBatchPredictions:
         """Batch predictions as per-property probability matrices.
 
@@ -213,11 +179,6 @@ class PropertyClassifierSuite:
         return ClaimBatchPredictions(
             [claim.claim_id for claim in claims], by_property
         )
-
-    def predict_property(self, claim: Claim, claim_property: ClaimProperty) -> Prediction:
-        if not self.is_trained:
-            raise NotFittedError("the classifier suite has not been trained yet")
-        return self._models[claim_property].predict(self._features_of(claim))
 
     # ------------------------------------------------------------------ #
     # evaluation helpers (Figures 8-10)
@@ -245,16 +206,6 @@ class PropertyClassifierSuite:
                     hits += 1
             scores[claim_property] = hits / len(claims)
         return scores
-
-    def average_accuracy(
-        self,
-        claims: Sequence[Claim],
-        truths: Sequence[ClaimGroundTruth],
-        top_k: int = 1,
-    ) -> float:
-        """Mean accuracy across the four classifiers (Figure 8 series)."""
-        scores = self.evaluate_accuracy(claims, truths, top_k)
-        return float(np.mean(list(scores.values())))
 
     # ------------------------------------------------------------------ #
     # checkpoint state

@@ -1,41 +1,24 @@
 """Claim preprocessing (Section 4.1, Figure 4).
 
-Preprocessing turns a claim into (i) the dense feature vector consumed by
-the property classifiers and (ii) the syntactically extracted parameter for
-explicit claims.
+Preprocessing fits the Figure 4 featurizer on the claims available at
+bootstrap and turns batches of claims into the dense feature matrix the
+property classifiers consume (:meth:`ClaimPreprocessor.feature_matrix`,
+one row per claim).  A single claim is a one-row batch.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 
 from repro.claims.model import Claim
 from repro.text.features import ClaimFeaturizer, FeaturizerConfig
-from repro.text.numbers import extract_numeric_mentions, extract_parameter
-
-
-@dataclass(frozen=True)
-class PreprocessedClaim:
-    """A claim together with its derived features."""
-
-    claim: Claim
-    features: np.ndarray
-    extracted_parameter: float | None
-    numeric_mention_count: int
-
-    @property
-    def parameter(self) -> float | None:
-        """The parameter to use for matching: stated if present, else extracted."""
-        if self.claim.parameter is not None:
-            return self.claim.parameter
-        return self.extracted_parameter
 
 
 class ClaimPreprocessor:
-    """Fits the featurizer on a corpus of texts and preprocesses claims."""
+    """Fits the featurizer on a corpus of texts and featurizes claim batches."""
 
     def __init__(self, featurizer: ClaimFeaturizer | None = None) -> None:
         self._featurizer = featurizer if featurizer is not None else ClaimFeaturizer(
@@ -67,17 +50,6 @@ class ClaimPreprocessor:
     def feature_generation(self) -> int:
         """Generation of the underlying featurizer (bumped on every refit)."""
         return self._featurizer.generation
-
-    def preprocess(self, claim: Claim) -> PreprocessedClaim:
-        """Featurise one claim and extract its numeric parameter."""
-        features = self._featurizer.transform_dense(claim.text, claim.context_text)
-        mentions = extract_numeric_mentions(claim.text)
-        return PreprocessedClaim(
-            claim=claim,
-            features=features,
-            extracted_parameter=extract_parameter(claim.text),
-            numeric_mention_count=len(mentions),
-        )
 
     def feature_matrix(self, claims: Sequence[Claim]) -> np.ndarray:
         """Feature matrix for a batch of claims (one row per claim)."""

@@ -2,9 +2,11 @@
 
 :class:`ClaimTranslator` wires the preprocessor, the four property
 classifiers and the query generator together.  Algorithm 1 uses it twice
-per claim: once to obtain property predictions (turned into answer options
-by the question planner) and once — after the crowd validated the context —
-to generate and tentatively execute candidate queries.
+per batch: :meth:`~ClaimTranslator.predict_many` predicts every pending
+claim at once (the planner turns each claim's row into answer options),
+and — after the crowd validated a selected claim's context —
+:meth:`~ClaimTranslator.translate` generates and tentatively executes
+candidate queries from that same row.
 """
 
 from __future__ import annotations
@@ -30,17 +32,11 @@ class TranslationResult:
     """Everything the system derived for one claim."""
 
     claim: Claim
-    predictions: Mapping[ClaimProperty, Prediction]
     generation: QueryGenerationResult
     #: ``True`` = validated, ``False`` = contradicted, ``None`` = undecided
     #: (general claims whose parameter only a human can judge).
     verdict: bool | None
     suggested_values: tuple[float, ...] = ()
-
-    @property
-    def best_sql(self) -> str | None:
-        best = self.generation.best
-        return best.sql if best is not None else None
 
 
 class ClaimTranslator:
@@ -144,12 +140,8 @@ class ClaimTranslator:
     # prediction and generation
     # ------------------------------------------------------------------ #
     def predict(self, claim: Claim) -> dict[ClaimProperty, Prediction]:
-        """Ranked property predictions for one claim.
-
-        Thin wrapper over the batch path (a one-claim batch), kept for API
-        compatibility.
-        """
-        return self._suite.predict(claim)
+        """Ranked property predictions for one claim: a one-claim batch."""
+        return self.predict_many([claim]).predictions_at(0)
 
     def predict_many(self, claims: Sequence[Claim]) -> ClaimBatchPredictions:
         """Predictions for many claims from one feature matrix.
@@ -162,44 +154,39 @@ class ClaimTranslator:
         """
         return self._suite.predict_proba_many(claims)
 
-    def candidate_labels(
-        self, claim: Claim, claim_property: ClaimProperty, top_k: int | None = None
-    ) -> list[tuple[str, float]]:
-        """Top-k (label, probability) pairs for one property of one claim."""
+    def translate(
+        self,
+        claim: Claim,
+        predictions: Mapping[ClaimProperty, Prediction],
+        validated_context: Mapping[ClaimProperty, Sequence[str]] | None = None,
+    ) -> TranslationResult:
+        """Translate a claim into candidate queries and a tentative verdict.
+
+        ``predictions`` is the claim's row of the batch predictions (see
+        :meth:`predict_many`).  ``validated_context`` carries the
+        crowd-confirmed labels per property; for properties not present
+        (typically the formula, which the crowd never validates directly)
+        the top-k labels of ``predictions`` are used instead, ``k`` set per
+        property by the translation config.
+        """
         limits = {
             ClaimProperty.RELATION: self.config.top_k_relations,
             ClaimProperty.KEY: self.config.top_k_keys,
             ClaimProperty.ATTRIBUTE: self.config.top_k_attributes,
             ClaimProperty.FORMULA: self.config.top_k_formulas,
         }
-        limit = top_k if top_k is not None else limits[claim_property]
-        prediction = self._suite.predict_property(claim, claim_property)
-        return prediction.top_k(limit)
-
-    def translate(
-        self,
-        claim: Claim,
-        validated_context: Mapping[ClaimProperty, Sequence[str]] | None = None,
-    ) -> TranslationResult:
-        """Translate a claim into candidate queries and a tentative verdict.
-
-        ``validated_context`` carries the crowd-confirmed labels per
-        property; for properties not present (typically the formula, which
-        the crowd never validates directly) the classifier's top-k output is
-        used instead.
-        """
-        predictions = self.predict(claim)
-        relations = self._context_labels(claim, ClaimProperty.RELATION, validated_context)
-        keys = self._context_labels(claim, ClaimProperty.KEY, validated_context)
-        attributes = self._context_labels(claim, ClaimProperty.ATTRIBUTE, validated_context)
-        formula_labels = self._context_labels(claim, ClaimProperty.FORMULA, validated_context)
-        formulas = self._parse_formulas(formula_labels)
+        labels: dict[ClaimProperty, list[str]] = {}
+        for claim_property, limit in limits.items():
+            validated = list((validated_context or {}).get(claim_property, ()))
+            labels[claim_property] = validated or [
+                label for label, _ in predictions[claim_property].top_k(limit)
+            ]
         parameter = claim.parameter
         generation = self._generator.generate(
-            relations=relations,
-            keys=keys,
-            attributes=attributes,
-            formulas=formulas,
+            relations=labels[ClaimProperty.RELATION],
+            keys=labels[ClaimProperty.KEY],
+            attributes=labels[ClaimProperty.ATTRIBUTE],
+            formulas=self._parse_formulas(labels[ClaimProperty.FORMULA]),
             parameter=parameter,
         )
         verdict: bool | None
@@ -209,7 +196,6 @@ class ClaimTranslator:
             verdict = None
         return TranslationResult(
             claim=claim,
-            predictions=predictions,
             generation=generation,
             verdict=verdict,
             suggested_values=generation.suggested_values(),
@@ -218,18 +204,6 @@ class ClaimTranslator:
     # ------------------------------------------------------------------ #
     # helpers
     # ------------------------------------------------------------------ #
-    def _context_labels(
-        self,
-        claim: Claim,
-        claim_property: ClaimProperty,
-        validated_context: Mapping[ClaimProperty, Sequence[str]] | None,
-    ) -> list[str]:
-        if validated_context is not None and claim_property in validated_context:
-            labels = list(validated_context[claim_property])
-            if labels:
-                return labels
-        return [label for label, _ in self.candidate_labels(claim, claim_property)]
-
     @staticmethod
     def _parse_formulas(labels: Sequence[str]) -> list[Formula]:
         formulas: list[Formula] = []

@@ -10,9 +10,11 @@ variant lives in ``test_gateway_e2e.py``.
 from __future__ import annotations
 
 import asyncio
+import threading
 
 import pytest
 
+from repro.api.service import VerificationService
 from repro.config import BatchingConfig, ScrutinizerConfig
 from repro.errors import (
     AdmissionError,
@@ -23,7 +25,7 @@ from repro.errors import (
 from repro.gateway.client import GatewayClient, drive_workload_through_gateway
 from repro.gateway.journal import JournalWriter, scan_journal
 from repro.gateway.server import GatewayServer, recover_server
-from repro.runtime.snapshot import ServiceSnapshot
+from repro.runtime.snapshot import ServiceSnapshot, SnapshotStore
 from repro.serving.cli import workload_corpus
 from repro.serving.server import AdmissionPolicy, VerificationServer
 from repro.serving.workloads import build_workload
@@ -252,6 +254,83 @@ class TestServing:
                     assert status["stats"]["results_streamed"] == 14
             finally:
                 await gateway.stop()
+
+        asyncio.run(run())
+
+
+def _engine_threads() -> set[threading.Thread]:
+    return {
+        thread for thread in threading.enumerate() if thread.name.startswith("gateway-engine")
+    }
+
+
+class _Boom(Exception):
+    pass
+
+
+class TestShutdown:
+    """A batch error kills the pump task; stop() and abort() still finish."""
+
+    @pytest.fixture
+    def failing_tenant(self, monkeypatch):
+        run_batch = VerificationService.run_batch
+
+        def scripted(service):
+            if service.system_name.endswith("/bad"):
+                raise _Boom("tenant bad failed")
+            return run_batch(service)
+
+        monkeypatch.setattr(VerificationService, "run_batch", scripted)
+
+    @staticmethod
+    async def _gateway_with_dead_pump(corpus, config, tmp_path) -> GatewayServer:
+        gateway = _gateway(corpus, config, tmp_path, snapshot_dir=tmp_path / "snap")
+        await gateway.start()
+        ids = list(corpus.claim_ids)
+        async with await GatewayClient.connect("127.0.0.1", gateway.port) as client:
+            await client.submit("good", ids[:4])
+            await client.submit("bad", ids[4:8])
+        pump = gateway._pump_task
+        for _ in range(600):
+            if pump.done():
+                break
+            await asyncio.sleep(0.05)
+        assert pump.done() and isinstance(pump.exception(), _Boom)
+        return gateway
+
+    def test_stop_after_a_failed_batch_finishes_then_raises(
+        self, gateway_corpus, gateway_config, tmp_path, failing_tenant
+    ):
+        async def run():
+            others = _engine_threads()
+            gateway = await self._gateway_with_dead_pump(
+                gateway_corpus, gateway_config, tmp_path
+            )
+            assert _engine_threads() - others
+            with pytest.raises(_Boom):
+                await gateway.stop()
+            assert not _engine_threads() - others
+            store = SnapshotStore(tmp_path / "snap")
+            assert store.exists("good") and store.exists("bad")
+            await gateway.stop()  # already stopped: returns
+
+        asyncio.run(run())
+
+    def test_abort_after_a_failed_batch_finishes_then_raises(
+        self, gateway_corpus, gateway_config, tmp_path, failing_tenant
+    ):
+        async def run():
+            others = _engine_threads()
+            gateway = await self._gateway_with_dead_pump(
+                gateway_corpus, gateway_config, tmp_path
+            )
+            with pytest.raises(_Boom):
+                await gateway.abort()
+            assert not _engine_threads() - others
+            # A crash writes no snapshots, but the journal kept both acks.
+            assert not SnapshotStore(tmp_path / "snap").exists("good")
+            assert len(scan_journal(tmp_path / "wal").records) == 2
+            await gateway.abort()  # already stopped: returns
 
         asyncio.run(run())
 

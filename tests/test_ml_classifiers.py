@@ -58,7 +58,7 @@ class TestPrediction:
 
     def test_probability_of_missing_label(self):
         prediction = Prediction.from_distribution(["x"], [1.0])
-        assert prediction.probability_of("q") == 0.0
+        assert prediction.as_dict().get("q", 0.0) == 0.0
 
     def test_entropy_uniform_greater_than_peaked(self):
         uniform = Prediction.from_distribution(["a", "b"], [0.5, 0.5])
@@ -82,20 +82,20 @@ class TestClassifiersOnBlobs:
     def test_high_training_accuracy(self, model_factory):
         features, labels = _blobs()
         model = model_factory().fit(features, labels)
-        hits = sum(
-            model.predict(row).top_label == label for row, label in zip(features, labels)
-        )
+        probabilities = model.predict_proba_batch(features)
+        predicted = [model.classes[index] for index in probabilities.argmax(axis=1)]
+        hits = sum(top == label for top, label in zip(predicted, labels))
         assert hits / len(labels) > 0.9
 
     def test_probabilities_sum_to_one(self, model_factory):
         features, labels = _blobs()
         model = model_factory().fit(features, labels)
-        prediction = model.predict(features[0])
-        assert sum(prediction.probabilities) == pytest.approx(1.0, abs=1e-6)
+        probabilities = model.predict_proba_batch(features[:5])
+        assert probabilities.sum(axis=1) == pytest.approx(np.ones(5), abs=1e-6)
 
     def test_predict_before_fit_raises(self, model_factory):
         with pytest.raises(NotFittedError):
-            model_factory().predict(np.zeros(4))
+            model_factory().predict_proba_batch(np.zeros((1, 4)))
 
     def test_classes_exposed(self, model_factory):
         features, labels = _blobs()
@@ -116,7 +116,7 @@ class TestSoftmaxSpecifics:
         features, labels = _blobs(dimension=6)
         model = SoftmaxRegressionClassifier(epochs=20).fit(features, labels)
         with pytest.raises(ConfigurationError):
-            model.predict(np.zeros(3))
+            model.predict_proba_batch(np.zeros((1, 3)))
 
     def test_invalid_hyperparameters(self):
         with pytest.raises(ConfigurationError):
@@ -127,4 +127,4 @@ class TestSoftmaxSpecifics:
     def test_predict_batch(self):
         features, labels = _blobs()
         model = SoftmaxRegressionClassifier(epochs=50).fit(features, labels)
-        assert len(model.predict_batch(features[:5])) == 5
+        assert model.predict_proba_batch(features[:5]).shape == (5, len(model.classes))

@@ -1,10 +1,10 @@
 """Tests for the vectorized claim pipeline.
 
 Covers the shared feature store (generation-based invalidation, the stale
-cache regression), batch-vs-single prediction equivalence across the
+cache regression), one-row-vs-batch prediction equivalence across the
 cold-start (k-NN) and parametric (softmax) regimes, incremental retraining
 (warm starts, vocabulary refits), vectorized batch scoring, and the
-machine-time accounting of the verification service.
+one prediction path of the verification service.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from repro.claims.model import Claim, ClaimProperty
 from repro.config import BatchingConfig, ScrutinizerConfig
 from repro.crowd.worker import CheckerResponse
 from repro.errors import ConfigurationError
+from repro.ml.base import Prediction
 from repro.ml.knn import KNearestNeighborsClassifier
 from repro.ml.logistic import SoftmaxRegressionClassifier
 from repro.pipeline.feature_store import ClaimFeatureStore
@@ -95,27 +96,34 @@ class TestClaimFeatureStore:
 
     def test_vector_is_cached_and_read_only(self):
         store, claims, preprocessor = self._store()
-        first = store.vector(claims[0])
+        first = store.matrix(claims[:1])
         assert store.cached_count == 1
-        assert store.vector(claims[0]) is first
-        assert not first.flags.writeable
-        np.testing.assert_array_equal(
-            first, preprocessor.preprocess(claims[0]).features
-        )
+        np.testing.assert_array_equal(first, preprocessor.feature_matrix(claims[:1]))
+        # Served matrices are copies: writing one leaves the cache intact.
+        expected = first.copy()
+        first[:] = 0.0
+        np.testing.assert_array_equal(store.matrix(claims[:1]), expected)
+        assert store.cached_count == 1
 
     def test_matrix_matches_per_claim_vectors(self):
-        store, claims, _ = self._store()
+        store, claims, preprocessor = self._store()
         matrix = store.matrix(claims)
         assert matrix.shape[0] == len(claims)
         for index, claim in enumerate(claims):
-            np.testing.assert_array_equal(matrix[index], store.vector(claim))
+            alone = ClaimFeatureStore(preprocessor).matrix([claim])
+            np.testing.assert_array_equal(matrix[index], alone[0])
 
-    def test_matrix_serves_cached_rows(self):
-        store, claims, _ = self._store()
-        store.matrix(claims)
+    def test_matrix_serves_cached_rows(self, monkeypatch):
+        store, claims, preprocessor = self._store()
+        full = store.matrix(claims)
         assert store.cached_count == len(claims)
-        cached_row = store.vector(claims[3])
-        np.testing.assert_array_equal(store.matrix(claims)[3], cached_row)
+
+        def forbidden(batch):  # pragma: no cover - failure path
+            raise AssertionError("a cached claim was featurized again")
+
+        monkeypatch.setattr(preprocessor, "feature_matrix", forbidden)
+        np.testing.assert_array_equal(store.matrix([claims[3]])[0], full[3])
+        np.testing.assert_array_equal(store.matrix(claims), full)
 
     def test_refit_invalidates_cached_rows(self):
         store, claims, preprocessor = self._store()
@@ -124,10 +132,8 @@ class TestClaimFeatureStore:
         preprocessor.fit_texts(["entirely new vocabulary about solar farms"])
         assert store.generation == generation + 1
         assert store.cached_count == 0
-        fresh = store.vector(claims[0])
-        np.testing.assert_array_equal(
-            fresh, preprocessor.preprocess(claims[0]).features
-        )
+        fresh = store.matrix(claims[:1])
+        np.testing.assert_array_equal(fresh, preprocessor.feature_matrix(claims[:1]))
 
     def test_empty_matrix_has_feature_width(self):
         store, claims, preprocessor = self._store()
@@ -137,7 +143,7 @@ class TestClaimFeatureStore:
 
 class TestStaleCacheRegression:
     def test_suite_serves_fresh_vectors_after_featurizer_refit(self):
-        """Regression: `_features_of` used to cache vectors forever.
+        """Regression: the suite's feature rows used to be cached forever.
 
         Refitting the preprocessor's featurizer changes feature indices;
         the cached row must be discarded, not silently served from the old
@@ -150,11 +156,11 @@ class TestStaleCacheRegression:
             preprocessor, SuiteConfig(parametric_threshold=100)
         )
         suite.fit(examples)
-        stale = suite._features_of(claims[0]).copy()
+        stale = suite.feature_store.matrix(claims[:1])
 
         preprocessor.fit_texts([claim.text for claim in claims] + ["solar farms"])
-        refreshed = suite._features_of(claims[0])
-        expected = preprocessor.preprocess(claims[0]).features
+        refreshed = suite.feature_store.matrix(claims[:1])
+        expected = preprocessor.feature_matrix(claims[:1])
         np.testing.assert_array_equal(refreshed, expected)
         assert refreshed.shape != stale.shape or not np.array_equal(refreshed, stale)
 
@@ -171,13 +177,18 @@ class TestStaleCacheRegression:
         # the new generation (the old cached matrix would have the wrong
         # dimension and vstack would produce garbage or crash).
         suite.fit()
-        prediction = suite.predict(_claim("q", "electricity demand grew by 2% in 2016"))
-        assert set(prediction) == set(ClaimProperty.ordered())
+        batch = suite.predict_proba_many([_claim("q", "electricity demand grew by 2% in 2016")])
+        assert set(batch.predictions_at(0)) == set(ClaimProperty.ordered())
 
 
 # --------------------------------------------------------------------- #
-# batch-vs-single equivalence
+# one-row-vs-batch equivalence: a single claim is a one-row batch, and it
+# must rank like its row of a larger batch
 # --------------------------------------------------------------------- #
+def _ranked(classes, probabilities) -> tuple[str, ...]:
+    return Prediction.from_distribution(classes, probabilities).labels
+
+
 class TestBatchSingleEquivalence:
     @settings(deadline=None, max_examples=25)
     @given(seed=st.integers(0, 2**16), queries=st.integers(1, 8))
@@ -189,7 +200,9 @@ class TestBatchSingleEquivalence:
         stacked = model.predict_proba_batch(batch)
         for index in range(queries):
             np.testing.assert_allclose(
-                stacked[index], model.predict_proba(batch[index]), rtol=1e-12
+                stacked[index],
+                model.predict_proba_batch(batch[index : index + 1])[0],
+                rtol=1e-12,
             )
 
     @settings(deadline=None, max_examples=25)
@@ -207,27 +220,25 @@ class TestBatchSingleEquivalence:
         batch = rng.normal(size=(queries, 6))
         stacked = model.predict_proba_batch(batch)
         for index in range(queries):
-            single = model.predict_proba(batch[index])
+            single = model.predict_proba_batch(batch[index : index + 1])[0]
             np.testing.assert_allclose(stacked[index], single, rtol=1e-12)
-            assert (
-                model.predict(batch[index]).labels
-                == model.predict_batch(batch)[index].labels
-            )
+            assert _ranked(model.classes, single) == _ranked(model.classes, stacked[index])
 
     def test_knn_tie_breaking_is_deterministic_lowest_index(self):
         # Four identical rows, different labels: every similarity ties at
         # 1.0, so the k=2 neighbourhood must be rows 0 and 1 — never an
-        # arbitrary pair — and batch and single paths must agree exactly.
+        # arbitrary pair — and one-row and larger batches must agree exactly.
         features = np.tile(np.array([[1.0, 2.0, 3.0]]), (4, 1))
         labels = ["a", "b", "c", "d"]
         model = KNearestNeighborsClassifier(k=2).fit(features, labels)
-        query = np.array([1.0, 2.0, 3.0])
-        prediction = model.predict(query)
+        query = np.array([[1.0, 2.0, 3.0]])
+        single = model.predict_proba_batch(query)[0]
+        prediction = Prediction.from_distribution(model.classes, single)
         assert set(label for label, p in prediction.top_k(2) if p > 0) == {"a", "b"}
         repeated = model.predict_proba_batch(np.tile(query, (5, 1)))
         for row in repeated:
             np.testing.assert_array_equal(row, repeated[0])
-        np.testing.assert_array_equal(repeated[0], model.predict_proba(query))
+        np.testing.assert_array_equal(repeated[0], single)
 
     def _suite(self, parametric_threshold: int):
         examples = _examples(16)
@@ -240,11 +251,13 @@ class TestBatchSingleEquivalence:
 
     @pytest.mark.parametrize("parametric_threshold", [1, 100])
     def test_predict_many_matches_predict(self, parametric_threshold):
-        """predict_many == per-claim predict in both model regimes.
+        """A claim's row of a batch == its one-claim batch, in both regimes.
 
-        ``parametric_threshold=1`` trains softmax models (parametric
-        regime), ``100`` keeps every property on the k-NN fallback
-        (cold-start regime).
+        ``ClaimTranslator.predict`` is a one-claim batch, and the service
+        plans each claim from its row of the pending pool's batch; both
+        must rank labels alike.  ``parametric_threshold=1`` trains softmax
+        models (parametric regime), ``100`` keeps every property on the
+        k-NN fallback (cold-start regime).
         """
         suite = self._suite(parametric_threshold)
         queries = [
@@ -252,9 +265,10 @@ class TestBatchSingleEquivalence:
             _claim("q2", "coal supply reached 2 100 Mtoe in 2014"),
             _claim("q3", "demand grew"),
         ]
-        many = suite.predict_many(queries)
-        for query, batched in zip(queries, many):
-            single = suite.predict(query)
+        many = suite.predict_proba_many(queries)
+        for index, query in enumerate(queries):
+            batched = many.predictions_at(index)
+            single = suite.predict_proba_many([query]).predictions_at(0)
             assert set(batched) == set(single)
             for claim_property in ClaimProperty.ordered():
                 assert batched[claim_property].labels == single[claim_property].labels
@@ -283,8 +297,8 @@ class TestWarmStart:
         )
         assert model.classes[: len(first_classes)] == first_classes
         assert "delta" in model.classes
-        prediction = model.predict(center)
-        assert prediction.top_label == "delta"
+        probabilities = model.predict_proba_batch(center[None, :])[0]
+        assert _ranked(model.classes, probabilities)[0] == "delta"
 
     def test_warm_start_converges_from_previous_weights(self):
         features, labels = _blobs(seed=2)
@@ -331,7 +345,8 @@ class TestVectorizedScoring:
         )
         suite.fit(examples)
         queries = [example.claim for example in _examples(10, offset=50)]
-        return suite.predict_proba_many(queries), suite.predict_many(queries)
+        batch = suite.predict_proba_many(queries)
+        return batch, [batch.predictions_at(index) for index in range(len(batch))]
 
     def test_estimate_costs_batch_matches_scalar(self):
         batch, dicts = self._batch_and_dicts()
@@ -412,6 +427,48 @@ class TestServiceBatchFrontDoor:
         assert batch.claim_ids == tuple(pending)
         assert len(service._batch_candidates(pending, batch)) == len(pending)
 
+    def test_warm_run_batch_plans_from_the_batch_rows(self, small_corpus):
+        """A whole warm batch — selection, plans, translation — predicts once.
+
+        Every selected claim is planned and translated from its row of the
+        one ``predict_many`` call over the pending pool; nothing predicts a
+        single claim again.
+        """
+        service = (
+            ScrutinizerBuilder(small_corpus)
+            .with_config(_config())
+            .with_checkers([_ConstantChecker(small_corpus)])
+            .build_service()
+        )
+        service.warm_start()
+        translator = service.translator
+        batches = []
+        translations = []
+        predict_many = translator.predict_many
+        translate = translator.translate
+
+        def forbidden(claim):  # pragma: no cover - failure path
+            raise AssertionError("per-claim predict called inside run_batch")
+
+        def counting_predict_many(claims):
+            batches.append(predict_many(claims))
+            return batches[-1]
+
+        def recording_translate(claim, *args, **kwargs):
+            translations.append((claim.claim_id, args[0]))
+            return translate(claim, *args, **kwargs)
+
+        translator.predict = forbidden
+        translator.predict_many = counting_predict_many
+        translator.translate = recording_translate
+        service.submit(list(small_corpus.claim_ids)[:12])
+        result = service.run_batch()
+        assert result is not None and result.batch_size > 0
+        assert len(batches) == 1
+        assert [claim_id for claim_id, _ in translations] == list(result.claim_ids)
+        for claim_id, predictions in translations:
+            assert predictions == batches[0].predictions_for(claim_id)
+
     def test_backend_without_predict_many_is_refused(self, small_corpus):
         class LegacyBackend:
             """Every TranslationBackend member except predict_many."""
@@ -426,10 +483,7 @@ class TestServiceBatchFrontDoor:
             def retrain(self, claims, truths):
                 return None
 
-            def predict(self, claim):
-                return {}
-
-            def translate(self, claim, validated_context=None):
+            def translate(self, claim, predictions, validated_context=None):
                 raise AssertionError("never reached")
 
             def evaluate_accuracy(self, claims, truths, top_k=1):

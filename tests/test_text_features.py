@@ -129,19 +129,24 @@ class TestClaimFeaturizer:
     def test_fit_transform_dimension(self):
         featurizer = ClaimFeaturizer(FeaturizerConfig(embedding_dimension=16))
         featurizer.fit(CORPUS)
-        vector = featurizer.transform_dense(CORPUS[0])
-        assert vector.shape[0] == featurizer.dimension
+        matrix = featurizer.transform_matrix(CORPUS[:1])
+        assert matrix.shape == (1, featurizer.dimension)
 
     def test_segments_exposed(self):
+        # Row layout: sentence embedding (16 columns), then the claim's
+        # word and character TF-IDF scores; only the embedding sees context.
         featurizer = ClaimFeaturizer(FeaturizerConfig(embedding_dimension=16))
         featurizer.fit(CORPUS)
-        features = featurizer.transform(CORPUS[0], sentence_text=CORPUS[0] + " Extra context.")
-        assert features.sentence_embedding.shape[0] == 16
-        assert features.dense.shape[0] == features.dimension
+        bare = featurizer.transform_matrix(CORPUS[:1])[0]
+        in_context = featurizer.transform_matrix(
+            CORPUS[:1], sentence_texts=[CORPUS[0] + " Extra context."]
+        )[0]
+        assert not np.array_equal(bare[:16], in_context[:16])
+        np.testing.assert_array_equal(bare[16:], in_context[16:])
 
     def test_transform_before_fit_raises(self):
         with pytest.raises(NotFittedError):
-            ClaimFeaturizer().transform("demand grew")
+            ClaimFeaturizer().transform_matrix(["demand grew"])
 
     def test_matrix_shape(self):
         featurizer = ClaimFeaturizer(FeaturizerConfig(embedding_dimension=16))
@@ -164,5 +169,5 @@ class TestClaimFeaturizer:
     def test_transform_never_raises_after_fit(self, text):
         featurizer = ClaimFeaturizer(FeaturizerConfig(embedding_dimension=8))
         featurizer.fit(CORPUS)
-        vector = featurizer.transform_dense(text)
-        assert np.all(np.isfinite(vector))
+        matrix = featurizer.transform_matrix([text])
+        assert np.all(np.isfinite(matrix))

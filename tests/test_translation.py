@@ -10,6 +10,7 @@ from repro.claims.model import Claim, ClaimProperty
 from repro.config import TranslationConfig
 from repro.errors import NotFittedError, TranslationError
 from repro.formulas.parser import parse_formula
+from repro.ml.base import Prediction
 from repro.translation.classifiers import PropertyClassifierSuite, SuiteConfig, TrainingExample
 from repro.translation.preprocess import ClaimPreprocessor
 from repro.translation.querygen import QueryGenerator
@@ -34,15 +35,10 @@ class TestPreprocessor:
             _claim("c2", "coal supply fell by 2% in 2016"),
         ]
         preprocessor = ClaimPreprocessor().fit(claims)
-        processed = preprocessor.preprocess(claims[0])
-        assert processed.features.shape[0] == preprocessor.featurizer.dimension
-        assert processed.parameter == pytest.approx(0.03)
-
-    def test_extracted_parameter_used_for_general_claims(self):
-        claims = [_claim("c1", "demand grew by 4% in 2017", explicit=False)]
-        preprocessor = ClaimPreprocessor().fit(claims)
-        processed = preprocessor.preprocess(claims[0])
-        assert processed.extracted_parameter == pytest.approx(0.04)
+        row = preprocessor.feature_matrix(claims[:1])
+        assert row.shape == (1, preprocessor.featurizer.dimension)
+        # A claim featurizes the same alone as inside a batch.
+        assert row[0].tobytes() == preprocessor.feature_matrix(claims)[0].tobytes()
 
     def test_feature_matrix_shape(self):
         claims = [_claim("c1", "demand grew"), _claim("c2", "supply fell")]
@@ -118,28 +114,33 @@ class TestClassifierSuite:
 
     def test_predict_all_properties(self):
         suite = self._suite()
-        predictions = suite.predict(_claim("q", "electricity demand grew by 2% in 2016"))
+        batch = suite.predict_proba_many([_claim("q", "electricity demand grew by 2% in 2016")])
+        predictions = batch.predictions_at(0)
         assert set(predictions) == set(ClaimProperty.ordered())
         assert predictions[ClaimProperty.KEY].top_label in {"PGElecDemand", "PGINCoal"}
 
     def test_learns_separable_texts(self):
         suite = self._suite()
-        prediction = suite.predict_property(
-            _claim("q", "electricity demand grew by 2% in 2016"), ClaimProperty.KEY
+        batch = suite.predict_proba_many(
+            [
+                _claim("q1", "electricity demand grew by 2% in 2016"),
+                _claim("q2", "coal supply reached 2 100 Mtoe in 2014"),
+            ]
         )
-        assert prediction.top_label == "PGElecDemand"
+        assert batch.predictions_for("q1")[ClaimProperty.KEY].top_label == "PGElecDemand"
+        assert batch.predictions_for("q2")[ClaimProperty.KEY].top_label == "PGINCoal"
 
     def test_untrained_predict_raises(self):
         preprocessor = ClaimPreprocessor().fit([_claim("c", "x demand")])
         suite = PropertyClassifierSuite(preprocessor)
         with pytest.raises(NotFittedError):
-            suite.predict(_claim("q", "demand"))
+            suite.predict_proba_many([_claim("q", "demand")])
 
     def test_retrain_adds_examples(self):
         suite = self._suite()
-        before = suite.example_count
+        before = len(suite.to_state()["examples"])
         suite.retrain(self._examples(2))
-        assert suite.example_count == before + 2
+        assert len(suite.to_state()["examples"]) == before + 2
         assert suite.retrain_count == 2
 
     def test_fit_without_examples_raises(self):
@@ -164,8 +165,8 @@ class TestClassifierSuite:
             for example in examples
         ]
         scores = suite.evaluate_accuracy(claims, truths)
+        assert set(scores) == set(ClaimProperty.ordered())
         assert all(0.0 <= score <= 1.0 for score in scores.values())
-        assert 0.0 <= suite.average_accuracy(claims, truths) <= 1.0
 
 
 class TestQueryGenerator:
@@ -245,8 +246,8 @@ class TestQueryGenerator:
 
 
 class TestClaimTranslator:
-    def _translator(self, ged_database) -> ClaimTranslator:
-        translator = ClaimTranslator(ged_database)
+    def _translator(self, ged_database, config=None) -> ClaimTranslator:
+        translator = ClaimTranslator(ged_database, config=config)
         claims = []
         truths = []
         from repro.claims.model import ClaimGroundTruth
@@ -280,14 +281,17 @@ class TestClaimTranslator:
     def test_bootstrap_and_predict(self, ged_database):
         translator = self._translator(ged_database)
         assert translator.is_trained
-        predictions = translator.predict(_claim("q", "electricity demand grew by 3% in 2017"))
+        claim = _claim("q", "electricity demand grew by 3% in 2017")
+        predictions = translator.predict(claim)
         assert predictions[ClaimProperty.KEY].top_label in {"PGElecDemand", "CapAddTotal_Wind"}
+        assert predictions == translator.predict_many([claim]).predictions_at(0)
 
     def test_translate_with_validated_context(self, ged_database):
         translator = self._translator(ged_database)
         claim = _claim("q", "electricity demand grew by 3% in 2017")
         result = translator.translate(
             claim,
+            translator.predict(claim),
             validated_context={
                 ClaimProperty.RELATION: ["GED"],
                 ClaimProperty.KEY: ["PGElecDemand"],
@@ -295,13 +299,14 @@ class TestClaimTranslator:
             },
         )
         assert result.verdict is True
-        assert result.best_sql is not None
+        assert result.generation.best is not None
 
     def test_translate_detects_false_claim(self, ged_database):
         translator = self._translator(ged_database)
         claim = _claim("q", "electricity demand grew by 9% in 2017", parameter=0.09)
         result = translator.translate(
             claim,
+            translator.predict(claim),
             validated_context={
                 ClaimProperty.RELATION: ["GED"],
                 ClaimProperty.KEY: ["PGElecDemand"],
@@ -314,7 +319,7 @@ class TestClaimTranslator:
     def test_general_claim_has_no_automatic_verdict(self, ged_database):
         translator = self._translator(ged_database)
         claim = _claim("q", "wind capacity expanded aggressively", explicit=False)
-        result = translator.translate(claim)
+        result = translator.translate(claim, translator.predict(claim))
         assert result.verdict is None
 
     def test_bootstrap_requires_claims(self, ged_database):
@@ -322,8 +327,27 @@ class TestClaimTranslator:
             ClaimTranslator(ged_database).bootstrap([])
 
     def test_candidate_labels_limit(self, ged_database):
-        translator = self._translator(ged_database)
-        labels = translator.candidate_labels(
-            _claim("q", "electricity demand grew"), ClaimProperty.KEY, top_k=1
-        )
-        assert len(labels) == 1
+        """Unvalidated properties fall back to the top-k of the claim's row."""
+        claim = _claim("q", "electricity demand grew by 3% in 2017")
+        context = {ClaimProperty.ATTRIBUTE: ["2017", "2000"]}
+
+        def referenced_keys(top_k_keys: int) -> set[str]:
+            translator = self._translator(
+                ged_database, TranslationConfig(top_k_keys=top_k_keys)
+            )
+            predictions = {
+                **translator.predict(claim),
+                ClaimProperty.RELATION: Prediction(labels=("GED",), probabilities=(1.0,)),
+                ClaimProperty.KEY: Prediction.from_distribution(
+                    ["CapAddTotal_Wind", "PGElecDemand"], [0.6, 0.4]
+                ),
+            }
+            generation = translator.translate(claim, predictions, context).generation
+            return {
+                reference.key
+                for candidate in generation.candidates + generation.alternatives
+                for reference in candidate.instantiated.value_assignment.values()
+            }
+
+        assert referenced_keys(1) == {"CapAddTotal_Wind"}
+        assert referenced_keys(2) == {"CapAddTotal_Wind", "PGElecDemand"}
