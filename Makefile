@@ -88,8 +88,10 @@ typecheck:
 		echo "mypy not installed; skipping typecheck"; \
 	fi
 
-# Dead-link check over docs/**/*.md and the root Markdown pages.  Pure
-# stdlib — always runs; a relative link to a missing file fails the build.
+# Dead-link check over docs/**/*.md and the root Markdown pages, plus a
+# name check over docs/**/*.md and README.md.  A relative link to a missing
+# file, or a backticked `repro.…` name that does not import from src/,
+# fails the build.
 check-docs:
 	$(PYTHON) scripts/check_docs.py
 

@@ -49,7 +49,7 @@ def main(claim_count: int = 150) -> None:
           f"({manual_report.total_weeks:.3f} team-weeks)")
 
     print("Running Scrutinizer (cold start) ...")
-    system = (
+    service = (
         ScrutinizerBuilder(corpus)
         .with_config(system_config)
         .on_batch_complete(
@@ -58,9 +58,9 @@ def main(claim_count: int = 150) -> None:
                 f"{batch.pending_after} pending, solver={batch.solver}"
             )
         )
-        .build()
+        .build_service()
     )
-    report = system.verify()
+    report = service.run_to_completion()
     print(f"  total effort: {report.total_seconds / 3600:.1f} checker-hours "
           f"({report.total_weeks:.3f} team-weeks)")
     print(f"  computation: {report.computation_seconds / 60:.1f} minutes")

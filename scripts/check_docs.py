@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Dead-link checker for the documentation tree (stdlib only).
+"""Dead-link and stale-name checker for the documentation tree (stdlib only).
 
 Scans Markdown files for inline links and images (``[text](target)`` /
 ``![alt](target)``) plus reference-style definitions (``[label]: target``)
@@ -9,25 +9,33 @@ badge endpoints the repository cannot know about (``../../actions/...``)
 are skipped; a relative target's ``#fragment`` suffix is ignored, but the
 file part must exist.
 
+It also resolves every dotted ``repro`` name that opens a code span in
+``docs/**/*.md`` and ``README.md`` (`` `repro.api.builder.ScrutinizerBuilder` ``):
+the longest importable module prefix is imported from ``<root>/src`` and
+the rest looked up as attributes.  ``ROADMAP.md`` and ``CHANGES.md`` are
+history, so the names they record may be gone.
+
 CI runs this as a blocking step over ``docs/**/*.md``, ``README.md`` and
 the other root-level Markdown pages, so the docs cannot silently rot as
-files move: a page that links to a renamed neighbour fails the build.
+files move or code is deleted: a page that links to a renamed neighbour,
+or names a deleted module, fails the build.
 
 Usage::
 
     python scripts/check_docs.py [root]
 
-Exit status 0 when every relative link resolves, 1 otherwise (each dead
-link is listed as ``file:line: target``).
+Exit status 0 when every relative link and every name resolves, 1
+otherwise (each is listed as ``file:line: ... -> target``).
 """
 
 from __future__ import annotations
 
+import importlib
 import re
 import sys
 from pathlib import Path
 
-__all__ = ["dead_links", "iter_doc_files", "main"]
+__all__ = ["dead_links", "iter_doc_files", "main", "unresolved_names"]
 
 #: Inline links/images.  Targets with spaces plus an optional "title" part
 #: are cut at the first whitespace, which is what Markdown does too.
@@ -35,6 +43,8 @@ _INLINE_LINK = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 #: Reference-style definitions: [label]: target
 _REFERENCE_DEF = re.compile(r"^\s*\[[^\]]+\]:\s+(\S+)")
 _FENCE = re.compile(r"^\s*(```|~~~)")
+#: A dotted name under the package that opens a code span.
+_REPRO_NAME = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)")
 
 #: Root-level Markdown pages checked in addition to docs/**/*.md.
 _ROOT_PAGES = ("README.md", "ROADMAP.md", "CHANGES.md", "PAPER.md", "PAPERS.md")
@@ -57,16 +67,23 @@ def _is_external(target: str) -> bool:
     return "/actions/" in target
 
 
-def _targets(text: str) -> list[tuple[int, str]]:
-    """``(line_number, target)`` for every link in ``text`` (1-based)."""
-    found: list[tuple[int, str]] = []
+def _prose_lines(text: str) -> list[tuple[int, str]]:
+    """``(line_number, line)`` outside fenced code blocks (1-based)."""
+    lines: list[tuple[int, str]] = []
     in_fence = False
     for line_number, line in enumerate(text.splitlines(), start=1):
         if _FENCE.match(line):
             in_fence = not in_fence
             continue
-        if in_fence:
-            continue
+        if not in_fence:
+            lines.append((line_number, line))
+    return lines
+
+
+def _targets(text: str) -> list[tuple[int, str]]:
+    """``(line_number, target)`` for every link in ``text`` (1-based)."""
+    found: list[tuple[int, str]] = []
+    for line_number, line in _prose_lines(text):
         for match in _INLINE_LINK.finditer(line):
             found.append((line_number, match.group(1)))
         reference = _REFERENCE_DEF.match(line)
@@ -95,22 +112,68 @@ def dead_links(files: list[Path], root: Path) -> list[tuple[Path, int, str]]:
     return dead
 
 
+def _resolves(name: str) -> bool:
+    """Whether the longest importable prefix of ``name`` has the rest."""
+    parts = name.split(".")
+    for split in range(len(parts), 0, -1):
+        module = ".".join(parts[:split])
+        try:
+            target = importlib.import_module(module)
+        except ModuleNotFoundError as error:
+            # Only the candidate itself (or a package above it) may be
+            # missing; a module that fails on its own imports is a crash.
+            if error.name is None or not f"{module}.".startswith(f"{error.name}."):
+                raise
+            continue
+        for attribute in parts[split:]:
+            if not hasattr(target, attribute):
+                return False
+            target = getattr(target, attribute)
+        return True
+    return False
+
+
+def unresolved_names(files: list[Path], root: Path) -> list[tuple[Path, int, str]]:
+    """Every ``(file, line, name)`` whose ``repro`` name does not resolve.
+
+    Only ``docs/**/*.md`` and ``README.md`` are scanned; ``root/src`` goes
+    on ``sys.path`` first, so the names resolve against that checkout.
+    """
+    source = root / "src"
+    if source.is_dir() and str(source) not in sys.path:
+        sys.path.insert(0, str(source))
+    pages = [
+        path
+        for path in files
+        if path == root / "README.md" or (root / "docs") in path.parents
+    ]
+    stale: list[tuple[Path, int, str]] = []
+    for path in pages:
+        for line_number, line in _prose_lines(path.read_text(encoding="utf-8")):
+            for match in _REPRO_NAME.finditer(line):
+                if not _resolves(match.group(1)):
+                    stale.append((path, line_number, match.group(1)))
+    return stale
+
+
 def main(argv: list[str] | None = None) -> int:
     arguments = list(sys.argv[1:] if argv is None else argv)
     root = Path(arguments[0]) if arguments else Path(__file__).resolve().parent.parent
     files = iter_doc_files(root)
     broken = dead_links(files, root)
-    for path, line_number, target in broken:
-        try:
-            shown = path.relative_to(root)
-        except ValueError:
-            shown = path
-        print(f"{shown}:{line_number}: dead link -> {target}")
+    stale = unresolved_names(files, root)
+    for kind, found in (("dead link", broken), ("unresolved name", stale)):
+        for path, line_number, target in found:
+            try:
+                shown = path.relative_to(root)
+            except ValueError:
+                shown = path
+            print(f"{shown}:{line_number}: {kind} -> {target}")
     print(
         f"check_docs: {len(files)} file(s), "
-        f"{len(broken)} dead relative link(s)"
+        f"{len(broken)} dead relative link(s), {len(stale)} unresolved name(s)"
     )
-    return 1 if broken else 0
+    return 1 if broken or stale else 0
 
 
 if __name__ == "__main__":

@@ -18,9 +18,8 @@ Every stage of the loop is a swappable protocol
 :class:`~repro.api.protocols.BatchSelector`): the builder wires in custom
 implementations — a real checker UI instead of the simulated crowd, a
 different learner, a different claim-ordering policy — without touching the
-loop.  The classic one-shot facade, :class:`~repro.core.scrutinizer.Scrutinizer`,
-remains available via ``ScrutinizerBuilder(...).build()`` or direct
-construction; see ``docs/api.md`` for the full tour.
+loop.  ``service.run_to_completion()`` runs the loop to the end in one
+call; see ``docs/api.md`` for the full tour.
 
 The substrates, mirroring the paper's structure:
 
@@ -56,7 +55,6 @@ from repro.api.protocols import AnswerSource, BatchSelector, Checker, Translatio
 from repro.api.service import BatchResult, VerificationService
 from repro.claims.model import Claim, ClaimProperty, ComparisonOp
 from repro.core.report import ClaimVerification, VerificationReport
-from repro.core.scrutinizer import Scrutinizer
 from repro.dataset.database import Database
 from repro.dataset.relation import Relation
 from repro.pipeline.batch import ClaimBatchPredictions
@@ -83,7 +81,6 @@ __all__ = [
     "ComparisonOp",
     "Database",
     "Relation",
-    "Scrutinizer",
     "ScrutinizerBuilder",
     "ServiceSnapshot",
     "SyntheticCorpusConfig",

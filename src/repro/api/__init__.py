@@ -7,10 +7,15 @@ This package is the front door for embedding the Scrutinizer loop:
   whose ``predict_many`` is the planning hot path, and
   :class:`BatchSelector`).
 * :mod:`repro.api.builder` — :class:`ScrutinizerBuilder`, fluent
-  construction with pluggable backends.
+  construction with pluggable backends, and restore from a checkpoint
+  (``from_snapshot``).
 * :mod:`repro.api.service` — :class:`VerificationService`, the incremental
-  engine (``submit`` / ``run_batch`` / ``iter_results`` / callbacks).
-* :mod:`repro.api.serialization` — JSON report files.
+  engine (``submit`` / ``run_batch`` / ``iter_results`` / callbacks) and
+  the one way to run Algorithm 1 (``run_to_completion``).
+
+Reports cross process boundaries through
+:meth:`~repro.core.report.VerificationReport.to_json` and
+:meth:`~repro.core.report.VerificationReport.from_json`.
 
 Layering contract: layer 10 of the enforced import DAG — may import the
 data plane and planners below it (``pipeline``/``planning``, ``crowd``,
@@ -26,7 +31,6 @@ from repro.api.protocols import (
     Checker,
     TranslationBackend,
 )
-from repro.api.serialization import read_report, write_report
 from repro.api.service import (
     LIFECYCLE_EVENTS,
     BatchResult,
@@ -46,6 +50,4 @@ __all__ = [
     "ScrutinizerBuilder",
     "TranslationBackend",
     "VerificationService",
-    "read_report",
-    "write_report",
 ]

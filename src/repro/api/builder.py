@@ -1,4 +1,4 @@
-"""Fluent construction of verification services and Scrutinizer facades.
+"""Fluent construction of verification services.
 
 :class:`ScrutinizerBuilder` assembles the pluggable components of the
 verification loop without positional-argument guesswork::
@@ -13,14 +13,13 @@ verification loop without positional-argument guesswork::
     for verification in service.iter_results():
         ...
 
-``build()`` returns the classic :class:`~repro.core.scrutinizer.Scrutinizer`
-facade instead, for callers that want the one-shot ``verify()`` entry point.
+``service.run_to_completion()`` drives the same loop to the end and returns
+the report in one call.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
-from pathlib import Path
+from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 from repro.api.protocols import AnswerSource, BatchSelector, Checker, TranslationBackend
@@ -30,7 +29,6 @@ from repro.config import ScrutinizerConfig
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from repro.core.scrutinizer import Scrutinizer
     from repro.runtime.snapshot import ServiceSnapshot
 
 __all__ = ["ScrutinizerBuilder"]
@@ -39,12 +37,12 @@ __all__ = ["ScrutinizerBuilder"]
 class ScrutinizerBuilder:
     """Step-by-step configuration of the verification service.
 
-    Every ``with_*`` method returns the builder, so calls chain; ``build()``
-    and ``build_service()`` may be called repeatedly — each call constructs
-    a fresh system from the accumulated settings.
+    Every ``with_*`` method returns the builder, so calls chain;
+    ``build_service()`` may be called repeatedly — each call constructs a
+    fresh service from the accumulated settings.
     """
 
-    def __init__(self, corpus: ClaimCorpus | None = None) -> None:
+    def __init__(self, corpus: ClaimCorpus) -> None:
         self._corpus = corpus
         self._config: ScrutinizerConfig | None = None
         self._sequential = False
@@ -59,11 +57,6 @@ class ScrutinizerBuilder:
     # ------------------------------------------------------------------ #
     # components
     # ------------------------------------------------------------------ #
-    def with_corpus(self, corpus: ClaimCorpus) -> "ScrutinizerBuilder":
-        """Set the annotated claim corpus to verify."""
-        self._corpus = corpus
-        return self
-
     def with_config(self, config: ScrutinizerConfig) -> "ScrutinizerBuilder":
         """Set the system configuration (costs, batching, translation)."""
         self._config = config
@@ -106,14 +99,12 @@ class ScrutinizerBuilder:
     # ------------------------------------------------------------------ #
     @classmethod
     def from_snapshot(
-        cls,
-        snapshot: "ServiceSnapshot | Mapping[str, object] | str | Path",
-        corpus: ClaimCorpus,
+        cls, snapshot: "ServiceSnapshot", corpus: ClaimCorpus
     ) -> "ScrutinizerBuilder":
         """A builder whose built service resumes from ``snapshot``.
 
-        ``snapshot`` may be a :class:`~repro.runtime.snapshot.ServiceSnapshot`,
-        its dict form, or a path to a saved snapshot file.  The snapshot's
+        ``snapshot`` is a :class:`~repro.runtime.snapshot.ServiceSnapshot`
+        (``ServiceSnapshot.load`` reads one from a file).  The snapshot's
         configuration is applied automatically; the resulting service
         continues the checkpointed run byte-identically (same batch
         selections, predictions and verdicts as an uninterrupted run).
@@ -121,15 +112,8 @@ class ScrutinizerBuilder:
         have to be re-attached through the usual ``with_*`` methods — only
         their serializable state comes from the snapshot.
         """
-        from repro.runtime.snapshot import (
-            ServiceSnapshot,
-            scrutinizer_config_from_dict,
-        )
+        from repro.runtime.snapshot import scrutinizer_config_from_dict
 
-        if isinstance(snapshot, (str, Path)):
-            snapshot = ServiceSnapshot.load(snapshot)
-        elif not isinstance(snapshot, ServiceSnapshot):
-            snapshot = ServiceSnapshot.from_dict(snapshot)
         builder = cls(corpus)
         builder._snapshot = snapshot
         builder.with_config(scrutinizer_config_from_dict(snapshot.config))
@@ -158,11 +142,6 @@ class ScrutinizerBuilder:
         directly from the snapshot state (skipping the cold bootstrap), and
         session, report, batch counter and RNG streams are reinstated.
         """
-        if self._corpus is None:
-            raise ConfigurationError(
-                "a corpus is required: pass it to ScrutinizerBuilder(...) or "
-                "call .with_corpus(...)"
-            )
         translator = self._translator
         if translator is None and self._snapshot is not None and self._snapshot.translator:
             from repro.translation.translator import ClaimTranslator
@@ -185,11 +164,5 @@ class ScrutinizerBuilder:
             # The translation backend is already in place: either rebuilt
             # from the snapshot state above, or explicitly attached by the
             # caller (in which case the explicit component wins).
-            self._snapshot.restore_into(service, restore_translator=False)
+            self._snapshot.restore_into(service)
         return service
-
-    def build(self) -> "Scrutinizer":
-        """Construct the classic :class:`Scrutinizer` facade."""
-        from repro.core.scrutinizer import Scrutinizer
-
-        return Scrutinizer.from_service(self.build_service())

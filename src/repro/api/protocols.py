@@ -116,9 +116,8 @@ class TranslationBackend(Protocol):
         self,
         claims: Sequence[Claim],
         truths: Sequence[ClaimGroundTruth] | None = None,
-        fit_features_only: bool = False,
     ) -> object:
-        """Fit the feature pipeline and, when labels are given, the models."""
+        """Fit the feature pipeline and, when ``truths`` are given, the models."""
         ...
 
     def retrain(

@@ -15,9 +15,8 @@ the main loop one step at a time:
 * :meth:`~VerificationService.run_to_completion` drives the loop to the end
   and returns the :class:`~repro.core.report.VerificationReport`.
 
-:class:`~repro.core.scrutinizer.Scrutinizer` is now a thin facade over this
-service; experiments that previously re-ran the whole loop to observe
-intermediate state can instead step it batch by batch.
+Build one through :class:`~repro.api.builder.ScrutinizerBuilder`; callers
+that need intermediate state step it batch by batch.
 """
 
 from __future__ import annotations
@@ -70,7 +69,7 @@ class BatchResult:
     #: Machine time spent retraining the classifiers after the batch.
     retrain_seconds: float
     #: Classifier accuracy on the still-pending claims, keyed by series
-    #: name; empty when tracking is off or no claims remain.
+    #: name; empty once no claims remain.
     accuracy_by_property: dict[str, float]
     #: Which strategy selected the batch: the engine's ``"engine-direct"``
     #: or ``"engine-dp"``; under a cost threshold the reference MILP's
@@ -93,9 +92,8 @@ ProgressCallback = Callable[[BatchResult], None]
 #: run emits them.  ``"submitted"`` fires on every (non-empty) submit,
 #: ``"batch"`` after each batch, ``"completed"`` when the last pending
 #: claim of the run is decided, ``"snapshot"`` after a checkpoint capture,
-#: ``"restored"`` after snapshot state is applied, ``"reset"`` when a new
-#: run begins over the same components.
-LIFECYCLE_EVENTS = ("submitted", "batch", "completed", "snapshot", "restored", "reset")
+#: ``"restored"`` after snapshot state is applied.
+LIFECYCLE_EVENTS = ("submitted", "batch", "completed", "snapshot", "restored")
 
 #: Receives the event name and the service it happened on.  A serving
 #: layer uses these hooks to track tenant activity (admission accounting,
@@ -175,7 +173,7 @@ class VerificationService:
         else:
             self.translator = ClaimTranslator(corpus.database, config=self.config.translation)
             claims = [annotated.claim for annotated in corpus]
-            self.translator.bootstrap(claims, fit_features_only=True)
+            self.translator.bootstrap(claims)
         if checkers is not None:
             self.checkers: list[Checker] = list(checkers)
         else:
@@ -205,7 +203,6 @@ class VerificationService:
         self._session: VerificationSession | None = None
         self._report: VerificationReport | None = None
         self._batch_index = 0
-        self._track_accuracy = True
 
     # ------------------------------------------------------------------ #
     # run state
@@ -219,10 +216,6 @@ class VerificationService:
     def system_name(self) -> str:
         """The name stamped on reports produced by this service."""
         return self._system_name
-
-    @property
-    def track_accuracy(self) -> bool:
-        return self._track_accuracy
 
     @property
     def accuracy_sample_size(self) -> int:
@@ -255,24 +248,6 @@ class VerificationService:
         """Whether every submitted claim has been verified."""
         return self._session is None or self._session.is_complete
 
-    def reset(
-        self, system_name: str | None = None, track_accuracy: bool = True
-    ) -> "VerificationService":
-        """Start a new run: fresh session and report, components retained.
-
-        The translation backend keeps its trained state, so successive runs
-        model successive report editions (warm start).  Registered progress
-        callbacks also survive a reset.
-        """
-        if system_name is not None:
-            self._system_name = system_name
-        self._session = None
-        self._report = None
-        self._batch_index = 0
-        self._track_accuracy = track_accuracy
-        self._emit("reset")
-        return self
-
     def on_batch_complete(self, callback: ProgressCallback) -> "VerificationService":
         """Register a callback invoked with each :class:`BatchResult`."""
         self._callbacks.append(callback)
@@ -282,9 +257,7 @@ class VerificationService:
         """Register a callback for session lifecycle transitions.
 
         The callback receives ``(event, service)`` for every event in
-        :data:`LIFECYCLE_EVENTS`.  Callbacks survive :meth:`reset`, like
-        progress callbacks, so a serving layer observing a session keeps
-        observing it across runs.
+        :data:`LIFECYCLE_EVENTS`.
         """
         self._lifecycle_callbacks.append(callback)
         return self
@@ -320,7 +293,6 @@ class VerificationService:
         *,
         system_name: str,
         batch_index: int,
-        track_accuracy: bool,
         session: VerificationSession | None,
         report: VerificationReport | None,
         rng_state: dict | None,
@@ -336,7 +308,6 @@ class VerificationService:
         """
         self._system_name = system_name
         self._batch_index = batch_index
-        self._track_accuracy = track_accuracy
         self._session = session
         self._report = report
         if rng_state is not None:
@@ -439,7 +410,7 @@ class VerificationService:
         # Accuracy is measured on the still-pending claims; once the run is
         # complete there is no held-out sample left, so nothing is recorded
         # (an all-zero entry here would be a measurement artifact).
-        if self._track_accuracy and not session.is_complete:
+        if not session.is_complete:
             accuracy = self._evaluate_accuracy(session.pending_claim_ids)
             report.accuracy_history.append(accuracy)
         # The result gets its own copy: the history entry appended to the
@@ -513,14 +484,17 @@ class VerificationService:
     ) -> ClaimVerification:
         votes: list[bool] = []
         responses: list[CheckerResponse] = []
-        assigned = self._assign_checkers(position)
-        for checker in assigned:
-            if predictions is None:
+        plan = None
+        if predictions is not None:
+            # The plan depends only on the claim, its predictions and the
+            # answer source, so every assigned checker works through one.
+            plan = self.planner.plan_claim(
+                claim, predictions, self.translator, self.answer_source
+            )
+        for checker in self._assign_checkers(position):
+            if plan is None:
                 response = checker.verify_manually(claim)
             else:
-                plan = self.planner.plan_claim(
-                    claim, predictions, self.translator, self.answer_source
-                )
                 response = checker.verify_with_plan(claim, plan)
             responses.append(response)
             if response.decided:
@@ -612,7 +586,7 @@ class VerificationService:
             # from) skips this — re-fitting the corpus featurizer here was
             # the dominant per-tenant cost of the old serving cliff.
             claims = [self.corpus.claim(claim_id) for claim_id in self.corpus.claim_ids]
-            self.translator.bootstrap(claims, truths=None, fit_features_only=True)
+            self.translator.bootstrap(claims)
         self.translator.retrain(list(verified_claims), truths)
 
     # ------------------------------------------------------------------ #

@@ -3,7 +3,7 @@
 * ``ManualBaseline`` — the current IEA default: each claim is verified by
   hand with spreadsheets and databases, with no computational support.
 * The *Sequential* baseline (Scrutinizer without claim ordering) is obtained
-  by running :class:`~repro.core.scrutinizer.Scrutinizer` with
+  by running :class:`~repro.api.service.VerificationService` with
   ``config.as_sequential()``.
 * :data:`SYSTEM_PROFILES` reproduces the qualitative system comparison of
   Table 3 (Scrutinizer vs AggChecker, BriQ and StatSearch).

@@ -253,17 +253,6 @@ class VerificationReport:
     # ------------------------------------------------------------------ #
     # presentation
     # ------------------------------------------------------------------ #
-    def summary(self) -> dict[str, float]:
-        return {
-            "claims": float(self.claim_count),
-            "decided": float(self.decided_count),
-            "total_seconds": self.total_seconds,
-            "total_weeks": self.total_weeks,
-            "computation_minutes": self.computation_seconds / 60.0,
-            "avg_accuracy": self.average_classifier_accuracy(),
-            "max_accuracy": self.max_classifier_accuracy(),
-        }
-
     def to_rows(self) -> list[dict[str, object]]:
         """Tabular form of the per-claim results (for export or inspection)."""
         return [

@@ -51,10 +51,6 @@ class GroundTruthOracle:
         self._corpus = corpus
         self._tolerance = value_tolerance
 
-    @property
-    def corpus(self) -> ClaimCorpus:
-        return self._corpus
-
     # ------------------------------------------------------------------ #
     # property screens
     # ------------------------------------------------------------------ #

@@ -6,6 +6,10 @@ values become *value variables* (``a``, ``b``, …) and concrete attribute
 labels become *attribute variables* (``A1``, ``A2``, …).  Formulas are the
 classes predicted by the fourth classifier and are instantiated over the
 candidate relations/keys/attributes during query generation (Algorithm 2).
+As in the paper, the formulas are learned from past checks, not taken from
+a fixed library: :class:`~repro.formulas.extraction.FormulaExtractor`
+generalises each check trace, and the synthetic corpus generator builds its
+formula labels that way too.
 
 Layering contract: layer 4 of the enforced import DAG — may import
 ``sqlengine``, ``dataset``/``ml``/``text``/``analysis``, ``config`` and
@@ -25,7 +29,6 @@ from repro.formulas.ast import (
 )
 from repro.formulas.extraction import FormulaExtractor, GeneralizedCheck
 from repro.formulas.instantiate import FormulaInstantiator, InstantiatedQuery, ValueRef
-from repro.formulas.library import FormulaLibrary, standard_library
 from repro.formulas.parser import parse_formula
 from repro.formulas.variables import VariableBinding
 
@@ -38,7 +41,6 @@ __all__ = [
     "FormulaExtractor",
     "FormulaFunction",
     "FormulaInstantiator",
-    "FormulaLibrary",
     "FormulaUnaryOp",
     "GeneralizedCheck",
     "InstantiatedQuery",
@@ -46,5 +48,4 @@ __all__ = [
     "ValueVariable",
     "VariableBinding",
     "parse_formula",
-    "standard_library",
 ]

@@ -106,10 +106,3 @@ class PruningPowerCalculator:
             remaining.remove(best_property)
             current_power = best_power
         return selected
-
-    # ------------------------------------------------------------------ #
-    # introspection
-    # ------------------------------------------------------------------ #
-    @property
-    def candidate_count(self) -> int:
-        return len(self._candidates)

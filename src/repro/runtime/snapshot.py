@@ -58,7 +58,7 @@ __all__ = [
 ]
 
 #: Version stamp of the snapshot JSON layout; bump on breaking changes.
-SNAPSHOT_SCHEMA_VERSION = 4
+SNAPSHOT_SCHEMA_VERSION = 5
 
 
 class _SchemaVersionError(SerializationError):
@@ -107,7 +107,6 @@ class ServiceSnapshot:
     config: dict[str, object]
     system_name: str
     batch_index: int
-    track_accuracy: bool
     accuracy_sample_size: int
     #: ``numpy`` bit-generator state of the accuracy-sampling stream.
     rng_state: dict | None
@@ -151,7 +150,6 @@ class ServiceSnapshot:
             config=scrutinizer_config_to_dict(service.config),
             system_name=service.system_name,
             batch_index=service.batches_run,
-            track_accuracy=service.track_accuracy,
             accuracy_sample_size=service.accuracy_sample_size,
             rng_state=service.get_rng_state(),
             timing_rng_state=service.timing.get_rng_state(),
@@ -165,23 +163,16 @@ class ServiceSnapshot:
     # ------------------------------------------------------------------ #
     # restore
     # ------------------------------------------------------------------ #
-    def restore_into(
-        self, service: "VerificationService", restore_translator: bool = True
-    ) -> "VerificationService":
-        """Apply this snapshot's mutable state onto a freshly built service.
+    def restore_into(self, service: "VerificationService") -> "VerificationService":
+        """Apply this snapshot's run state onto a freshly built service.
 
         The service must have been built against the same corpus and an
-        equivalent configuration — :meth:`ScrutinizerBuilder.from_snapshot
-        <repro.api.builder.ScrutinizerBuilder.from_snapshot>` arranges both.
-        ``restore_translator=False`` skips the translation backend (used
-        when the builder already constructed it from the snapshot state).
+        equivalent configuration, with its translation backend already
+        rebuilt from :attr:`translator` —
+        :meth:`ScrutinizerBuilder.from_snapshot
+        <repro.api.builder.ScrutinizerBuilder.from_snapshot>` arranges all
+        three.
         """
-        if restore_translator and self.translator is not None:
-            from repro.translation.translator import ClaimTranslator
-
-            service.translator = ClaimTranslator.from_state(
-                service.corpus.database, self.translator, service.corpus.claim
-            )
         session = None
         if self.session is not None:
             session = VerificationSession.from_state(
@@ -194,7 +185,6 @@ class ServiceSnapshot:
         service.restore_run_state(
             system_name=self.system_name,
             batch_index=self.batch_index,
-            track_accuracy=self.track_accuracy,
             session=session,
             report=report,
             rng_state=self.rng_state,
@@ -241,7 +231,6 @@ class ServiceSnapshot:
             "config": self.config,
             "system_name": self.system_name,
             "batch_index": self.batch_index,
-            "track_accuracy": self.track_accuracy,
             "accuracy_sample_size": self.accuracy_sample_size,
             "rng_state": self.rng_state,
             "timing_rng_state": self.timing_rng_state,
@@ -274,7 +263,6 @@ class ServiceSnapshot:
                 config=dict(payload["config"]),  # type: ignore[arg-type]
                 system_name=str(payload["system_name"]),
                 batch_index=int(payload["batch_index"]),  # type: ignore[arg-type]
-                track_accuracy=bool(payload["track_accuracy"]),
                 accuracy_sample_size=int(payload["accuracy_sample_size"]),  # type: ignore[arg-type]
                 rng_state=payload.get("rng_state"),  # type: ignore[arg-type]
                 timing_rng_state=payload.get("timing_rng_state"),  # type: ignore[arg-type]

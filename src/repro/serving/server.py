@@ -432,10 +432,7 @@ class VerificationServer:
             template = ClaimTranslator(
                 self.corpus.database, config=self.config.translation
             )
-            template.bootstrap(
-                [annotated.claim for annotated in self.corpus],
-                fit_features_only=True,
-            )
+            template.bootstrap([annotated.claim for annotated in self.corpus])
             self._translator_template = template
         # The read-only database is shared across copies, and so are the
         # featurizer's fitted tables until a tenant refits (see

@@ -19,8 +19,6 @@ from repro.api.builder import ScrutinizerBuilder
 from repro.api.service import BatchResult
 from repro.claims.corpus import ClaimCorpus
 from repro.core.baselines import ManualBaseline
-from repro.core.scrutinizer import Scrutinizer
-from repro.errors import SimulationError
 from repro.simulation.results import SimulationSummary, SystemRunResult
 from repro.simulation.scenarios import SimulationScenario, small_scenario
 from repro.synth.report_generator import generate_corpus
@@ -74,7 +72,7 @@ class ReportSimulator:
             preprocessor=preprocessor,
         )
         claims = [annotated.claim for annotated in self.corpus]
-        translator.bootstrap(claims, fit_features_only=True)
+        translator.bootstrap(claims)
         return translator
 
     def run_manual(self) -> SystemRunResult:
@@ -87,8 +85,9 @@ class ReportSimulator:
             wall_clock_seconds=time.perf_counter() - started,
         )
 
-    def _build_system(self, system_name: str) -> Scrutinizer:
-        """Assemble one assisted system through the builder API."""
+    def _run_assisted(self, system_name: str, max_batches: int | None) -> SystemRunResult:
+        """Build one assisted system through the builder API and run it."""
+        started = time.perf_counter()
         builder = (
             ScrutinizerBuilder(self.corpus)
             .with_config(self.scenario.system)
@@ -100,27 +99,18 @@ class ReportSimulator:
         if self._progress is not None:
             progress = self._progress
             builder.on_batch_complete(lambda result: progress(system_name, result))
-        return builder.build()
+        report = builder.build_service().run_to_completion(max_batches=max_batches)
+        return SystemRunResult(
+            system_name=system_name,
+            report=report,
+            wall_clock_seconds=time.perf_counter() - started,
+        )
 
     def run_sequential(self, max_batches: int | None = None) -> SystemRunResult:
-        started = time.perf_counter()
-        system = self._build_system("Sequential")
-        report = system.verify(max_batches=max_batches)
-        return SystemRunResult(
-            system_name="Sequential",
-            report=report,
-            wall_clock_seconds=time.perf_counter() - started,
-        )
+        return self._run_assisted("Sequential", max_batches)
 
     def run_scrutinizer(self, max_batches: int | None = None) -> SystemRunResult:
-        started = time.perf_counter()
-        system = self._build_system("Scrutinizer")
-        report = system.verify(max_batches=max_batches)
-        return SystemRunResult(
-            system_name="Scrutinizer",
-            report=report,
-            wall_clock_seconds=time.perf_counter() - started,
-        )
+        return self._run_assisted("Scrutinizer", max_batches)
 
     # ------------------------------------------------------------------ #
     # full comparison (Table 2)
@@ -132,14 +122,3 @@ class ReportSimulator:
         summary.add(self.run_sequential(max_batches=max_batches))
         summary.add(self.run_scrutinizer(max_batches=max_batches))
         return summary
-
-    def run(self, system_name: str, max_batches: int | None = None) -> SystemRunResult:
-        """Run a single named system."""
-        name = system_name.lower()
-        if name == "manual":
-            return self.run_manual()
-        if name == "sequential":
-            return self.run_sequential(max_batches=max_batches)
-        if name == "scrutinizer":
-            return self.run_scrutinizer(max_batches=max_batches)
-        raise SimulationError(f"unknown system {system_name!r}")

@@ -6,9 +6,9 @@ claim and (iii) TF-IDF scores of character 3-grams.  The paper uses GloVe
 pre-trained embeddings; because the reproduction must run offline we
 substitute deterministic hashed random-projection embeddings
 (:mod:`repro.text.embeddings`), which play the same role of a dense
-distributed representation.  Numeric mentions ("3%", "nine-fold",
-"22 200 TWh") are parsed by :mod:`repro.text.numbers` for the syntactical
-extraction of explicit-claim parameters.
+distributed representation.  An explicit claim's parameter is not parsed
+from its text here: it comes from the claim record
+(:attr:`~repro.claims.model.Claim.parameter`).
 
 Layering contract: layer 2 of the enforced import DAG (peer of
 ``analysis``/``dataset``/``ml``) — may import only ``errors``, ``config``
@@ -18,19 +18,15 @@ reprolint; see ``docs/architecture.md``.
 
 from repro.text.embeddings import HashingWordEmbeddings
 from repro.text.features import ClaimFeaturizer
-from repro.text.numbers import NumericMention, extract_numeric_mentions, parse_quantity
 from repro.text.tfidf import TfidfVectorizer, character_ngrams, word_ngrams
 from repro.text.tokenizer import Tokenizer, sentence_split
 
 __all__ = [
     "ClaimFeaturizer",
     "HashingWordEmbeddings",
-    "NumericMention",
     "TfidfVectorizer",
     "Tokenizer",
     "character_ngrams",
-    "extract_numeric_mentions",
-    "parse_quantity",
     "sentence_split",
     "word_ngrams",
 ]

@@ -32,10 +32,6 @@ class QueryCandidate:
     formula_rank: int
 
     @property
-    def query(self):
-        return self.instantiated.query
-
-    @property
     def value(self) -> float | None:
         return self.instantiated.value
 

@@ -51,7 +51,6 @@ class ClaimTranslator:
         key_attribute: str = "Index",
     ) -> None:
         self.config = config if config is not None else TranslationConfig()
-        self._database = database
         self._preprocessor = preprocessor if preprocessor is not None else ClaimPreprocessor()
         self._suite = PropertyClassifierSuite(self._preprocessor, suite_config)
         self._key_attribute = key_attribute
@@ -67,10 +66,6 @@ class ClaimTranslator:
         return self._suite
 
     @property
-    def database(self) -> Database:
-        return self._database
-
-    @property
     def is_trained(self) -> bool:
         return self._suite.is_trained
 
@@ -78,9 +73,9 @@ class ClaimTranslator:
     def features_ready(self) -> bool:
         """Whether the feature pipeline is fitted (classifiers may not be).
 
-        A translator bootstrapped with ``fit_features_only=True`` — the
-        warm-template path every tenant session starts from — is not yet
-        *trained*, but its featurizer needs no further fitting: the first
+        A translator bootstrapped without truths — the warm-template path
+        every tenant session starts from — is not yet *trained*, but its
+        featurizer needs no further fitting: the first
         retrain can feed the classifiers directly instead of re-fitting
         the corpus featurizer from scratch.
         """
@@ -90,19 +85,19 @@ class ClaimTranslator:
         self,
         claims: Sequence[Claim],
         truths: Sequence[ClaimGroundTruth] | None = None,
-        fit_features_only: bool = False,
     ) -> "ClaimTranslator":
         """Fit the feature pipeline and, when labels are given, the classifiers.
 
         In the paper's warm-start setting the previously checked claims
         provide labels immediately; in the cold-start scenario only the
-        claim texts are available, so ``fit_features_only=True`` fits the
-        featurizer and defers classifier training to the first retrain.
+        claim texts are available, so without ``truths`` only the
+        featurizer is fitted and classifier training waits for the first
+        retrain.
         """
         if not claims:
             raise TranslationError("bootstrap requires at least one claim")
         self._preprocessor.fit(claims)
-        if fit_features_only or truths is None:
+        if truths is None:
             return self
         if len(claims) != len(truths):
             raise TranslationError("claims and truths must be aligned")

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import read_report, write_report
 from repro.core.report import (
     REPORT_FORMAT_VERSION,
     ClaimVerification,
@@ -90,13 +89,6 @@ class TestReportRoundTrip:
         assert restored.verifications == []
         assert restored.claim_count == 0
 
-    def test_file_round_trip(self, tmp_path):
-        report = sample_report()
-        path = write_report(report, tmp_path / "report.json")
-        assert path.exists()
-        restored = read_report(path)
-        assert restored.verifications == report.verifications
-
 
 class TestVerificationRoundTrip:
     def test_dict_round_trip(self):
@@ -153,7 +145,3 @@ class TestInvalidPayloads:
     def test_non_object_json_raises(self):
         with pytest.raises(SerializationError):
             VerificationReport.from_json("[1, 2, 3]")
-
-    def test_missing_file_raises(self, tmp_path):
-        with pytest.raises(SerializationError):
-            read_report(tmp_path / "absent.json")

@@ -13,12 +13,12 @@ from repro.api import (
     TranslationBackend,
 )
 from repro.config import BatchingConfig, ScrutinizerConfig
-from repro.core.scrutinizer import Scrutinizer
 from repro.crowd.oracle import GroundTruthOracle
 from repro.crowd.worker import CheckerResponse, SimulatedChecker
-from repro.errors import ConfigurationError, InfeasibleSelectionError
+from repro.errors import InfeasibleSelectionError
 from repro.planning.batching import ClaimSelection
 from repro.planning.planner import QuestionPlanner
+from repro.translation.translator import ClaimTranslator
 
 
 # --------------------------------------------------------------------- #
@@ -138,7 +138,7 @@ class TestProtocolConformance:
 
 
 # --------------------------------------------------------------------- #
-# swapping backends through the builder (no Scrutinizer subclassing)
+# swapping backends through the builder (no subclassing)
 # --------------------------------------------------------------------- #
 class TestPluggableBackends:
     def test_custom_checker_and_answer_source_drive_the_loop(
@@ -161,10 +161,9 @@ class TestPluggableBackends:
         monkeypatch.setattr(SimulatedChecker, "__init__", forbidden)
         monkeypatch.setattr(GroundTruthOracle, "__init__", forbidden)
 
-        system = builder.build()
-        assert isinstance(system, Scrutinizer)
+        service = builder.build_service()
         ids = list(small_corpus.claim_ids)[:12]
-        report = system.verify(claim_ids=ids, track_accuracy=False)
+        report = service.run_to_completion(ids)
 
         assert report.claim_count == 12
         assert checker.manual_calls + checker.plan_calls == 12
@@ -194,10 +193,6 @@ class TestPluggableBackends:
         assert first.solver == "take-first"
         assert first.batch_size == 5
         assert selector.calls == 1
-
-    def test_builder_requires_corpus(self):
-        with pytest.raises(ConfigurationError):
-            ScrutinizerBuilder().build_service()
 
     def test_sequential_baseline_flag(self, small_corpus):
         service = (
@@ -339,18 +334,40 @@ class TestStreamingService:
         assert service.batches_run == 2
         assert service.is_complete
 
-    def test_reset_starts_a_fresh_run_but_keeps_training(self, small_corpus):
-        service = self._service(small_corpus, batch_size=6)
-        ids = list(small_corpus.claim_ids)
-        service.run_to_completion(ids[:6])
-        assert service.translator.is_trained
-        first_report = service.report
-        service.reset()
-        assert service.report is not first_report
-        assert service.report.claim_count == 0
-        assert service.translator.is_trained
-        report = service.run_to_completion(ids[6:12])
-        assert report.claim_count == 6
+    def test_each_claim_is_translated_once_whatever_its_votes(
+        self, small_corpus, monkeypatch
+    ):
+        """Every checker voting on a claim works through the same plan, so
+        the claim is planned and translated once, not once per vote."""
+        checkers = [ScriptedChecker(small_corpus, f"scripted-{index}") for index in range(3)]
+        config = ScrutinizerConfig(
+            checker_count=3,
+            votes_per_claim=3,
+            batching=BatchingConfig(min_batch_size=1, max_batch_size=6),
+            seed=5,
+        )
+        service = (
+            ScrutinizerBuilder(small_corpus)
+            .with_config(config)
+            .with_checkers(checkers)
+            .build_service()
+        )
+        translated: list[str] = []
+        translate = ClaimTranslator.translate
+
+        def counting_translate(self, claim, *args, **kwargs):
+            translated.append(claim.claim_id)
+            return translate(self, claim, *args, **kwargs)
+
+        monkeypatch.setattr(ClaimTranslator, "translate", counting_translate)
+        report = service.run_to_completion(list(small_corpus.claim_ids)[:24])
+
+        assert report.claim_count == 24
+        assert translated
+        assert len(translated) == len(set(translated))
+        # All three checkers vote on every claim and each planned claim
+        # reached all three through its one plan.
+        assert [checker.plan_calls for checker in checkers] == [len(translated)] * 3
 
 
 class TestLifecycleEvents:
@@ -374,8 +391,6 @@ class TestLifecycleEvents:
         assert events == ["submitted", "batch", "batch", "completed"]
         service.snapshot()
         assert events[-1] == "snapshot"
-        service.reset()
-        assert events[-1] == "reset"
 
     def test_restore_emits_restored(self, small_corpus):
         service = self._service(small_corpus, batch_size=5)
@@ -401,28 +416,23 @@ class TestLifecycleEvents:
         service.on_lifecycle_event(lambda event, _service: events.append(event))
         service.submit([])
         assert events == []
-        service.reset()
         service.submit(list(small_corpus.claim_ids)[:6])
-        assert events == ["reset", "submitted"]
+        assert events == ["submitted"]
 
 
 class TestScrutinizerFacade:
     def test_verify_runs_through_the_service(self, small_corpus):
-        system = (
+        service = (
             ScrutinizerBuilder(small_corpus)
             .with_config(small_config())
             .with_checkers([ScriptedChecker(small_corpus)])
-            .build()
+            .build_service()
         )
         batches: list[int] = []
-        system.on_batch_complete(lambda result: batches.append(result.batch_index))
-        report = system.verify(claim_ids=list(small_corpus.claim_ids)[:9])
+        service.on_batch_complete(lambda result: batches.append(result.batch_index))
+        report = service.run_to_completion(list(small_corpus.claim_ids)[:9])
         assert report.claim_count == 9
         assert batches == [1, 2]
-        assert system.last_session is not None
-        assert system.last_session.verified_count == 9
-        assert system.service.is_complete
-
-    def test_last_session_is_none_before_any_run(self, small_corpus):
-        system = Scrutinizer(small_corpus, config=small_config())
-        assert system.last_session is None
+        assert service.session is not None
+        assert service.session.verified_count == 9
+        assert service.is_complete

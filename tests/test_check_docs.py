@@ -1,9 +1,9 @@
-"""The docs dead-link gate: what counts as a link, and what counts as dead.
+"""The docs gate: what counts as a link or a name, and what counts as dead.
 
 ``scripts/check_docs.py`` blocks CI, so its contract is pinned the same
-way ``bench_compare``'s is: exit 0 when every relative link resolves,
-exit 1 listing the dead ones, external/anchor targets and fenced code
-blocks ignored.
+way ``bench_compare``'s is: exit 0 when every relative link and every
+backticked ``repro`` name resolves, exit 1 listing the dead ones,
+external/anchor targets and fenced code blocks ignored.
 """
 
 from __future__ import annotations
@@ -101,6 +101,24 @@ def test_fragment_suffix_is_ignored_but_file_must_exist(tmp_path):
         },
     )
     assert check_docs.main([str(root)]) == 1
+
+
+def test_stale_repro_name_fails_and_is_listed(tmp_path, capsys):
+    root = _tree(
+        tmp_path,
+        {
+            "docs/api.md": (
+                "built by `repro.api.builder.ScrutinizerBuilder` and\n"
+                "written by `repro.nope` here\n"
+            ),
+            "ROADMAP.md": "history may name `repro.gone`",
+        },
+    )
+    assert check_docs.main([str(root)]) == 1
+    out = capsys.readouterr().out
+    assert "docs/api.md:2: unresolved name -> repro.nope" in out
+    assert "ScrutinizerBuilder" not in out
+    assert "repro.gone" not in out
 
 
 def test_repository_docs_have_no_dead_links():

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api.builder import ScrutinizerBuilder
 from repro.claims.model import ClaimProperty
 from repro.config import BatchingConfig, ScrutinizerConfig
 from repro.core.baselines import SYSTEM_PROFILES, ManualBaseline
 from repro.core.report import ClaimVerification, VerificationReport, seconds_to_weeks
-from repro.core.scrutinizer import Scrutinizer
 from repro.core.session import VerificationSession
 from repro.errors import ConfigurationError, SimulationError
 from repro.formulas.parser import parse_formula
@@ -204,18 +204,23 @@ class TestScrutinizerSystem:
             batching=BatchingConfig(min_batch_size=1, max_batch_size=15),
             seed=11,
         )
-        system = Scrutinizer(small_corpus, config=config, accuracy_sample_size=25)
-        report = system.verify(claim_ids=list(small_corpus.claim_ids)[:45])
-        return system, report
+        service = (
+            ScrutinizerBuilder(small_corpus)
+            .with_config(config)
+            .with_accuracy_sample_size(25)
+            .build_service()
+        )
+        report = service.run_to_completion(list(small_corpus.claim_ids)[:45])
+        return service, report
 
     def test_all_claims_processed(self, small_run):
         _, report = small_run
         assert report.claim_count == 45
 
     def test_batches_recorded(self, small_run):
-        system, _ = small_run
-        assert system.last_session is not None
-        assert system.service.batches_run >= 3
+        service, _ = small_run
+        assert service.session is not None
+        assert service.batches_run >= 3
 
     def test_verdicts_mostly_match_ground_truth(self, small_run, small_corpus):
         _, report = small_run
@@ -233,9 +238,13 @@ class TestScrutinizerSystem:
         assert report.total_seconds < manual_report.total_seconds
 
     def test_warm_start_trains_translator(self, small_corpus):
-        system = Scrutinizer(small_corpus, config=ScrutinizerConfig(seed=3))
-        system.warm_start(list(small_corpus.claim_ids)[:40])
-        assert system.translator.is_trained
+        service = (
+            ScrutinizerBuilder(small_corpus)
+            .with_config(ScrutinizerConfig(seed=3))
+            .build_service()
+        )
+        service.warm_start(list(small_corpus.claim_ids)[:40])
+        assert service.translator.is_trained
 
     def test_sequential_config_disables_ordering(self):
         config = ScrutinizerConfig()

@@ -1,4 +1,4 @@
-"""Tests for the formula AST, parser, library, extraction and instantiation."""
+"""Tests for the formula AST, parser, extraction and instantiation."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import FormulaBindingError, FormulaError, FormulaSyntaxError
 from repro.formulas.extraction import FormulaExtractor, cagr_trace, const, lookup, op
 from repro.formulas.instantiate import FormulaInstantiator, ValueRef
-from repro.formulas.library import standard_library
 from repro.formulas.parser import parse_formula
 from repro.formulas.variables import (
     VariableBinding,
@@ -51,33 +50,6 @@ class TestFormulaParser:
         formula = parse_formula("a / b - 1")
         # two variables, one constant, two operations
         assert formula.complexity() == 5
-
-
-class TestFormulaLibrary:
-    def test_standard_library_has_core_templates(self):
-        library = standard_library()
-        assert "cagr" in library
-        assert "growth_rate" in library
-        assert len(library) >= 10
-
-    def test_labels_are_parseable(self):
-        library = standard_library()
-        for label in library.labels():
-            parse_formula(label)
-
-    def test_lookup_by_label(self):
-        library = standard_library()
-        template = library.by_name("cagr")
-        assert library.by_label(template.label) is not None
-
-    def test_unknown_template_raises(self):
-        with pytest.raises(FormulaError):
-            standard_library().by_name("nope")
-
-    def test_duplicate_registration_rejected(self):
-        library = standard_library()
-        with pytest.raises(FormulaError):
-            library.register(library.by_name("cagr"))
 
 
 class TestVariables:

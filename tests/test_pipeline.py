@@ -477,7 +477,7 @@ class TestServiceBatchFrontDoor:
             def is_trained(self):
                 return False
 
-            def bootstrap(self, claims, truths=None, fit_features_only=False):
+            def bootstrap(self, claims, truths=None):
                 return self
 
             def retrain(self, claims, truths):

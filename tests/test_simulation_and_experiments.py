@@ -103,10 +103,6 @@ class TestReportSimulation:
         series = simulation_summary.runs["Scrutinizer"].cumulative_weeks()
         assert series == sorted(series)
 
-    def test_unknown_system_rejected(self, tiny_scenario):
-        with pytest.raises(Exception):
-            ReportSimulator(tiny_scenario).run("nope")
-
     def test_default_scenario_is_paper_scale(self):
         scenario = default_scenario()
         assert scenario.corpus.claim_count == 1539

@@ -1,11 +1,9 @@
-"""Tests for tokenisation and numeric-mention parsing."""
+"""Tests for tokenisation and sentence splitting."""
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, strategies as st
 
-from repro.text.numbers import extract_numeric_mentions, extract_parameter, parse_quantity
 from repro.text.tokenizer import Tokenizer, normalize_whitespace, sentence_split
 
 
@@ -48,73 +46,3 @@ class TestSentenceSplit:
 
     def test_normalize_whitespace(self):
         assert normalize_whitespace("a   b\t c") == "a b c"
-
-
-class TestParseQuantity:
-    @pytest.mark.parametrize(
-        "text,expected",
-        [
-            ("3%", 0.03),
-            ("22 200", 22200.0),
-            ("1,234.5", 1234.5),
-            ("nine-fold", 9.0),
-            ("2.5-fold", 2.5),
-            ("doubled", 2.0),
-            ("halved", 0.5),
-            ("ten", 10.0),
-        ],
-    )
-    def test_known_forms(self, text, expected):
-        assert parse_quantity(text) == pytest.approx(expected)
-
-    def test_unparseable_returns_none(self):
-        assert parse_quantity("aggressively") is None
-
-    def test_none_input(self):
-        assert parse_quantity(None) is None
-
-
-class TestExtractMentions:
-    def test_percentage_mention(self):
-        mentions = extract_numeric_mentions("demand grew by 3% in 2017")
-        percents = [mention for mention in mentions if mention.is_percentage]
-        assert percents and percents[0].value == pytest.approx(0.03)
-
-    def test_space_grouped_number(self):
-        mentions = extract_numeric_mentions("reaching 22 200 TWh")
-        assert any(mention.value == 22200.0 for mention in mentions)
-
-    def test_fold_expression(self):
-        mentions = extract_numeric_mentions("increased nine-fold from 2000 to 2017")
-        factors = [mention for mention in mentions if mention.is_factor]
-        assert factors and factors[0].value == 9.0
-
-    def test_magnitude_suffix(self):
-        mentions = extract_numeric_mentions("investment of 4.5 billion dollars")
-        assert any(mention.value == pytest.approx(4.5e9) for mention in mentions)
-
-    def test_percent_spelled_out(self):
-        mentions = extract_numeric_mentions("grew by 3 percent")
-        assert any(mention.is_percentage and mention.value == pytest.approx(0.03) for mention in mentions)
-
-    def test_mentions_sorted_by_position(self):
-        mentions = extract_numeric_mentions("from 2000 to 2017 it grew by 5%")
-        positions = [mention.start for mention in mentions]
-        assert positions == sorted(positions)
-
-    def test_empty_text(self):
-        assert extract_numeric_mentions("") == []
-
-
-class TestExtractParameter:
-    def test_prefers_percentage(self):
-        assert extract_parameter("In 2017, demand grew by 3%, reaching 22 200 TWh") == pytest.approx(0.03)
-
-    def test_falls_back_to_factor(self):
-        assert extract_parameter("the market increased nine-fold from 2000 to 2017") == 9.0
-
-    def test_falls_back_to_first_number(self):
-        assert extract_parameter("output reached 512 TWh in total") == 512.0
-
-    def test_no_number_returns_none(self):
-        assert extract_parameter("the market expanded aggressively") is None
