@@ -90,8 +90,9 @@ typecheck:
 
 # Dead-link check over docs/**/*.md and the root Markdown pages, plus a
 # name check over docs/**/*.md and README.md.  A relative link to a missing
-# file, or a backticked `repro.…` name that does not import from src/,
-# fails the build.
+# file, a backticked `repro.…` name that does not import from src/, or a
+# backticked `Class.member` whose class a repro module exports in __all__
+# but which lacks that member, fails the build.
 check-docs:
 	$(PYTHON) scripts/check_docs.py
 

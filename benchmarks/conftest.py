@@ -15,7 +15,7 @@ from repro.simulation.simulator import ReportSimulator
 from repro.synth.energy_data import EnergyDataConfig
 from repro.synth.report_generator import SyntheticCorpusConfig, generate_corpus
 from repro.synth.study import UserStudyConfig
-from repro.text.features import ClaimFeaturizer, FeaturizerConfig
+from repro.text.features import FeaturizerConfig
 from repro.translation.preprocess import ClaimPreprocessor
 from repro.translation.translator import ClaimTranslator
 
@@ -94,7 +94,7 @@ def warm_translator(corpus, scenario) -> ClaimTranslator:
     translator = ClaimTranslator(
         corpus.database,
         config=scenario.system.translation,
-        preprocessor=ClaimPreprocessor(ClaimFeaturizer(scenario.featurizer)),
+        preprocessor=ClaimPreprocessor(scenario.featurizer),
     )
     claims = [annotated.claim for annotated in corpus]
     truths = [annotated.ground_truth for annotated in corpus]

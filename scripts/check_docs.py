@@ -12,8 +12,13 @@ file part must exist.
 It also resolves every dotted ``repro`` name that opens a code span in
 ``docs/**/*.md`` and ``README.md`` (`` `repro.api.builder.ScrutinizerBuilder` ``):
 the longest importable module prefix is imported from ``<root>/src`` and
-the rest looked up as attributes.  ``ROADMAP.md`` and ``CHANGES.md`` are
-history, so the names they record may be gone.
+the rest looked up as attributes.  A span that opens with a class name
+and a member (`` `ClaimFeatureStore.matrix` ``) is resolved against the
+class of that name that a ``repro`` module lists in ``__all__``; a
+dataclass field or annotation declared along the class's MRO counts as a
+member.  Other capitalized spans (`` `Future.result` ``, file names) are
+left alone.  ``ROADMAP.md`` and ``CHANGES.md`` are history, so the names
+they record may be gone.
 
 CI runs this as a blocking step over ``docs/**/*.md``, ``README.md`` and
 the other root-level Markdown pages, so the docs cannot silently rot as
@@ -31,6 +36,7 @@ otherwise (each is listed as ``file:line: ... -> target``).
 from __future__ import annotations
 
 import importlib
+import pkgutil
 import re
 import sys
 from pathlib import Path
@@ -45,6 +51,8 @@ _REFERENCE_DEF = re.compile(r"^\s*\[[^\]]+\]:\s+(\S+)")
 _FENCE = re.compile(r"^\s*(```|~~~)")
 #: A dotted name under the package that opens a code span.
 _REPRO_NAME = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)")
+#: A capitalized name with a dotted member chain that opens a code span.
+_CLASS_MEMBER = re.compile(r"`([A-Z]\w*)((?:\.[A-Za-z_]\w*)+)")
 
 #: Root-level Markdown pages checked in addition to docs/**/*.md.
 _ROOT_PAGES = ("README.md", "ROADMAP.md", "CHANGES.md", "PAPER.md", "PAPERS.md")
@@ -133,8 +141,45 @@ def _resolves(name: str) -> bool:
     return False
 
 
+def _exported_classes() -> dict[str, type]:
+    """Every class a ``repro`` module lists in its ``__all__``, by name."""
+    package = importlib.import_module("repro")
+    modules = ["repro"] + [
+        info.name
+        for info in pkgutil.walk_packages(package.__path__, "repro.")
+        if not info.name.endswith(".__main__")
+    ]
+    classes: dict[str, type] = {}
+    for module_name in modules:
+        module = importlib.import_module(module_name)
+        for name in getattr(module, "__all__", ()):
+            value = getattr(module, name, None)
+            if isinstance(value, type):
+                classes[name] = value
+    return classes
+
+
+def _class_member_resolves(owner: type, members: list[str]) -> bool:
+    """Whether ``owner`` has the dotted member chain ``members``.
+
+    A dataclass field or annotation declared along the MRO is a member
+    even without a class-level value; the names after such a member would
+    be attributes of its value, which the class cannot show, so they are
+    not checked.
+    """
+    target: object = owner
+    for member in members:
+        if hasattr(target, member):
+            target = getattr(target, member)
+            continue
+        return isinstance(target, type) and any(
+            member in vars(klass).get("__annotations__", {}) for klass in target.__mro__
+        )
+    return True
+
+
 def unresolved_names(files: list[Path], root: Path) -> list[tuple[Path, int, str]]:
-    """Every ``(file, line, name)`` whose ``repro`` name does not resolve.
+    """Every ``(file, line, name)`` whose ``repro`` or class name does not resolve.
 
     Only ``docs/**/*.md`` and ``README.md`` are scanned; ``root/src`` goes
     on ``sys.path`` first, so the names resolve against that checkout.
@@ -142,6 +187,7 @@ def unresolved_names(files: list[Path], root: Path) -> list[tuple[Path, int, str
     source = root / "src"
     if source.is_dir() and str(source) not in sys.path:
         sys.path.insert(0, str(source))
+    classes = _exported_classes()
     pages = [
         path
         for path in files
@@ -153,6 +199,11 @@ def unresolved_names(files: list[Path], root: Path) -> list[tuple[Path, int, str
             for match in _REPRO_NAME.finditer(line):
                 if not _resolves(match.group(1)):
                     stale.append((path, line_number, match.group(1)))
+            for match in _CLASS_MEMBER.finditer(line):
+                owner = classes.get(match.group(1))
+                members = match.group(2)[1:].split(".")
+                if owner is not None and not _class_member_resolves(owner, members):
+                    stale.append((path, line_number, match.group(0)[1:]))
     return stale
 
 

@@ -117,7 +117,11 @@ class TranslationBackend(Protocol):
         claims: Sequence[Claim],
         truths: Sequence[ClaimGroundTruth] | None = None,
     ) -> object:
-        """Fit the feature pipeline and, when ``truths`` are given, the models."""
+        """Fit the feature pipeline if unfitted and, given ``truths``, the models.
+
+        The service calls it with its corpus claims at construction, so a
+        backend's features are fitted before its first batch.
+        """
         ...
 
     def retrain(

@@ -113,9 +113,11 @@ class VerificationService:
         *Sequential* baseline.
     translator:
         Any :class:`~repro.api.protocols.TranslationBackend`; defaults to a
-        fresh :class:`~repro.translation.translator.ClaimTranslator` fitted
-        on the corpus texts.  An object missing a protocol member is
-        refused with :class:`~repro.errors.ConfigurationError`.
+        fresh :class:`~repro.translation.translator.ClaimTranslator`.  The
+        service bootstraps it on the corpus claims, which fits its
+        featurizer unless it is already fitted.  An object missing a
+        protocol member is refused with
+        :class:`~repro.errors.ConfigurationError`.
     checkers:
         Any sequence of :class:`~repro.api.protocols.Checker`; defaults to
         ``config.checker_count`` simulated checkers with distinct seeds.
@@ -158,22 +160,22 @@ class VerificationService:
         self._timing = TimingModel(cost_model=self.config.cost_model, seed=self.config.seed)
         self._accuracy_sample_size = accuracy_sample_size
         self._rng = np.random.default_rng(self.config.seed)
-        if translator is not None:
-            if not isinstance(translator, TranslationBackend):
-                missing = [
-                    name
-                    for name in vars(TranslationBackend)
-                    if not name.startswith("_") and not hasattr(translator, name)
-                ]
-                raise ConfigurationError(
-                    f"translator {type(translator).__name__} is not a "
-                    f"TranslationBackend: it lacks {', '.join(missing)}"
-                )
-            self.translator: TranslationBackend = translator
-        else:
-            self.translator = ClaimTranslator(corpus.database, config=self.config.translation)
-            claims = [annotated.claim for annotated in corpus]
-            self.translator.bootstrap(claims)
+        if translator is not None and not isinstance(translator, TranslationBackend):
+            missing = [
+                name
+                for name in vars(TranslationBackend)
+                if not name.startswith("_") and not hasattr(translator, name)
+            ]
+            raise ConfigurationError(
+                f"translator {type(translator).__name__} is not a "
+                f"TranslationBackend: it lacks {', '.join(missing)}"
+            )
+        self.translator: TranslationBackend = (
+            translator
+            if translator is not None
+            else ClaimTranslator(corpus.database, config=self.config.translation)
+        )
+        self.translator.bootstrap([annotated.claim for annotated in corpus])
         if checkers is not None:
             self.checkers: list[Checker] = list(checkers)
         else:
@@ -466,7 +468,12 @@ class VerificationService:
     # bootstrap helpers
     # ------------------------------------------------------------------ #
     def warm_start(self, claim_ids: Sequence[str] | None = None) -> None:
-        """Train the translation backend on previously checked claims."""
+        """Train the translation backend on previously checked claims.
+
+        The classifiers train over the featurizer the service fitted on
+        the corpus at construction; the vocabulary is not refitted to
+        these claims.
+        """
         ids = list(claim_ids) if claim_ids is not None else list(self.corpus.claim_ids)
         claims = [self.corpus.claim(claim_id) for claim_id in ids]
         truths = [self.corpus.ground_truth(claim_id) for claim_id in ids]
@@ -577,16 +584,6 @@ class VerificationService:
         if not verified_claims:
             return
         truths = [self.corpus.ground_truth(claim.claim_id) for claim in verified_claims]
-        if not self.translator.is_trained and not getattr(
-            self.translator, "features_ready", False
-        ):
-            # Cold start with an unfitted feature pipeline: fit it on the
-            # corpus texts once.  A translator whose features are already
-            # fitted (the warm-template path every tenant session starts
-            # from) skips this — re-fitting the corpus featurizer here was
-            # the dominant per-tenant cost of the old serving cliff.
-            claims = [self.corpus.claim(claim_id) for claim_id in self.corpus.claim_ids]
-            self.translator.bootstrap(claims)
         self.translator.retrain(list(verified_claims), truths)
 
     # ------------------------------------------------------------------ #

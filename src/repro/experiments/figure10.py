@@ -10,7 +10,7 @@ from __future__ import annotations
 from repro.claims.corpus import ClaimCorpus
 from repro.claims.model import ClaimProperty
 from repro.synth.report_generator import SyntheticCorpusConfig, generate_corpus
-from repro.text.features import ClaimFeaturizer, FeaturizerConfig
+from repro.text.features import FeaturizerConfig
 from repro.translation.preprocess import ClaimPreprocessor
 from repro.translation.translator import ClaimTranslator
 
@@ -34,7 +34,7 @@ def run(
     )
     translator = ClaimTranslator(
         corpus.database,
-        preprocessor=ClaimPreprocessor(ClaimFeaturizer(featurizer_config)),
+        preprocessor=ClaimPreprocessor(featurizer_config),
     )
     translator.bootstrap(
         [corpus.claim(claim_id) for claim_id in train_ids],

@@ -43,7 +43,7 @@ from repro.sqlengine.ast import (
     Query,
     UnaryOp,
 )
-from repro.sqlengine.functions import FUNCTION_LIBRARY, FunctionLibrary
+from repro.sqlengine.functions import FUNCTION_LIBRARY
 
 
 @dataclass(frozen=True)
@@ -93,15 +93,8 @@ def _comparison_holds(operator: str, left: float, right: float) -> bool:
 class FormulaInstantiator:
     """Instantiates formulas over a database corpus."""
 
-    def __init__(
-        self,
-        database: Database,
-        functions: FunctionLibrary | None = None,
-        key_attribute: str = "Index",
-    ) -> None:
+    def __init__(self, database: Database) -> None:
         self._database = database
-        self._functions = functions if functions is not None else FUNCTION_LIBRARY
-        self._key_attribute = key_attribute
 
     # ------------------------------------------------------------------ #
     # numeric evaluation
@@ -159,7 +152,7 @@ class FormulaInstantiator:
         if isinstance(node, FormulaFunction):
             arguments = [self._evaluate_node(argument, binding) for argument in node.arguments]
             try:
-                return self._functions.call(node.name, arguments)
+                return FUNCTION_LIBRARY.call(node.name, arguments)
             except SQLExecutionError as error:
                 raise FormulaError(str(error)) from error
         raise FormulaError(f"unknown formula node {node!r}")
@@ -187,7 +180,11 @@ class FormulaInstantiator:
         value_assignment: Mapping[str, ValueRef],
         attribute_assignment: Mapping[str, str] | None = None,
     ) -> Query:
-        """Rewrite the assignment into a statistical-check SQL query."""
+        """Rewrite the assignment into a statistical-check SQL query.
+
+        Each value variable becomes a FROM alias, restricted in the WHERE
+        clause by its relation's own key column.
+        """
         attribute_assignment = dict(attribute_assignment or {})
         missing = set(formula.value_variables()) - set(value_assignment)
         if missing:
@@ -205,7 +202,9 @@ class FormulaInstantiator:
                     predicates=(
                         KeyPredicate(
                             alias=variable,
-                            attribute=self._key_attribute,
+                            attribute=self._database.relation(
+                                reference.relation
+                            ).key_attribute,
                             value=reference.key,
                         ),
                     )

@@ -43,9 +43,10 @@ class SoftmaxRegressionClassifier:
     one continues the gradient descent from the previous weights — the
     incremental-retraining mode of Algorithm 1, where each batch adds a
     few dozen samples to an already-fitted model.  Label indices stay
-    stable; columns for newly seen labels are appended.  A change in
-    feature dimension (a featurizer refit) falls back to a cold fit.  A
-    caller that wants a cold refit fits a new instance.
+    stable; columns for newly seen labels are appended.  A later fit on
+    another feature dimension raises
+    :class:`~repro.errors.ConfigurationError`: the featurizer is fitted
+    once, and a caller that wants a cold fit fits a new instance.
     """
 
     def __init__(
@@ -81,11 +82,12 @@ class SoftmaxRegressionClassifier:
         if features.shape[0] == 0:
             raise ConfigurationError("cannot fit on an empty training set")
         sample_count, feature_count = features.shape
-        if (
-            self._weights is not None
-            and self._bias is not None
-            and self._weights.shape[0] == feature_count
-        ):
+        if self._weights is not None and self._bias is not None:
+            if self._weights.shape[0] != feature_count:
+                raise ConfigurationError(
+                    f"feature dimension changed from {self._weights.shape[0]} to "
+                    f"{feature_count}; a cold fit is a new instance"
+                )
             # Continue from the previous fit: existing label columns keep
             # their weights, new labels get fresh small-noise columns.
             self._encoder.partial_fit(labels)

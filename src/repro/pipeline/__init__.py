@@ -5,9 +5,9 @@ prediction/planning hot path must not loop over claims in Python.  This
 package provides the two pieces that make the batch the native shape of
 the system:
 
-* :class:`~repro.pipeline.feature_store.ClaimFeatureStore` — featurize the
-  corpus once per featurizer generation into cached rows, invalidated
-  automatically when the vocabulary is refit.
+* :class:`~repro.pipeline.feature_store.ClaimFeatureStore` — featurize
+  each claim once into cached rows over a featurizer that is fitted once
+  and never refitted.
 * :class:`~repro.pipeline.batch.ClaimBatchPredictions` — per-property
   probability matrices for a batch of claims, with lazy materialization of
   ranked per-claim :class:`~repro.ml.base.Prediction` objects.

@@ -1,17 +1,13 @@
-"""Shared claim-feature store with generation-based invalidation.
+"""Shared claim-feature store.
 
 Featurization is the single most repeated computation of the verification
 loop: Algorithm 1 re-predicts the four properties of every pending claim
 after every batch, and every prediction starts from the same feature
-vector.  The store featurizes each claim exactly once per *featurizer
-generation* and serves whole row matrices, so the classifiers can run one
-matrix multiplication per property instead of per-claim Python loops.
-
-Generations make the cache safe: every
-:meth:`~repro.text.features.ClaimFeaturizer.fit` bumps the featurizer's
-generation, and the store discards all cached rows the moment its recorded
-generation no longer matches the preprocessor's — the bug class where a
-refit silently kept serving vectors from the old vocabulary cannot occur.
+vector.  The store featurizes each claim exactly once and serves whole row
+matrices, so the classifiers can run one matrix multiplication per
+property instead of per-claim Python loops.  Caching is safe because the
+featurizer is fitted once and never refitted: a cached row stays valid for
+the life of the store.
 
 Rows live in one plain dict in RAM, with no bound and no eviction: a
 store holds at most one row per corpus claim its session featurizes (the
@@ -39,8 +35,8 @@ __all__ = ["ClaimFeatureStore"]
 class ClaimFeatureStore:
     """Caches featurized claim rows keyed by claim id.
 
-    The store never featurizes a claim twice within one featurizer
-    generation, and a request featurizes all its missing claims in a single
+    The store never featurizes a claim twice, and a request featurizes all
+    its missing claims in a single
     :meth:`~repro.translation.preprocess.ClaimPreprocessor.feature_matrix`
     call.  :meth:`matrix` is the only way in: a single claim is a one-row
     matrix, and every matrix is a fresh copy, so a consumer writing into it
@@ -50,27 +46,10 @@ class ClaimFeatureStore:
     def __init__(self, preprocessor: ClaimPreprocessor) -> None:
         self._preprocessor = preprocessor
         self._rows: dict[str, np.ndarray] = {}
-        self._generation = preprocessor.feature_generation
-
-    @property
-    def generation(self) -> int:
-        """The featurizer generation the cached rows belong to."""
-        self._sync_generation()
-        return self._generation
 
     @property
     def cached_count(self) -> int:
-        self._sync_generation()
         return len(self._rows)
-
-    def invalidate(self) -> None:
-        """Drop every cached row (also happens automatically on refits)."""
-        self._rows.clear()
-        self._generation = self._preprocessor.feature_generation
-
-    def _sync_generation(self) -> None:
-        if self._generation != self._preprocessor.feature_generation:
-            self.invalidate()
 
     # ------------------------------------------------------------------ #
     # featurization
@@ -81,7 +60,6 @@ class ClaimFeatureStore:
         Missing claims are featurized together in one call; cached claims
         are served from the cache.
         """
-        self._sync_generation()
         rows = self._rows
         missing = [claim for claim in claims if claim.claim_id not in rows]
         if missing:

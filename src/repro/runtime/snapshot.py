@@ -58,7 +58,7 @@ __all__ = [
 ]
 
 #: Version stamp of the snapshot JSON layout; bump on breaking changes.
-SNAPSHOT_SCHEMA_VERSION = 5
+SNAPSHOT_SCHEMA_VERSION = 6
 
 
 class _SchemaVersionError(SerializationError):

@@ -263,11 +263,13 @@ class VerificationServer:
         self._queue: deque[_Submission] = deque()
         self._round = 0
         self._closed = False
-        #: Warm session template: the corpus-wide featurizer bootstrap is
+        #: Warm session template: the corpus-wide featurizer fit is
         #: identical for every tenant (it depends only on the corpus and
-        #: the translation config), so it is done once and deep-copied per
-        #: session — ~10x cheaper tenant cold starts, with full isolation
-        #: because each session gets its own copy of every mutable part.
+        #: the translation config), so the template is fitted once and
+        #: deep-copied per session, and each session's own bootstrap keeps
+        #: the fitted copy — ~10x cheaper tenant cold starts, with full
+        #: isolation because each session gets its own copy of every
+        #: mutable part.
         self._translator_template = None
 
     # ------------------------------------------------------------------ #
@@ -435,8 +437,8 @@ class VerificationServer:
             template.bootstrap([annotated.claim for annotated in self.corpus])
             self._translator_template = template
         # The read-only database is shared across copies, and so are the
-        # featurizer's fitted tables until a tenant refits (see
-        # ClaimFeaturizer); everything mutable (classifiers, feature
+        # featurizer's fitted tables, which nothing writes after the fit
+        # (see ClaimFeaturizer); everything mutable (classifiers, feature
         # store, fit corpus) is per tenant.
         return copy.deepcopy(
             self._translator_template,

@@ -22,7 +22,6 @@ from repro.core.baselines import ManualBaseline
 from repro.simulation.results import SimulationSummary, SystemRunResult
 from repro.simulation.scenarios import SimulationScenario, small_scenario
 from repro.synth.report_generator import generate_corpus
-from repro.text.features import ClaimFeaturizer
 from repro.translation.preprocess import ClaimPreprocessor
 from repro.translation.translator import ClaimTranslator
 
@@ -64,12 +63,10 @@ class ReportSimulator:
     # individual runs
     # ------------------------------------------------------------------ #
     def _build_translator(self) -> ClaimTranslator:
-        featurizer = ClaimFeaturizer(self.scenario.featurizer)
-        preprocessor = ClaimPreprocessor(featurizer)
         translator = ClaimTranslator(
             self.corpus.database,
             config=self.scenario.system.translation,
-            preprocessor=preprocessor,
+            preprocessor=ClaimPreprocessor(self.scenario.featurizer),
         )
         claims = [annotated.claim for annotated in self.corpus]
         translator.bootstrap(claims)

@@ -1,7 +1,8 @@
 """Evaluation of statistical-check queries over a database corpus.
 
 Execution model: the WHERE clause binds each FROM alias to one or more rows
-of its relation through key-equality predicates (a disjunction yields
+of its relation through equality predicates on the relation's key column
+(a predicate on any other column raises; a disjunction yields
 several admissible rows for its alias, aliases without a predicate range
 over all rows).  The executor enumerates the Cartesian product of admissible
 rows across aliases and evaluates the SELECT expression once per binding.
@@ -130,6 +131,12 @@ class QueryExecutor:
             if alias not in alias_candidates:
                 raise SQLExecutionError(f"WHERE references unknown alias {alias!r}")
             relation = self._database.relation(query.alias_relation(alias))
+            for predicate in clause.predicates:
+                if predicate.attribute != relation.key_attribute:
+                    raise SQLExecutionError(
+                        f"WHERE predicate {predicate.render()} is not on the key "
+                        f"column {relation.key_attribute!r} of {relation.name!r}"
+                    )
             admissible = [value for value in clause.values if relation.has_key(value)]
             previous = alias_candidates[alias]
             alias_candidates[alias] = [key for key in previous if key in set(admissible)]

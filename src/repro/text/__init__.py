@@ -6,8 +6,12 @@ claim and (iii) TF-IDF scores of character 3-grams.  The paper uses GloVe
 pre-trained embeddings; because the reproduction must run offline we
 substitute deterministic hashed random-projection embeddings
 (:mod:`repro.text.embeddings`), which play the same role of a dense
-distributed representation.  An explicit claim's parameter is not parsed
-from its text here: it comes from the claim record
+distributed representation.  Each component is fitted once, in its
+constructor, and its fitted tables never change afterwards; whether a
+featurizer exists yet is the business of
+:class:`~repro.translation.preprocess.ClaimPreprocessor`, which also stores
+the fit texts a snapshot restores it from.  An explicit claim's parameter
+is not parsed from its text here: it comes from the claim record
 (:attr:`~repro.claims.model.Claim.parameter`).
 
 Layering contract: layer 2 of the enforced import DAG (peer of

@@ -30,8 +30,19 @@ def _stable_token_seed(token: str, salt: int) -> int:
 class HashingWordEmbeddings:
     """GloVe substitute: deterministic per-token vectors plus smoothing.
 
+    The embeddings are fitted in their constructor: the co-occurrence
+    smoothing comes from ``tokenized_texts`` and never changes afterwards.
+    For every token we average the base vectors of the other tokens it
+    co-occurs with inside a sentence; mixing that context mean into the
+    token's own vector makes domain-related words ("electricity",
+    "demand", "TWh") more similar, approximating what pre-trained GloVe
+    provides out of the box.
+
     Parameters
     ----------
+    tokenized_texts:
+        The fit corpus, one token sequence per sentence; an empty corpus
+        leaves every token at its base vector.
     dimension:
         Size of the embedding vectors (GloVe commonly uses 50–300; the
         default of 64 keeps the feature matrices small).
@@ -39,11 +50,17 @@ class HashingWordEmbeddings:
         Salt mixed into the per-token hash so different instances can
         produce different spaces.
     smoothing:
-        Weight in ``[0, 1)`` of the co-occurrence smoothing applied by
-        :meth:`fit`; ``0`` disables smoothing entirely.
+        Weight in ``[0, 1)`` of the co-occurrence smoothing; ``0``
+        disables smoothing entirely.
     """
 
-    def __init__(self, dimension: int = 64, seed: int = 13, smoothing: float = 0.5) -> None:
+    def __init__(
+        self,
+        tokenized_texts: Iterable[Sequence[str]],
+        dimension: int = 64,
+        seed: int = 13,
+        smoothing: float = 0.5,
+    ) -> None:
         if dimension < 1:
             raise ConfigurationError("embedding dimension must be positive")
         if not 0.0 <= smoothing < 1.0:
@@ -52,7 +69,24 @@ class HashingWordEmbeddings:
         self.seed = seed
         self.smoothing = smoothing
         self._cache: dict[str, np.ndarray] = {}
+        sums: dict[str, np.ndarray] = defaultdict(lambda: np.zeros(dimension))
+        counts: dict[str, int] = defaultdict(int)
+        for tokens in tokenized_texts:
+            unique = list(dict.fromkeys(tokens))
+            if len(unique) < 2:
+                continue
+            vectors = {token: self._base_vector(token) for token in unique}
+            total = np.sum(list(vectors.values()), axis=0)
+            for token in unique:
+                context = total - vectors[token]
+                sums[token] += context / (len(unique) - 1)
+                counts[token] += 1
         self._context_means: dict[str, np.ndarray] = {}
+        for token, accumulated in sums.items():
+            mean = accumulated / counts[token]
+            norm = np.linalg.norm(mean)
+            if norm > 0:
+                self._context_means[token] = mean / norm
 
     # ------------------------------------------------------------------ #
     # base vectors
@@ -70,7 +104,7 @@ class HashingWordEmbeddings:
         return vector
 
     def vector(self, token: str) -> np.ndarray:
-        """Embedding of one token (smoothed when :meth:`fit` has been called)."""
+        """Embedding of one token, smoothed when it occurs in the fit corpus."""
         base = self._base_vector(token)
         context = self._context_means.get(token)
         if context is None or self.smoothing == 0.0:
@@ -78,38 +112,6 @@ class HashingWordEmbeddings:
         mixed = (1.0 - self.smoothing) * base + self.smoothing * context
         norm = np.linalg.norm(mixed)
         return mixed / norm if norm > 0 else base
-
-    # ------------------------------------------------------------------ #
-    # corpus fitting (co-occurrence smoothing)
-    # ------------------------------------------------------------------ #
-    def fit(self, tokenized_texts: Iterable[Sequence[str]]) -> "HashingWordEmbeddings":
-        """Fit the co-occurrence smoothing on a tokenised corpus.
-
-        For every token we average the base vectors of the other tokens it
-        co-occurs with inside a sentence; mixing that context mean into the
-        token's own vector makes domain-related words ("electricity",
-        "demand", "TWh") more similar, approximating what pre-trained GloVe
-        provides out of the box.
-        """
-        sums: dict[str, np.ndarray] = defaultdict(lambda: np.zeros(self.dimension))
-        counts: dict[str, int] = defaultdict(int)
-        for tokens in tokenized_texts:
-            unique = list(dict.fromkeys(tokens))
-            if len(unique) < 2:
-                continue
-            vectors = {token: self._base_vector(token) for token in unique}
-            total = np.sum(list(vectors.values()), axis=0)
-            for token in unique:
-                context = total - vectors[token]
-                sums[token] += context / (len(unique) - 1)
-                counts[token] += 1
-        self._context_means = {}
-        for token, accumulated in sums.items():
-            mean = accumulated / counts[token]
-            norm = np.linalg.norm(mean)
-            if norm > 0:
-                self._context_means[token] = mean / norm
-        return self
 
     # ------------------------------------------------------------------ #
     # sentence embedding
@@ -129,37 +131,3 @@ class HashingWordEmbeddings:
         if denominator == 0:
             return 0.0
         return float(np.dot(a, b) / denominator)
-
-    # ------------------------------------------------------------------ #
-    # checkpoint state
-    # ------------------------------------------------------------------ #
-    def to_state(self) -> dict[str, object]:
-        """JSON-compatible state: config plus the fitted context means.
-
-        Base vectors are a pure function of ``(token, seed)`` — the
-        ``_cache`` is derived state and deliberately excluded; it refills
-        on demand with bit-identical vectors.
-        """
-        return {
-            "dimension": self.dimension,
-            "seed": self.seed,
-            "smoothing": self.smoothing,
-            "context_means": {
-                token: mean.tolist()
-                for token, mean in sorted(self._context_means.items())
-            },
-        }
-
-    @classmethod
-    def from_state(cls, state: dict[str, object]) -> "HashingWordEmbeddings":
-        """Rebuild embeddings whose vectors match byte for byte."""
-        embeddings = cls(
-            dimension=int(state["dimension"]),  # type: ignore[arg-type]
-            seed=int(state["seed"]),  # type: ignore[arg-type]
-            smoothing=float(state["smoothing"]),  # type: ignore[arg-type]
-        )
-        embeddings._context_means = {
-            token: np.asarray(mean, dtype=float)
-            for token, mean in state.get("context_means", {}).items()  # type: ignore[union-attr]
-        }
-        return embeddings

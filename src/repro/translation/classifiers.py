@@ -7,13 +7,13 @@ The suite keeps all four aligned, retrains them as labelled claims arrive
 by query generation and by question planning.
 
 The suite predicts in batches only: features come from a shared
-:class:`~repro.pipeline.feature_store.ClaimFeatureStore` (featurize once
-per featurizer generation), and prediction is one probability matrix per
-property (:meth:`PropertyClassifierSuite.predict_proba_many`), from which
-ranked per-claim predictions are read row by row.  A single claim is a
-one-row batch.  Retraining is incremental — softmax weights warm-start
-from the previous fit.  The TF-IDF vocabulary is fitted once, when the translator
-is bootstrapped; retraining ignores n-grams outside it.
+:class:`~repro.pipeline.feature_store.ClaimFeatureStore` (featurize each
+claim once), and prediction is one probability matrix per property
+(:meth:`PropertyClassifierSuite.predict_proba_many`), from which ranked
+per-claim predictions are read row by row.  A single claim is a one-row
+batch.  Retraining is incremental — softmax weights always continue from
+the previous fit.  The featurizer is fitted once, when the translator is
+bootstrapped; retraining ignores n-grams outside its vocabulary.
 """
 
 from __future__ import annotations
@@ -55,9 +55,9 @@ class SuiteConfig:
 
     Each property uses k-NN below ``parametric_threshold`` training
     samples (or with fewer than two labels) and softmax regression above
-    it — the paper's setup.  Softmax retrains continue from the previous
-    weights while the feature generation stays the same; retraining never
-    refits the featurizer's vocabulary.  Pass a
+    it — the paper's setup.  Softmax retrains always continue from the
+    previous weights; the featurizer is fitted once and never refitted, so
+    the feature dimension never changes under them.  Pass a
     ``SuiteConfig`` to :class:`~repro.translation.translator.ClaimTranslator`
     (``suite_config=``) to change any of these.
     """
@@ -84,9 +84,6 @@ class PropertyClassifierSuite:
         self._examples: list[TrainingExample] = []
         self._store = ClaimFeatureStore(preprocessor)
         self._retrain_count = 0
-        #: Feature generation the current models were trained on; a refit
-        #: of the featurizer invalidates warm starts along with the cache.
-        self._models_generation: int | None = None
 
     # ------------------------------------------------------------------ #
     # training data management
@@ -97,7 +94,7 @@ class PropertyClassifierSuite:
 
     @property
     def feature_store(self) -> ClaimFeatureStore:
-        """The shared claim-feature cache (generation-invalidated)."""
+        """The shared claim-feature cache."""
         return self._store
 
     # ------------------------------------------------------------------ #
@@ -110,18 +107,13 @@ class PropertyClassifierSuite:
         if not self._examples:
             raise TranslationError("cannot train the classifier suite without examples")
         features = self._store.matrix([example.claim for example in self._examples])
-        generation = self._store.generation
-        warm_eligible = generation == self._models_generation
         for claim_property in ClaimProperty.ordered():
             labels = [example.labels[claim_property] for example in self._examples]
             model = self._resolve_model(
-                self._models.get(claim_property) if warm_eligible else None,
-                len(self._examples),
-                len(set(labels)),
+                self._models.get(claim_property), len(self._examples), len(set(labels))
             )
             model.fit(features, labels)
             self._models[claim_property] = model
-        self._models_generation = generation
         self._retrain_count += 1
         return self
 
@@ -134,9 +126,8 @@ class PropertyClassifierSuite:
         """Pick the model for one property, continuing a warm fit if possible.
 
         k-NN below the parametric threshold or with fewer than two labels;
-        otherwise ``previous`` when it is a softmax on the current feature
-        generation (its next ``fit`` continues from its weights), else a
-        new softmax.
+        otherwise ``previous`` when it is a softmax (its next ``fit``
+        continues from its weights), else a new softmax.
         """
         config = self._config
         if sample_count < config.parametric_threshold or class_count < 2:
@@ -236,10 +227,6 @@ class PropertyClassifierSuite:
                 claim_property.value: model_to_state(model)
                 for claim_property, model in self._models.items()
             },
-            "models_current_generation": (
-                self._models_generation is not None
-                and self._models_generation == self._store.generation
-            ),
         }
 
     @classmethod
@@ -253,9 +240,9 @@ class PropertyClassifierSuite:
 
         ``claim_lookup`` resolves the stored claim ids back to corpus
         claims (training examples keep their texts out of the state).  The
-        restored models serve byte-identical predictions, and warm-start
-        eligibility is preserved: models captured against the current
-        featurizer generation remain warm-startable after restore.
+        restored models serve byte-identical predictions, and a restored
+        softmax continues from its weights at the next retrain, as the
+        captured one would have.
         """
         suite = cls(preprocessor, SuiteConfig(**state["config"]))  # type: ignore[arg-type]
         suite._examples = [
@@ -273,6 +260,4 @@ class PropertyClassifierSuite:
             ClaimProperty(claim_property): model_from_state(model_state)
             for claim_property, model_state in state.get("models", {}).items()  # type: ignore[union-attr]
         }
-        if suite._models and state.get("models_current_generation"):
-            suite._models_generation = suite._store.generation
         return suite

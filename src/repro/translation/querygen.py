@@ -20,7 +20,6 @@ from repro.dataset.types import is_numeric, values_close
 from repro.errors import FormulaError
 from repro.formulas.ast import Formula
 from repro.formulas.instantiate import FormulaInstantiator, InstantiatedQuery, ValueRef
-from repro.sqlengine.functions import FunctionLibrary
 
 
 @dataclass(frozen=True)
@@ -94,18 +93,10 @@ def _attribute_sort_key(attribute: str) -> float:
 class QueryGenerator:
     """Implements Algorithm 2 over a database corpus."""
 
-    def __init__(
-        self,
-        database: Database,
-        config: TranslationConfig | None = None,
-        functions: FunctionLibrary | None = None,
-        key_attribute: str = "Index",
-    ) -> None:
+    def __init__(self, database: Database, config: TranslationConfig | None = None) -> None:
         self._database = database
         self._config = config if config is not None else TranslationConfig()
-        self._instantiator = FormulaInstantiator(
-            database, functions=functions, key_attribute=key_attribute
-        )
+        self._instantiator = FormulaInstantiator(database)
 
     # ------------------------------------------------------------------ #
     # Algorithm 2

@@ -48,15 +48,11 @@ class ClaimTranslator:
         config: TranslationConfig | None = None,
         preprocessor: ClaimPreprocessor | None = None,
         suite_config: SuiteConfig | None = None,
-        key_attribute: str = "Index",
     ) -> None:
         self.config = config if config is not None else TranslationConfig()
         self._preprocessor = preprocessor if preprocessor is not None else ClaimPreprocessor()
         self._suite = PropertyClassifierSuite(self._preprocessor, suite_config)
-        self._key_attribute = key_attribute
-        self._generator = QueryGenerator(
-            database, config=self.config, key_attribute=key_attribute
-        )
+        self._generator = QueryGenerator(database, config=self.config)
 
     # ------------------------------------------------------------------ #
     # training
@@ -69,34 +65,24 @@ class ClaimTranslator:
     def is_trained(self) -> bool:
         return self._suite.is_trained
 
-    @property
-    def features_ready(self) -> bool:
-        """Whether the feature pipeline is fitted (classifiers may not be).
-
-        A translator bootstrapped without truths — the warm-template path
-        every tenant session starts from — is not yet *trained*, but its
-        featurizer needs no further fitting: the first
-        retrain can feed the classifiers directly instead of re-fitting
-        the corpus featurizer from scratch.
-        """
-        return self._preprocessor.is_fitted
-
     def bootstrap(
         self,
         claims: Sequence[Claim],
         truths: Sequence[ClaimGroundTruth] | None = None,
     ) -> "ClaimTranslator":
-        """Fit the feature pipeline and, when labels are given, the classifiers.
+        """Fit the feature pipeline if unfitted and, given labels, the classifiers.
 
-        In the paper's warm-start setting the previously checked claims
-        provide labels immediately; in the cold-start scenario only the
-        claim texts are available, so without ``truths`` only the
-        featurizer is fitted and classifier training waits for the first
-        retrain.
+        The featurizer is fitted once, on the claims of the first
+        bootstrap; a later bootstrap keeps it (a service fits it on its
+        whole corpus at construction).  In the paper's warm-start setting
+        the previously checked claims provide labels immediately; in the
+        cold-start scenario only the claim texts are available, so without
+        ``truths`` classifier training waits for the first retrain.
         """
         if not claims:
             raise TranslationError("bootstrap requires at least one claim")
-        self._preprocessor.fit(claims)
+        if not self._preprocessor.is_fitted:
+            self._preprocessor.fit(claims)
         if truths is None:
             return self
         if len(claims) != len(truths):
@@ -216,14 +202,13 @@ class ClaimTranslator:
         """JSON-compatible state of the translation component.
 
         Covers the translation config, the fitted preprocessor and the
-        classifier suite (models, training examples, refit accounting).
+        classifier suite (models, training examples, retrain count).
         The database is deliberately excluded — it is shared, read-only
         infrastructure that the restoring side already holds.
         """
         return {
             "kind": "claim_translator",
             "config": asdict(self.config),
-            "key_attribute": self._key_attribute,
             "preprocessor": self._preprocessor.to_state(),
             "suite": self._suite.to_state(),
         }
@@ -239,17 +224,13 @@ class ClaimTranslator:
 
         ``claim_lookup`` resolves stored training-example claim ids (e.g.
         ``corpus.claim``).  The restored translator predicts byte-identically
-        to the captured one: the preprocessor refits deterministically on
-        its stored fit corpus and the models restore their exact weights.
+        to the captured one: the preprocessor fits its featurizer again on
+        its stored fit corpus, deterministically, and the models restore
+        their exact weights.
         """
         config = TranslationConfig(**state["config"])  # type: ignore[arg-type]
         preprocessor = ClaimPreprocessor.from_state(state["preprocessor"])  # type: ignore[arg-type]
-        translator = cls(
-            database,
-            config=config,
-            preprocessor=preprocessor,
-            key_attribute=str(state.get("key_attribute", "Index")),
-        )
+        translator = cls(database, config=config, preprocessor=preprocessor)
         translator._suite = PropertyClassifierSuite.from_state(
             state["suite"], preprocessor, claim_lookup  # type: ignore[arg-type]
         )

@@ -13,7 +13,7 @@ from repro.dataset.database import Database
 from repro.dataset.relation import Relation
 from repro.synth.energy_data import EnergyDataConfig
 from repro.synth.report_generator import SyntheticCorpusConfig, generate_corpus
-from repro.text.features import ClaimFeaturizer, FeaturizerConfig
+from repro.text.features import FeaturizerConfig
 from repro.translation.preprocess import ClaimPreprocessor
 from repro.translation.translator import ClaimTranslator
 
@@ -59,6 +59,14 @@ def ged_database(ged_relation: Relation) -> Database:
     return Database([ged_relation, other], name="test-corpus")
 
 
+@pytest.fixture()
+def code_database() -> Database:
+    """One relation keyed on ``Code`` rather than the usual ``Index``."""
+    relation = Relation(name="T", key_attribute="Code", attributes=["2016", "2017"])
+    relation.insert({"Code": "X", "2016": 10, "2017": 12})
+    return Database([relation], name="code-keyed")
+
+
 @pytest.fixture(scope="session")
 def small_corpus():
     """A session-scoped synthetic corpus used across integration tests."""
@@ -76,10 +84,11 @@ def small_corpus():
 @pytest.fixture(scope="session")
 def trained_translator(small_corpus):
     """A translator warm-started on the whole small corpus."""
-    featurizer = ClaimFeaturizer(FeaturizerConfig(word_max_features=300, char_max_features=300))
     translator = ClaimTranslator(
         small_corpus.database,
-        preprocessor=ClaimPreprocessor(featurizer),
+        preprocessor=ClaimPreprocessor(
+            FeaturizerConfig(word_max_features=300, char_max_features=300)
+        ),
     )
     claims = [annotated.claim for annotated in small_corpus]
     truths = [annotated.ground_truth for annotated in small_corpus]

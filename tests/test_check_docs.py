@@ -1,8 +1,9 @@
 """The docs gate: what counts as a link or a name, and what counts as dead.
 
 ``scripts/check_docs.py`` blocks CI, so its contract is pinned the same
-way ``bench_compare``'s is: exit 0 when every relative link and every
-backticked ``repro`` name resolves, exit 1 listing the dead ones,
+way ``bench_compare``'s is: exit 0 when every relative link, every
+backticked ``repro`` name and every backticked ``Class.member`` of an
+exported ``repro`` class resolves, exit 1 listing the dead ones,
 external/anchor targets and fenced code blocks ignored.
 """
 
@@ -119,6 +120,24 @@ def test_stale_repro_name_fails_and_is_listed(tmp_path, capsys):
     assert "docs/api.md:2: unresolved name -> repro.nope" in out
     assert "ScrutinizerBuilder" not in out
     assert "repro.gone" not in out
+
+
+def test_class_qualified_names_resolve_against_exported_classes(tmp_path, capsys):
+    root = _tree(
+        tmp_path,
+        {
+            "docs/api.md": (
+                "timed in `BatchResult.planning_seconds` (a dataclass field)\n"
+                "featurized by `ClaimFeaturizer.nope` here\n"
+                "not a repro class: `Foo.bar` and `Future.result`\n"
+            ),
+        },
+    )
+    assert check_docs.main([str(root)]) == 1
+    out = capsys.readouterr().out
+    assert "docs/api.md:2: unresolved name -> ClaimFeaturizer.nope" in out
+    assert "planning_seconds" not in out
+    assert "Foo.bar" not in out and "Future.result" not in out
 
 
 def test_repository_docs_have_no_dead_links():

@@ -152,6 +152,15 @@ class TestInstantiation:
         executed = QueryExecutor(ged_database).execute_scalar(query)
         assert executed == pytest.approx(direct)
 
+    def test_to_query_keys_each_alias_on_its_relation_key_column(self, code_database):
+        from repro.sqlengine.executor import QueryExecutor
+
+        formula = parse_formula("a / b")
+        assignment = {"a": ValueRef("T", "X", "2017"), "b": ValueRef("T", "X", "2016")}
+        query = FormulaInstantiator(code_database).to_query(formula, assignment)
+        assert query.render().endswith("WHERE a.Code = 'X' AND b.Code = 'X'")
+        assert QueryExecutor(code_database).execute_scalar(query) == pytest.approx(1.2)
+
     def test_missing_assignment_raises(self, ged_database):
         instantiator = FormulaInstantiator(ged_database)
         formula = parse_formula("a + b")

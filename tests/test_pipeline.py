@@ -1,10 +1,9 @@
 """Tests for the vectorized claim pipeline.
 
-Covers the shared feature store (generation-based invalidation, the stale
-cache regression), one-row-vs-batch prediction equivalence across the
-cold-start (k-NN) and parametric (softmax) regimes, incremental retraining
-(warm starts, vocabulary refits), vectorized batch scoring, and the
-one prediction path of the verification service.
+Covers the shared feature store, one-row-vs-batch prediction equivalence
+across the cold-start (k-NN) and parametric (softmax) regimes, incremental
+retraining (warm starts over a featurizer fitted once), vectorized batch
+scoring, and the one prediction path of the verification service.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ from repro.translation.classifiers import (
     TrainingExample,
 )
 from repro.translation.preprocess import ClaimPreprocessor
+from repro.translation.translator import ClaimTranslator
 
 
 def _claim(claim_id: str, text: str) -> Claim:
@@ -125,60 +125,10 @@ class TestClaimFeatureStore:
         np.testing.assert_array_equal(store.matrix([claims[3]])[0], full[3])
         np.testing.assert_array_equal(store.matrix(claims), full)
 
-    def test_refit_invalidates_cached_rows(self):
-        store, claims, preprocessor = self._store()
-        store.matrix(claims)
-        generation = store.generation
-        preprocessor.fit_texts(["entirely new vocabulary about solar farms"])
-        assert store.generation == generation + 1
-        assert store.cached_count == 0
-        fresh = store.matrix(claims[:1])
-        np.testing.assert_array_equal(fresh, preprocessor.feature_matrix(claims[:1]))
-
     def test_empty_matrix_has_feature_width(self):
         store, claims, preprocessor = self._store()
         matrix = store.matrix([])
         assert matrix.shape == (0, preprocessor.featurizer.dimension)
-
-
-class TestStaleCacheRegression:
-    def test_suite_serves_fresh_vectors_after_featurizer_refit(self):
-        """Regression: the suite's feature rows used to be cached forever.
-
-        Refitting the preprocessor's featurizer changes feature indices;
-        the cached row must be discarded, not silently served from the old
-        vocabulary.
-        """
-        examples = _examples()
-        claims = [example.claim for example in examples]
-        preprocessor = ClaimPreprocessor().fit(claims)
-        suite = PropertyClassifierSuite(
-            preprocessor, SuiteConfig(parametric_threshold=100)
-        )
-        suite.fit(examples)
-        stale = suite.feature_store.matrix(claims[:1])
-
-        preprocessor.fit_texts([claim.text for claim in claims] + ["solar farms"])
-        refreshed = suite.feature_store.matrix(claims[:1])
-        expected = preprocessor.feature_matrix(claims[:1])
-        np.testing.assert_array_equal(refreshed, expected)
-        assert refreshed.shape != stale.shape or not np.array_equal(refreshed, stale)
-
-    def test_suite_refits_on_fresh_features_after_refit(self):
-        examples = _examples()
-        claims = [example.claim for example in examples]
-        preprocessor = ClaimPreprocessor().fit(claims)
-        suite = PropertyClassifierSuite(
-            preprocessor, SuiteConfig(parametric_threshold=100)
-        )
-        suite.fit(examples)
-        preprocessor.fit_texts([claim.text for claim in claims] + ["solar farms"])
-        # Refit after the vocabulary change: training must featurize from
-        # the new generation (the old cached matrix would have the wrong
-        # dimension and vstack would produce garbage or crash).
-        suite.fit()
-        batch = suite.predict_proba_many([_claim("q", "electricity demand grew by 2% in 2016")])
-        assert set(batch.predictions_at(0)) == set(ClaimProperty.ordered())
 
 
 # --------------------------------------------------------------------- #
@@ -312,12 +262,18 @@ class TestWarmStart:
         assert not np.allclose(warm._weights, first_weights)
 
     def test_cold_restart_on_feature_dimension_change(self):
+        """A fit on another feature dimension is refused, not restarted cold.
+
+        The featurizer is fitted once, so a dimension change is a caller
+        error; a cold fit is a new instance.
+        """
         features, labels = _blobs(seed=3)
         model = SoftmaxRegressionClassifier(epochs=10)
         model.fit(features, labels)
-        narrower = features[:, :5]
-        model.fit(narrower, labels)
-        assert model._weights.shape[0] == 5
+        weights = model._weights.copy()
+        with pytest.raises(ConfigurationError, match="feature dimension"):
+            model.fit(features[:, :5], labels)
+        np.testing.assert_array_equal(model._weights, weights)
 
     def test_suite_reuses_softmax_models_across_retrains(self):
         examples = _examples(16)
@@ -405,6 +361,49 @@ def _config(batch_size: int = 6) -> ScrutinizerConfig:
         batching=BatchingConfig(min_batch_size=1, max_batch_size=batch_size),
         seed=5,
     )
+
+
+def _corpus_fitted_rows(corpus, claims):
+    """Feature rows of ``claims`` under a featurizer fitted on the corpus."""
+    preprocessor = ClaimPreprocessor().fit([annotated.claim for annotated in corpus])
+    return preprocessor.feature_matrix(claims)
+
+
+class TestFitOnce:
+    """The featurizer is fitted once, on the corpus, and never refitted."""
+
+    def test_warm_start_keeps_the_corpus_featurizer(self, small_corpus):
+        service = (
+            ScrutinizerBuilder(small_corpus)
+            .with_config(_config())
+            .with_checkers([_ConstantChecker(small_corpus)])
+            .build_service()
+        )
+        ids = list(small_corpus.claim_ids)
+        service.warm_start(ids[:20])
+        assert service.translator.is_trained
+        claims = [small_corpus.claim(claim_id) for claim_id in ids[20:30]]
+        rows = service.translator.suite.feature_store.matrix(claims)
+        expected = _corpus_fitted_rows(small_corpus, claims)
+        assert rows.shape == expected.shape
+        assert rows.tobytes() == expected.tobytes()
+
+    def test_service_fits_an_unfitted_translator_at_construction(self, small_corpus):
+        translator = ClaimTranslator(small_corpus.database)
+        service = (
+            ScrutinizerBuilder(small_corpus)
+            .with_config(_config())
+            .with_translator(translator)
+            .with_checkers([_ConstantChecker(small_corpus)])
+            .build_service()
+        )
+        claims = [small_corpus.claim(claim_id) for claim_id in small_corpus.claim_ids[:5]]
+        rows = translator.suite.feature_store.matrix(claims)
+        assert rows.tobytes() == _corpus_fitted_rows(small_corpus, claims).tobytes()
+        service.submit(list(small_corpus.claim_ids)[:12])
+        result = service.run_batch()
+        assert result is not None and result.batch_size > 0
+        assert translator.is_trained
 
 
 class TestServiceBatchFrontDoor:

@@ -33,7 +33,7 @@ from repro.runtime.snapshot import (
 )
 from repro.synth.energy_data import EnergyDataConfig
 from repro.synth.report_generator import SyntheticCorpusConfig, generate_corpus
-from repro.text.features import ClaimFeaturizer, FeaturizerConfig
+from repro.text.features import FeaturizerConfig
 from repro.translation.classifiers import SuiteConfig
 from repro.translation.preprocess import ClaimPreprocessor
 from repro.translation.translator import ClaimTranslator
@@ -74,7 +74,7 @@ def _make_service(corpus, backend: str):
         corpus.database,
         config=config.translation,
         preprocessor=ClaimPreprocessor(
-            ClaimFeaturizer(FeaturizerConfig(word_max_features=150, char_max_features=150))
+            FeaturizerConfig(word_max_features=150, char_max_features=150)
         ),
         suite_config=SuiteConfig(parametric_threshold=PARAMETRIC_THRESHOLDS[backend]),
     )

@@ -462,7 +462,9 @@ def test_snapshot_from_another_schema_version_fails_restart(
     Version 2 is the retired format whose session repeated the report's
     verifications, version 3 the one whose classifier suite still carried
     vocabulary-refit state, version 4 the one that still recorded whether
-    accuracy was tracked; the next version is one this build predates.
+    accuracy was tracked, version 5 the one whose classifier suite and
+    translator still carried feature-generation and key-column state; the
+    next version is one this build predates.
     """
     first = VerificationServer(
         serving_corpus, _config(), snapshot_dir=tmp_path
@@ -473,7 +475,7 @@ def test_snapshot_from_another_schema_version_fails_restart(
     store = SnapshotStore(tmp_path)
     path = store.path("t0")
     written = path.read_text()
-    for version in (2, 3, 4, SNAPSHOT_SCHEMA_VERSION + 1):
+    for version in (2, 3, 4, 5, SNAPSHOT_SCHEMA_VERSION + 1):
         payload = json.loads(written)
         payload["schema_version"] = version
         path.write_text(json.dumps(payload))

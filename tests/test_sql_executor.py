@@ -18,6 +18,13 @@ class TestExecution:
         result = executor.execute("SELECT a.2017 FROM GED a WHERE a.Index = 'PGElecDemand'")
         assert result.scalar == 22209.0
 
+    def test_predicate_on_a_non_key_column_raises(self, code_database):
+        executor = QueryExecutor(code_database)
+        assert executor.execute_scalar("SELECT a.2017 FROM T a WHERE a.Code = 'X'") == 12.0
+        for where in ("a.2016 = 'X'", "a.Index = 'X'", "(a.Code = 'X' OR a.2016 = 'X')"):
+            with pytest.raises(SQLExecutionError, match="key column 'Code'"):
+                executor.execute(f"SELECT a.2017 FROM T a WHERE {where}")
+
     def test_cagr_from_paper_example(self, executor):
         sql = (
             "SELECT POWER(a.2017/b.2016, 1/(2017-2016)) - 1 FROM GED a, GED b "

@@ -8,7 +8,7 @@ import pytest
 
 from repro.claims.model import Claim, ClaimProperty
 from repro.config import TranslationConfig
-from repro.errors import NotFittedError, TranslationError
+from repro.errors import ConfigurationError, NotFittedError, TranslationError
 from repro.formulas.parser import parse_formula
 from repro.ml.base import Prediction
 from repro.translation.classifiers import PropertyClassifierSuite, SuiteConfig, TrainingExample
@@ -45,7 +45,7 @@ class TestPreprocessor:
         preprocessor = ClaimPreprocessor().fit(claims)
         assert preprocessor.feature_matrix(claims).shape[0] == 2
 
-    def test_copies_share_fitted_tables_until_one_refits(self):
+    def test_copies_share_fitted_tables(self):
         def fitted_tables(preprocessor):
             featurizer = preprocessor.featurizer
             return [featurizer._embeddings._context_means] + [
@@ -60,8 +60,8 @@ class TestPreprocessor:
             _claim("c3", "wind capacity additions doubled since 2010"),
         ]
         template = ClaimPreprocessor().fit(claims[:2])
-        refitting, sibling = copy.deepcopy(template), copy.deepcopy(template)
-        for clone in (refitting, sibling):
+        before = template.feature_matrix(claims)
+        for clone in (copy.deepcopy(template), copy.deepcopy(template)):
             assert all(
                 mine is theirs
                 for mine, theirs in zip(fitted_tables(clone), fitted_tables(template))
@@ -69,17 +69,21 @@ class TestPreprocessor:
             assert clone.featurizer._embeddings._cache is not (
                 template.featurizer._embeddings._cache
             )
-        before = template.feature_matrix(claims)
+            assert clone.feature_matrix(claims).tobytes() == before.tobytes()
 
-        refitting.fit(claims)
-        assert refitting.feature_generation == template.feature_generation + 1
-        assert not any(
-            mine is theirs
-            for mine, theirs in zip(fitted_tables(refitting), fitted_tables(template))
-        )
-        for untouched in (template, sibling):
-            assert untouched.feature_generation == 1
-            assert untouched.feature_matrix(claims).tobytes() == before.tobytes()
+    def test_second_fit_raises(self):
+        claims = [_claim("c1", "demand grew"), _claim("c2", "supply fell")]
+        preprocessor = ClaimPreprocessor().fit(claims[:1])
+        before = preprocessor.feature_matrix(claims)
+        with pytest.raises(ConfigurationError, match="fitted once"):
+            preprocessor.fit(claims)
+        with pytest.raises(ConfigurationError, match="fitted once"):
+            preprocessor.fit_texts([claim.text for claim in claims])
+        assert preprocessor.feature_matrix(claims).tobytes() == before.tobytes()
+
+    def test_unfitted_preprocessor_raises(self):
+        with pytest.raises(NotFittedError):
+            ClaimPreprocessor().feature_matrix([_claim("c1", "demand grew")])
 
 
 class TestClassifierSuite:
